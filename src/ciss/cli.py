@@ -1,16 +1,14 @@
 """Command-line surface: build splits, manage exemplar memory, evaluate
 metrics, generate pseudo-labels, and run the loss kernel.
 
-Every invocation writes exactly one JSON document to stdout; logs and error
-objects go to stderr. Exit codes: 0 success, 2 usage or validation failure,
-3 failed numeric check. All randomness comes from explicit --seed flags.
+Every invocation writes exactly one JSON document to stdout; error objects
+go to stderr. Exit codes: 0 success, 2 usage or validation failure, 3 failed
+numeric check. All randomness comes from explicit --seed flags.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -32,8 +30,6 @@ from .scenario import SCENARIO_KINDS, build_disjoint, build_overlapped, build_pa
 from .scores import read_scores
 from .tasks import classes_up_to, load_class_order, parse_layout
 
-log = logging.getLogger("ciss")
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
@@ -46,17 +42,6 @@ def _emit(doc: dict) -> None:
 
 def _display(value: float) -> str:
     return f"{value:.2f}"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("CISS_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"CISS_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ValidationError("CISS_THREADS must be >= 0")
-    return cap
 
 
 def _load_spec(args, class_count: int):
@@ -353,13 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cap = _thread_cap()
-        if cap:
-            log.info("CISS_THREADS=%d (computation is vectorized in-process)", cap)
         return args.func(args)
     except CissError as exc:
         json.dump(

@@ -223,21 +223,92 @@ class TestLossCommands:
         assert "error" in json.loads(err)
 
 
+def _case_24(tmp_path) -> dict:
+    """A 24-pixel loss case with one current and one memory item."""
+    rng = np.random.default_rng(3)
+    items = []
+    for i, (source, ids) in enumerate((("current", (0, 2, 3, 255)), ("memory", (0, 1, 255)))):
+        write_scores(ScoreMatrix(class_map=(0, 1, 2, 3), logits=rng.normal(size=(24, 4))), tmp_path / f"s{i}.scores")
+        write_scores(ScoreMatrix(class_map=(0, 1), logits=rng.normal(size=(24, 2))), tmp_path / f"p{i}.scores")
+        labels = np.array([ids[j % len(ids)] for j in range(24)], dtype=np.uint8)
+        write_pgm(LabelGrid(width=6, height=4, data=labels), tmp_path / f"l{i}.pgm")
+        items.append({"source": source, "scores": f"s{i}.scores", "prev_scores": f"p{i}.scores",
+                      "labels": f"l{i}.pgm", "kd": 0.3, "dkd": 0.4, "ac": 0.2, "pod": 0.1})
+    return {"layout": {"old": [1], "new": [2, 3]},
+            "config": {"lambda": 5.0, "gamma": 1.0, "alpha": 0.5, "beta": 0.5, "kd_includes_bg": True},
+            "items": items}
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, key = path
+        for step in parents:
+            doc = doc[step]
+        doc[key] = value
+    return edit
+
+
+VALUE = ["loss", "value", "--loss", "memory_augmented"]
+GRADCHECK = ["loss", "gradcheck", "--loss", "ce_current"]
+
+
+class TestLossCaseContract:
+    """Malformed loss cases and gradcheck arguments exit 2 with one JSON
+    error on stderr, never a traceback."""
+
+    def test_well_formed_case_runs(self, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(_case_24(tmp_path)))
+        for argv in (VALUE, ["loss", "value", "--loss", "bce_replay"], GRADCHECK):
+            proc = subprocess.run([sys.executable, "-m", "ciss.cli", *argv, "--case", str(path)],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "edit, argv",
+        [
+            (_set(("items", 0, "kd"), "x"), VALUE),
+            (_set(("items", 0, "pod"), [1]), VALUE),
+            (_set(("items", 1, "dkd"), float("nan")), VALUE),
+            (_set(("items", 0, "ac"), float("inf")), VALUE),
+            (_set(("config", "lambda"), "abc"), VALUE),
+            (_set(("config", "lambda"), float("nan")), VALUE),
+            (_set(("config", "gamma"), float("inf")), VALUE),
+            (_set(("config", "kd_includes_bg"), "false"), VALUE),
+            (_set(("config",), []), VALUE),
+            (_set(("layout", "old"), ["a"]), VALUE),
+            (_set(("layout", "new"), [2.5, 3]), VALUE),
+            (None, GRADCHECK + ["--samples", "0"]),
+            (None, GRADCHECK + ["--samples", "-1"]),
+            (None, GRADCHECK + ["--tol", "-1"]),
+            (None, GRADCHECK + ["--tol", "nan"]),
+            (None, GRADCHECK + ["--tol", "inf"]),
+        ],
+        ids=["kd-string", "pod-list", "dkd-nan", "ac-inf", "lambda-string", "lambda-nan",
+             "gamma-inf", "kd_includes_bg-string", "config-list", "old-string-id", "new-float-id",
+             "samples-0", "samples-negative", "tol-negative", "tol-nan", "tol-inf"],
+    )
+    def test_exits_2_with_one_json_error(self, tmp_path, edit, argv):
+        doc = _case_24(tmp_path)
+        if edit is not None:
+            edit(doc)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "ciss.cli", *argv, "--case", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error"}
+
+
 class TestProcessLevel:
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["build", "--scenario", "overlapped"])  # missing required flags
         assert exc.value.code == 2
-
-    def test_thread_cap_env_is_validated(self, capsys, manifest_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("CISS_THREADS", "not-a-number")
-        code, _, err = run(
-            capsys,
-            ["build", "--manifest", str(manifest_path), "--scenario", "overlapped",
-             "--task", "1-1", "--out", str(tmp_path / "s.json")],
-        )
-        assert code == 2
-        assert "CISS_THREADS" in json.loads(err)["error"]["message"]
 
     def test_module_entry_point(self, manifest_path, tmp_path):
         out = tmp_path / "split.json"

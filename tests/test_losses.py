@@ -32,6 +32,7 @@ from ciss import (
     pseudo_replay_objective,
     write_scores,
 )
+from ciss import losses as losses_module
 from ciss.pgm import write_pgm
 
 LAYOUT = TaskClassLayout(old_classes=frozenset({1}), new_classes=frozenset({2, 3}))
@@ -540,6 +541,54 @@ class TestGradients:
         item = _random_item("ce_plain", seed=6)
         with pytest.raises(ValidationError):
             grad_check("no_such_loss", item, WIDE, CFG)
+
+    @pytest.mark.parametrize("loss_id", ATOMIC_LOSSES)
+    def test_scaled_kernel_gradient_is_caught(self, loss_id, monkeypatch):
+        """The finite differences come from loss values alone, so a kernel
+        whose gradient is off by 0.1% fails the check."""
+        name = "_binary_ce" if loss_id.startswith("bce") else "_bucket_ce"
+        kernel = getattr(losses_module, name)
+
+        def scaled(*args):
+            loss, grad = kernel(*args)
+            return loss, None if grad is None else grad * 1.001
+
+        monkeypatch.setattr(losses_module, name, scaled)
+        report = grad_check(loss_id, _random_item(loss_id, seed=4), WIDE, CFG)
+        assert report.passed is False
+        assert report.max_rel_err > 1e-4
+
+
+FULL_LAYOUT = TaskClassLayout(old_classes=frozenset(range(1, 16)), new_classes=frozenset({16}))
+
+
+@pytest.fixture(scope="module")
+def full_size_items():
+    """One item per atomic loss at 500x375 pixels and K=17, labels drawn
+    within each loss's contract."""
+    n, rng = 500 * 375, np.random.default_rng(21)
+    scores = ScoreMatrix(class_map=tuple(range(17)), logits=rng.uniform(-5, 5, size=(n, 17)))
+    prev = ScoreMatrix(class_map=tuple(range(16)), logits=rng.uniform(-5, 5, size=(n, 16)))
+    allowed = {"new": (0, 16, 255), "old": (0, *range(1, 16), 255), "all": (0, *range(1, 17), 255)}
+    grids = {
+        side: LabelGrid(width=500, height=375, data=rng.choice(np.array(ids, dtype=np.uint8), size=n))
+        for side, ids in allowed.items()
+    }
+    side_of = {"ce_current": "new", "bce_new": "new", "ce_memory": "old", "bce_old": "old", "ce_plain": "all"}
+    return {
+        lid: LossItem(scores=scores, labels=grids[side_of[lid]] if lid in side_of else None, prev_scores=prev)
+        for lid in ATOMIC_LOSSES
+    }
+
+
+@pytest.mark.parametrize("loss_id", ATOMIC_LOSSES)
+def test_full_size_gradcheck_passes_at_defaults(full_size_items, loss_id):
+    """Row-local differences stay accurate at N=187,500, where differencing
+    the whole-image mean loses the 1e-5 nudge to rounding."""
+    cfg = LossConfig(kd_weight=0.5, positive_weight=2.0)
+    report = grad_check(loss_id, full_size_items[loss_id], FULL_LAYOUT, cfg, max_coords=3)
+    assert report.coords_checked == 3
+    assert report.passed, f"{loss_id}: max relative error {report.max_rel_err}"
 
 
 # --- loss case files -------------------------------------------------------------
