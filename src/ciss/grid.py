@@ -17,10 +17,6 @@ BACKGROUND = 0
 IGNORE = 255
 
 
-def is_foreground(class_id: int) -> bool:
-    return class_id != BACKGROUND and class_id != IGNORE
-
-
 @dataclass(frozen=True, eq=False)
 class LabelGrid:
     """Immutable per-pixel class-id grid of shape height x width."""
@@ -56,8 +52,9 @@ class LabelGrid:
 
     def foreground_classes(self) -> set[int]:
         """Distinct class ids present, excluding background and ignore."""
-        values = np.unique(self.data)
-        return {int(v) for v in values if is_foreground(int(v))}
+        counts = np.bincount(self.data, minlength=256)
+        counts[[BACKGROUND, IGNORE]] = 0
+        return set(np.flatnonzero(counts).tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelGrid):
@@ -72,19 +69,23 @@ class LabelGrid:
         return f"LabelGrid({self.width}x{self.height})"
 
 
+def class_ids(classes: Iterable[int]) -> list[int]:
+    """The given class ids, sorted; each must be a foreground id in 1..254."""
+    keep = sorted({int(c) for c in classes})
+    for c in keep:
+        if not BACKGROUND < c < IGNORE:
+            raise ValidationError(f"class id {c} is reserved or outside 1..{IGNORE - 1}")
+    return keep
+
+
 def relabel(oracle: LabelGrid, classes: Iterable[int]) -> LabelGrid:
     """Keep pixels of the given classes, preserve ignore, send the rest to background.
 
     Total on valid grids: any pixel value outside ``classes`` and the ignore
     index becomes background, so applying the same class set twice is a no-op.
     """
-    keep = sorted(set(int(c) for c in classes))
-    for c in keep:
-        if not is_foreground(c):
-            raise ValidationError(f"cannot relabel onto reserved class id {c}")
-    mask = np.isin(oracle.data, np.asarray(keep, dtype=np.uint8)) if keep else np.zeros(
-        oracle.n_pixels, dtype=bool
-    )
-    mask |= oracle.data == IGNORE
-    out = np.where(mask, oracle.data, np.uint8(BACKGROUND))
-    return LabelGrid(width=oracle.width, height=oracle.height, data=out)
+    keep = class_ids(classes)
+    lut = np.zeros(256, dtype=np.uint8)
+    lut[keep] = keep
+    lut[IGNORE] = IGNORE
+    return LabelGrid(width=oracle.width, height=oracle.height, data=lut.take(oracle.data))

@@ -3,44 +3,83 @@
 Manifest file format: a JSON object with `class_count` (int) and `images`
 (list of {"id": str, "labels": path}), label paths relative to the manifest
 file. Each referenced grid is a PGM whose pixel values are class ids.
+A loaded manifest keeps each image's class set and reads its grid on demand.
 """
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 from .errors import FormatError, ValidationError
-from .grid import LabelGrid
+from .grid import IGNORE, LabelGrid
 from .pgm import read_pgm, write_pgm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OracleRecord:
-    """One image's identity plus its all-classes-annotated label grid."""
+    """One image's identity, foreground class set and all-classes-annotated grid.
+
+    A record built from a grid holds it. A record loaded from a manifest file
+    keeps only the grid's path and pixel count and reads the grid again each
+    time `oracle_labels` is asked for, so a loaded manifest holds no pixels.
+    """
 
     image_id: str
-    oracle_labels: LabelGrid
     oracle_classes: frozenset[int]
+    labels_path: Path | None
+    n_pixels: int
+    _grid: LabelGrid | None = field(repr=False)
+
+    def __init__(self, image_id: str, oracle_labels: LabelGrid, oracle_classes: frozenset[int]) -> None:
+        derived = frozenset(oracle_labels.foreground_classes())
+        if derived and derived != oracle_classes:
+            raise ValidationError(
+                f"image {image_id!r}: declared classes {sorted(oracle_classes)} "
+                f"do not match grid contents {sorted(derived)}"
+            )
+        self._fill(image_id, derived, None, oracle_labels)
+
+    def _fill(self, image_id: str, classes: frozenset[int], path: Path | None, grid: LabelGrid) -> None:
+        if not classes:
+            raise ValidationError(f"image {image_id!r} has no foreground pixels")
+        for name, value in (
+            ("image_id", image_id),
+            ("oracle_classes", classes),
+            ("labels_path", path),
+            ("n_pixels", grid.n_pixels),
+            ("_grid", grid if path is None else None),
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _derive(cls, image_id: str, grid: LabelGrid, path: Path | None) -> "OracleRecord":
+        record = cls.__new__(cls)
+        record._fill(image_id, frozenset(grid.foreground_classes()), path, grid)
+        return record
 
     @classmethod
     def from_grid(cls, image_id: str, grid: LabelGrid) -> "OracleRecord":
-        classes = frozenset(grid.foreground_classes())
-        if not classes:
-            raise ValidationError(f"image {image_id!r} has no foreground pixels")
-        return cls(image_id=image_id, oracle_labels=grid, oracle_classes=classes)
+        return cls._derive(image_id, grid, None)
 
-    def __post_init__(self) -> None:
-        derived = frozenset(self.oracle_labels.foreground_classes())
-        if not derived:
-            raise ValidationError(f"image {self.image_id!r} has no foreground pixels")
-        if derived != self.oracle_classes:
-            raise ValidationError(
-                f"image {self.image_id!r}: declared classes {sorted(self.oracle_classes)} "
-                f"do not match grid contents {sorted(derived)}"
+    @classmethod
+    def from_file(cls, image_id: str, path: Path) -> "OracleRecord":
+        """Read the grid once for its class set and pixel count, and keep neither."""
+        return cls._derive(image_id, read_pgm(path), path)
+
+    @property
+    def oracle_labels(self) -> LabelGrid:
+        if self._grid is not None:
+            return self._grid
+        grid = read_pgm(self.labels_path)
+        if grid.n_pixels != self.n_pixels:
+            raise FormatError(
+                f"{self.labels_path}: grid of image {self.image_id!r} has {grid.n_pixels} pixels, "
+                f"{self.n_pixels} when the manifest was loaded"
             )
+        return grid
 
 
 @dataclass(frozen=True)
@@ -49,8 +88,8 @@ class DatasetManifest:
     records: tuple[OracleRecord, ...]
 
     def __post_init__(self) -> None:
-        if self.class_count < 1:
-            raise ValidationError("class count must be >= 1")
+        if not 1 <= self.class_count < IGNORE:
+            raise ValidationError(f"class count must lie in 1..{IGNORE - 1}, got {self.class_count}")
         seen: set[str] = set()
         for rec in self.records:
             if rec.image_id in seen:
@@ -93,23 +132,33 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
 
     records = []
     for entry in doc["images"]:
-        if not isinstance(entry, dict) or "id" not in entry or "labels" not in entry:
-            raise FormatError(f"{path}: each image entry needs id and labels fields")
-        grid = read_pgm(path.parent / entry["labels"])
-        records.append(OracleRecord.from_grid(str(entry["id"]), grid))
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("id"), str)
+            and isinstance(entry.get("labels"), str)
+        ):
+            raise FormatError(f"{path}: each image entry needs string id and labels fields")
+        records.append(OracleRecord.from_file(entry["id"], path.parent / entry["labels"]))
     return DatasetManifest(class_count=doc["class_count"], records=tuple(records))
 
 
 def save_manifest(manifest: DatasetManifest, path: str | os.PathLike) -> None:
-    """Write the manifest JSON plus one P5 grid per record next to it."""
+    """Write the manifest JSON plus one P5 grid per record next to it.
+
+    Loaded records read their grids on demand, possibly from the files being
+    replaced, so every grid is written under a temporary name before any
+    file is replaced.
+    """
     path = Path(path)
     grids_dir = path.parent / f"{path.stem}_grids"
     grids_dir.mkdir(parents=True, exist_ok=True)
     images = []
     for i, rec in enumerate(manifest.records):
         rel = f"{path.stem}_grids/{i:05d}.pgm"
-        write_pgm(rec.oracle_labels, path.parent / rel)
+        write_pgm(rec.oracle_labels, path.parent / f"{rel}.tmp")
         images.append({"id": rec.image_id, "labels": rel})
+    for image in images:
+        os.replace(path.parent / f"{image['labels']}.tmp", path.parent / image["labels"])
     doc = {"class_count": manifest.class_count, "images": images}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

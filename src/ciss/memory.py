@@ -73,20 +73,37 @@ class ReplayBatch:
     warnings: tuple[str, ...] = ()
 
 
-def _membership(split: SplitManifest, upto_task: int) -> dict[str, list[int]]:
-    out: dict[str, list[int]] = {}
-    for task in split.tasks[: upto_task + 1]:
-        for image_id in task.image_ids:
-            out.setdefault(image_id, []).append(task.task_index)
-    return out
-
-
 def _source_task(member_tasks: list[int], anchor_task: int) -> int | None:
     """Earliest task holding the image at which the anchor class is visible."""
     for t in member_tasks:
         if t >= anchor_task:
             return t
     return None
+
+
+def _class_pools(
+    split: SplitManifest,
+    manifest: DatasetManifest,
+    classes,
+    upto_task: int,
+    candidates: list[str] | None = None,
+) -> dict[int, list[tuple[str, int]]]:
+    """For each class, the (image id, saved-at task) pairs that can anchor it,
+    in image-id order: candidate images (by default every image of tasks
+    0..upto_task) holding the class in one of those tasks no earlier than the
+    class's own; saved-at is the earliest such task."""
+    member = split.membership(upto_task)
+    ids = sorted(member) if candidates is None else candidates
+    pools: dict[int, list[tuple[str, int]]] = {}
+    for cls in classes:
+        anchor_task = task_of_class(split.spec, cls)
+        pools[cls] = [
+            (image_id, source)
+            for image_id in ids
+            if cls in manifest.record(image_id).oracle_classes
+            and (source := _source_task(member[image_id], anchor_task)) is not None
+        ]
+    return pools
 
 
 def _make_entry(
@@ -117,19 +134,8 @@ def sample_class_balanced(
         raise ValidationError("memory capacity must be >= 1")
     if not 0 <= upto_task <= spec.task_count:
         raise ValidationError(f"task index {upto_task} outside 0..{spec.task_count}")
-    member = _membership(split, upto_task)
     order = spec.class_order[: spec.base_count + upto_task * spec.step]
-
-    pools: dict[int, list[tuple[str, int]]] = {}
-    for cls in order:
-        anchor_task = task_of_class(spec, cls)
-        pool = []
-        for image_id, tasks_in in sorted(member.items()):
-            if cls in manifest.record(image_id).oracle_classes:
-                source = _source_task(tasks_in, anchor_task)
-                if source is not None:
-                    pool.append((image_id, source))
-        pools[cls] = pool
+    pools = _class_pools(split, manifest, order, upto_task)
 
     rng = random.Random(seed)
     taken: set[str] = set()
@@ -169,23 +175,13 @@ def extend_class_balanced(
     """
     spec = split.spec
     new_classes = [c for c in spec.class_order if c in task_classes(spec, new_task)]
-    member = _membership(split, new_task)
+    pools = _class_pools(split, manifest, new_classes, new_task)
     rng = random.Random(seed)
 
     entries = list(memory.entries)
     warnings = list(memory.warnings)
     visible = spec.base_count + new_task * spec.step
     target = max(1, memory.capacity // visible)
-
-    pools: dict[int, list[tuple[str, int]]] = {}
-    for cls in new_classes:
-        anchor_task = task_of_class(spec, cls)
-        pools[cls] = [
-            (image_id, source)
-            for image_id, tasks_in in sorted(member.items())
-            if cls in manifest.record(image_id).oracle_classes
-            and (source := _source_task(tasks_in, anchor_task)) is not None
-        ]
 
     def anchor_counts() -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -245,36 +241,29 @@ def make_non_overlapping_variant(
         raise ValidationError(f"need an incremental task, got t={t}")
     spec = split.spec
     current = set(split.task_ids(t))
-    member = _membership(split, spec.task_count)
-    in_memory = memory.ids()
-    pool = sorted(set(split.task_ids(0)) - current - in_memory)
+    pool = sorted(set(split.task_ids(0)) - current - memory.ids())
+    anchors = {e.anchor_class for e in memory.entries if e.image_id in current}
+    pools = _class_pools(split, manifest, anchors, spec.task_count, pool)
     rng = random.Random(seed)
 
+    used: set[str] = set()
     entries: list[ExemplarEntry] = []
     warnings = list(memory.warnings)
     for entry in memory.entries:
         if entry.image_id not in current:
             entries.append(entry)
             continue
-        anchor_task = task_of_class(spec, entry.anchor_class)
-        preferred = [
-            image_id
-            for image_id in pool
-            if entry.anchor_class in manifest.record(image_id).oracle_classes
-            and _source_task(member[image_id], anchor_task) is not None
-        ]
+        preferred = [cand for cand in pools[entry.anchor_class] if cand[0] not in used]
         if preferred:
-            image_id = preferred[rng.randrange(len(preferred))]
-            saved_at = _source_task(member[image_id], anchor_task)
-            entries.append(_make_entry(manifest, spec, image_id, saved_at, entry.anchor_class))
-        elif pool:
-            image_id = pool[rng.randrange(len(pool))]
+            image_id, saved_at = preferred[rng.randrange(len(preferred))]
+            anchor = entry.anchor_class
+        elif remaining := [image_id for image_id in pool if image_id not in used]:
+            image_id, saved_at = remaining[rng.randrange(len(remaining))], 0
             stored_visible = sorted(
                 manifest.record(image_id).oracle_classes & classes_up_to(spec, 0),
                 key=spec.class_order.index,
             )
             anchor = stored_visible[0]
-            entries.append(_make_entry(manifest, spec, image_id, 0, anchor))
             warnings.append(
                 f"{entry.image_id}: no replacement with anchor class {entry.anchor_class}, reassigned"
             )
@@ -282,7 +271,8 @@ def make_non_overlapping_variant(
             entries.append(entry)
             warnings.append(f"{entry.image_id}: non-overlapping supply exhausted, kept")
             continue
-        pool.remove(image_id)
+        used.add(image_id)
+        entries.append(_make_entry(manifest, spec, image_id, saved_at, anchor))
     return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 
 

@@ -38,8 +38,11 @@ def _tokenize_header(blob: bytes, count: int, start: int) -> tuple[list[bytes], 
 
 
 def read_pgm(path: str | os.PathLike) -> LabelGrid:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read PGM file ({exc})") from exc
     if len(blob) < 2:
         raise FormatError(f"{path}: not a PGM file")
     magic = blob[:2]
@@ -60,10 +63,10 @@ def read_pgm(path: str | os.PathLike) -> LabelGrid:
         # exactly one whitespace byte separates maxval from the raster
         if pos >= len(blob) or blob[pos] not in _WHITESPACE:
             raise FormatError(f"{path}: missing raster separator")
-        raster = blob[pos + 1 : pos + 1 + n]
-        if len(raster) != n:
-            raise FormatError(f"{path}: expected {n} raster bytes, found {len(raster)}")
-        data = np.frombuffer(raster, dtype=np.uint8).copy()
+        found = min(n, len(blob) - pos - 1)
+        if found != n:
+            raise FormatError(f"{path}: expected {n} raster bytes, found {found}")
+        data = np.frombuffer(blob, dtype=np.uint8, count=n, offset=pos + 1).copy()
     else:
         try:
             data = np.array([int(v) for v in blob[pos:].split()], dtype=np.int64)
@@ -75,7 +78,7 @@ def read_pgm(path: str | os.PathLike) -> LabelGrid:
             raise FormatError(f"{path}: ASCII pixel value outside 0..255")
     if data.size and int(data.max()) > maxval:
         raise FormatError(f"{path}: pixel value {int(data.max())} exceeds maxval {maxval}")
-    return LabelGrid(width=width, height=height, data=data.astype(np.uint8))
+    return LabelGrid(width=width, height=height, data=data.astype(np.uint8, copy=False))
 
 
 def write_pgm(grid: LabelGrid, path: str | os.PathLike) -> None:

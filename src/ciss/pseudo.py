@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import BACKGROUND, IGNORE, LabelGrid
+from .grid import BACKGROUND, IGNORE, LabelGrid, class_ids
 from .scores import ScoreMatrix, softmax_probs
 
 
@@ -31,6 +31,7 @@ def pseudo_label(
     current_classes: set[int],
     cfg: PseudoConfig,
 ) -> LabelGrid:
+    keep = class_ids(current_classes)
     if gt.n_pixels != prev_scores.n_pixels:
         raise ValidationError(
             f"grid has {gt.n_pixels} pixels, scores have {prev_scores.n_pixels}"
@@ -42,7 +43,7 @@ def pseudo_label(
     best_class = ordered_ids[best_col]
     confidence = probs[np.arange(probs.shape[0]), order[best_col]]
 
-    current = np.isin(gt.data, np.asarray(sorted(current_classes), dtype=np.uint8))
+    current = np.isin(gt.data, np.asarray(keep, dtype=np.uint8))
     out = np.full(gt.n_pixels, BACKGROUND, dtype=np.uint8)
     out[current] = gt.data[current]
     fill = (gt.data == BACKGROUND) & (confidence > cfg.tau)

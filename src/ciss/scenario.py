@@ -76,10 +76,11 @@ class SplitManifest:
     def task_ids(self, t: int) -> tuple[str, ...]:
         return self.task(t).image_ids
 
-    def membership(self) -> dict[str, list[int]]:
-        """Map image id to the sorted task indices containing it."""
+    def membership(self, upto_task: int | None = None) -> dict[str, list[int]]:
+        """Map image id to the sorted task indices containing it, counting
+        only tasks 0..upto_task when a bound is given."""
         out: dict[str, list[int]] = {}
-        for task in self.tasks:
+        for task in self.tasks[: None if upto_task is None else upto_task + 1]:
             for image_id in task.image_ids:
                 out.setdefault(image_id, []).append(task.task_index)
         return out
@@ -234,8 +235,8 @@ def load_split(path: str | os.PathLike) -> SplitManifest:
             )
             for entry in doc["tasks"]
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: split manifest missing field ({exc})") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: split manifest missing or malformed field ({exc})") from exc
 
     if scenario not in SCENARIO_KINDS:
         raise FormatError(f"{path}: unknown scenario kind {scenario!r}")
@@ -249,15 +250,21 @@ def load_split(path: str | os.PathLike) -> SplitManifest:
     seed = doc.get("seed")
     assignments = doc.get("assignments")
     if scenario == "partitioned":
-        if seed is None or assignments is None:
-            raise FormatError(f"{path}: partitioned split requires seed and assignments")
-        assignments = {str(k): int(v) for k, v in assignments.items()}
+        if not _is_int(seed) or not isinstance(assignments, dict):
+            raise FormatError(f"{path}: partitioned split requires an integer seed and assignments")
+        bad = sorted(k for k, v in assignments.items() if not _is_int(v))
+        if bad:
+            raise FormatError(f"{path}: assignments of {bad[:3]} are not integer class ids")
     try:
         return SplitManifest(
             scenario=scenario, spec=spec, tasks=tasks, seed=seed, assignments=assignments
         )
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_spec(manifest: DatasetManifest, spec: TaskSpec) -> None:

@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .grid import IGNORE
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,8 @@ class TaskSpec:
         order = tuple(int(c) for c in self.class_order)
         object.__setattr__(self, "class_order", order)
         c = len(order)
-        if c == 0:
-            raise ValidationError("class order is empty")
+        if not 1 <= c < IGNORE:
+            raise ValidationError(f"class order holds {c} classes, expected 1..{IGNORE - 1}")
         if sorted(order) != list(range(1, c + 1)):
             raise ValidationError(f"class order is not a permutation of 1..{c}")
         if not 1 <= self.base_count <= c:
@@ -89,6 +90,8 @@ def parse_layout(text: str, class_count: int, class_order: tuple[int, ...] | Non
         base, step = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValidationError(f"task layout {text!r} is not of the form B-s") from None
+    if not 1 <= class_count < IGNORE:
+        raise ValidationError(f"class count must lie in 1..{IGNORE - 1}, got {class_count}")
     order = class_order if class_order is not None else tuple(range(1, class_count + 1))
     if len(order) != class_count:
         raise ValidationError(

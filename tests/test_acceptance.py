@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v`; a per-criterion PASS/FAIL/SKIP
 summary is printed at the end of the session.
 """
+import hashlib
 import json
 import math
 import os
@@ -236,24 +237,29 @@ def test_criterion_10_gradient_checks():
     assert time.monotonic() - started < 30.0
 
 
-def test_criterion_11_determinism(tmp_path):
+def _criterion_11_artifacts(base):
+    """Write criterion 11's split, overlapped split, memory and batch listing under `base`."""
     manifest = synthetic_manifest(300, 20, seed=31, min_classes=1, max_classes=4)
     spec = parse_layout("15-1", 20)
+    base.mkdir()
+    split = build_partitioned(manifest, spec, seed=1234)
+    save_split(split, base / "split.json")
+    over = build_overlapped(manifest, spec)
+    save_split(over, base / "over.json")
+    memory = sample_class_balanced(over, manifest, upto_task=0, capacity=40, seed=99)
+    save_memory(memory, base / "memory.json")
+    batch = compose_batch(list(over.task_ids(1)), memory, batch_size=24, seed=7)
+    listing = json.dumps(
+        [{"image_id": it.image_id, "source": it.source} for it in batch.items], indent=2
+    )
+    (base / "batch.json").write_text(listing)
+
+
+def test_criterion_11_determinism(tmp_path):
     artifacts = []
     for run in ("run1", "run2"):
         base = tmp_path / run
-        base.mkdir()
-        split = build_partitioned(manifest, spec, seed=1234)
-        save_split(split, base / "split.json")
-        over = build_overlapped(manifest, spec)
-        save_split(over, base / "over.json")
-        memory = sample_class_balanced(over, manifest, upto_task=0, capacity=40, seed=99)
-        save_memory(memory, base / "memory.json")
-        batch = compose_batch(list(over.task_ids(1)), memory, batch_size=24, seed=7)
-        listing = json.dumps(
-            [{"image_id": it.image_id, "source": it.source} for it in batch.items], indent=2
-        )
-        (base / "batch.json").write_text(listing)
+        _criterion_11_artifacts(base)
         artifacts.append(
             {
                 name: (base / name).read_bytes()
@@ -261,6 +267,31 @@ def test_criterion_11_determinism(tmp_path):
             }
         )
     assert artifacts[0] == artifacts[1]
+
+
+# sha256 of criterion 11's artifacts as written before class sets came from a
+# byte histogram and relabeling from a lookup table; the memory grids are
+# hashed as one stream of (file name, NUL, file bytes) in name order.
+PINNED_DIGESTS = {
+    "split.json": "865cac66165c0bdb6215f5e21bbc327405ac337095bbd85e68dc43987e802a27",
+    "over.json": "6a53d375018c88500df9df63163f62ec7cb0a665dff57e7541f07345418bf507",
+    "memory.json": "69a3f23f1b7fbbfff8a53a3eb36b58ae50cf85ca4b530de05e6c2733311a8fe6",
+    "memory_grids": "71783be1d238c7280067cf642a17597de3019edc168e7a2532510d4c66b32e4a",
+}
+
+
+def test_criterion_11_artifacts_match_pinned_digests(tmp_path):
+    base = tmp_path / "run"
+    _criterion_11_artifacts(base)
+    got = {name: hashlib.sha256((base / name).read_bytes()).hexdigest()
+           for name in ("split.json", "over.json", "memory.json")}
+    grids = sorted((base / "memory_grids").iterdir())
+    assert len(grids) == 40
+    stream = hashlib.sha256()
+    for path in grids:
+        stream.update(path.name.encode() + b"\0" + path.read_bytes())
+    got["memory_grids"] = stream.hexdigest()
+    assert got == PINNED_DIGESTS
 
 
 @pytest.mark.skipif(

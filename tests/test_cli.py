@@ -6,7 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from ciss import LabelGrid, ScoreMatrix, save_manifest, write_scores
+from ciss import (
+    LabelGrid,
+    ScoreMatrix,
+    build_partitioned,
+    load_manifest,
+    save_manifest,
+    save_split,
+    write_scores,
+)
 from ciss.cli import main
 from ciss.pgm import read_pgm, write_pgm
 from conftest import one_hot_scores
@@ -294,14 +302,92 @@ class TestLossCaseContract:
             edit(doc)
         path = tmp_path / "case.json"
         path.write_text(json.dumps(doc))
-        proc = subprocess.run([sys.executable, "-m", "ciss.cli", *argv, "--case", str(path)],
-                              capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert set(json.loads(lines[0])) == {"error"}
+        _assert_one_json_error([*argv, "--case", str(path)])
+
+
+def _assert_one_json_error(argv):
+    """Run the CLI as a child: exit 2, nothing on stdout, one JSON error line
+    on stderr and no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "ciss.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+
+
+def _edit_manifest(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _manifest_labels_int(tmp, manifest, spec):
+    path = _edit_manifest(manifest, lambda doc: doc["images"][0].update(labels=5))
+    return ["build", "--manifest", str(path), "--scenario", "overlapped", "--task", "1-1",
+            "--out", str(tmp / "s.json")]
+
+
+def _manifest_id_int(tmp, manifest, spec):
+    path = _edit_manifest(manifest, lambda doc: doc["images"][0].update(id=5))
+    return ["build", "--manifest", str(path), "--scenario", "overlapped", "--task", "1-1",
+            "--out", str(tmp / "s.json")]
+
+
+def _manifest_class_count_255(tmp, manifest, spec):
+    path = _edit_manifest(manifest, lambda doc: doc.update(class_count=255))
+    return ["build", "--manifest", str(path), "--scenario", "overlapped", "--task", "250-5",
+            "--out", str(tmp / "s.json")]
+
+
+def _manifest_grid_missing(tmp, manifest, spec):
+    doc = json.loads(manifest.read_text())
+    (manifest.parent / doc["images"][2]["labels"]).unlink()
+    return ["build", "--manifest", str(manifest), "--scenario", "overlapped", "--task", "1-1",
+            "--out", str(tmp / "s.json")]
+
+
+def _eval_class_count_255(tmp, manifest, spec):
+    write_pgm(LabelGrid(width=2, height=1, data=np.array([1, 0], dtype=np.uint8)), tmp / "a.pgm")
+    (tmp / "pairs.json").write_text(json.dumps([{"pred": "a.pgm", "gt": "a.pgm"}]))
+    return ["eval", "miou", "--pairs", str(tmp / "pairs.json"), "--task", "250-5",
+            "--class-count", "255"]
+
+
+def _split_assignment_string(tmp, manifest, spec):
+    path = tmp / "split.json"
+    save_split(build_partitioned(load_manifest(manifest), spec, seed=1), path)
+    _edit_manifest(path, lambda doc: doc["assignments"].update(Img1="x"))
+    return ["memory", "sample", "--manifest", str(manifest), "--split", str(path),
+            "--upto-task", "0", "--size", "2", "--seed", "0", "--out", str(tmp / "m.json")]
+
+
+def _pseudo_classes(value):
+    def argv(tmp, manifest, spec):
+        gt = LabelGrid(width=2, height=1, data=np.array([3, 0], dtype=np.uint8))
+        write_pgm(gt, tmp / "gt.pgm")
+        write_scores(one_hot_scores(gt, (0, 3)), tmp / "prev.scores")
+        return ["pseudo", "--gt", str(tmp / "gt.pgm"), "--prev-scores", str(tmp / "prev.scores"),
+                "--current-classes", value, "--tau", "0.5", "--out", str(tmp / "p.pgm")]
+    return argv
+
+
+class TestLoaderContract:
+    """Malformed manifests, splits and class ids exit 2 with one JSON error
+    on stderr, never a traceback, and never let 255 become a class."""
+
+    @pytest.mark.parametrize(
+        "make_argv",
+        [_manifest_labels_int, _manifest_id_int, _manifest_class_count_255, _manifest_grid_missing,
+         _eval_class_count_255, _split_assignment_string, _pseudo_classes("300"),
+         _pseudo_classes("3,255"), _pseudo_classes("-1")],
+        ids=["labels-int", "id-int", "class-count-255", "grid-missing", "eval-class-count-255",
+             "assignment-string", "current-classes-300", "current-classes-255", "current-classes-negative"],
+    )
+    def test_exits_2_with_one_json_error(self, tmp_path, manifest_path, fig3_spec, make_argv):
+        _assert_one_json_error(make_argv(tmp_path, manifest_path, fig3_spec))
 
 
 class TestProcessLevel:

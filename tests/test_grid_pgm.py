@@ -1,4 +1,6 @@
 """Label grids, relabeling, and the PGM reader/writer."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,3 +120,55 @@ def test_pgm_rejects_malformed_files(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(FormatError):
         read_pgm(path)
+
+
+@st.composite
+def all_byte_grids(draw):
+    """A grid holding every byte value 0..255 at least once, shuffled."""
+    extra = draw(st.lists(st.integers(0, 255), max_size=64))
+    values = np.concatenate([np.arange(256), np.array(extra, dtype=np.int64)]).astype(np.uint8)
+    order = draw(st.permutations(range(values.size)))
+    return LabelGrid(width=values.size, height=1, data=values[list(order)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(all_byte_grids(), st.sets(st.integers(1, 254), max_size=40))
+def test_relabel_table_matches_isin_rule(g, classes):
+    keep = np.isin(g.data, np.array(sorted(classes), dtype=np.uint8)) | (g.data == IGNORE)
+    expected = np.where(keep, g.data, np.uint8(BACKGROUND))
+    assert relabel(g, classes).data.tolist() == expected.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=300))
+def test_foreground_classes_match_unique_rule(values):
+    g = LabelGrid(width=len(values), height=1, data=np.array(values, dtype=np.uint8))
+    assert g.foreground_classes() == {int(v) for v in np.unique(g.data)} - {BACKGROUND, IGNORE}
+
+
+@pytest.mark.parametrize("target", [0, -1, 256, 300])
+def test_relabel_rejects_ids_outside_foreground_range(target):
+    g = LabelGrid(width=1, height=1, data=np.array([1], dtype=np.uint8))
+    with pytest.raises(ValidationError):
+        relabel(g, {1, target})
+
+
+def test_pgm_p5_raster_is_copied_once(tmp_path):
+    n = 400 * 300
+    raster = np.random.default_rng(0).integers(0, 256, n, dtype=np.uint8)
+    path = tmp_path / "g.pgm"
+    path.write_bytes(b"P5\n400 300\n255\n" + raster.tobytes())
+    tracemalloc.start()
+    try:
+        grid = read_pgm(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(grid.data, raster)
+    # the file's bytes plus one owned raster; each further copy adds n
+    assert peak < 2.5 * n
+
+
+def test_pgm_missing_file_is_a_format_error(tmp_path):
+    with pytest.raises(FormatError):
+        read_pgm(tmp_path / "absent.pgm")

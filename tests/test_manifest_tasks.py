@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from ciss import (
+    DatasetManifest,
     FormatError,
     LabelGrid,
     OracleRecord,
     TaskSpec,
     ValidationError,
+    build_overlapped,
     classes_up_to,
     load_manifest,
     parse_layout,
+    sample_class_balanced,
     save_manifest,
     task_classes,
     task_of_class,
@@ -157,3 +160,85 @@ def test_bad_layouts_rejected(text):
 def test_order_must_be_permutation():
     with pytest.raises(ValidationError):
         TaskSpec(base_count=1, step=1, class_order=(1, 1, 2))
+
+
+def test_load_manifest_derives_each_class_set_once(tmp_path, monkeypatch, fig3_manifest):
+    save_manifest(fig3_manifest, tmp_path / "m.json")
+    calls = []
+    derive = LabelGrid.foreground_classes
+
+    def counted(grid):
+        calls.append(grid)
+        return derive(grid)
+
+    monkeypatch.setattr(LabelGrid, "foreground_classes", counted)
+    manifest = load_manifest(tmp_path / "m.json")
+    assert len(calls) == len(manifest) == 5
+
+
+def test_loaded_records_hold_no_grid(tmp_path, fig3_manifest):
+    save_manifest(fig3_manifest, tmp_path / "m.json")
+    for rec in load_manifest(tmp_path / "m.json").records:
+        assert not any(isinstance(v, LabelGrid) for v in vars(rec).values())
+        assert rec.n_pixels == rec.oracle_labels.n_pixels
+
+
+def test_loaded_grid_read_on_demand(tmp_path, fig3_manifest):
+    save_manifest(fig3_manifest, tmp_path / "m.json")
+    manifest = load_manifest(tmp_path / "m.json")
+    rec = manifest.record("Img2")
+    write_pgm(make_record("x", {1, 2}, width=5).oracle_labels, rec.labels_path)
+    with pytest.raises(FormatError, match="pixels"):
+        rec.oracle_labels
+    rec.labels_path.unlink()
+    with pytest.raises(FormatError):
+        rec.oracle_labels
+    assert manifest.record("Img1").oracle_labels == fig3_manifest.record("Img1").oracle_labels
+
+
+def test_deleted_grid_fails_only_the_draw_that_reads_it(tmp_path, fig3_manifest, fig3_spec):
+    save_manifest(fig3_manifest, tmp_path / "m.json")
+    manifest = load_manifest(tmp_path / "m.json")
+    manifest.record("Img3").labels_path.unlink()
+    split = build_overlapped(manifest, fig3_spec)
+    assert split.task_ids(2) == ("Img1", "Img3", "Img4")
+    with pytest.raises(FormatError):
+        sample_class_balanced(split, manifest, upto_task=2, capacity=5, seed=0)
+
+
+@pytest.mark.parametrize("bad", [0, 255, 256])
+def test_class_count_outside_1_to_254_is_rejected(bad):
+    with pytest.raises(ValidationError, match="1..254"):
+        DatasetManifest(class_count=bad, records=())
+    with pytest.raises(ValidationError, match="1..254"):
+        parse_layout("1-1", bad)
+
+
+def test_class_order_reaching_the_ignore_id_is_rejected():
+    with pytest.raises(ValidationError, match="1..254"):
+        TaskSpec(base_count=250, step=5, class_order=tuple(range(1, 256)))
+
+
+def test_largest_class_count_is_allowed():
+    assert DatasetManifest(class_count=254, records=()).class_count == 254
+    assert parse_layout("250-4", 254).task_count == 1
+
+
+@pytest.mark.parametrize("entry", [{"id": "a", "labels": 5}, {"id": 5, "labels": "a.pgm"}])
+def test_load_manifest_rejects_non_string_fields(tmp_path, entry):
+    write_pgm(make_record("x", {1}).oracle_labels, tmp_path / "a.pgm")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"class_count": 1, "images": [entry]}))
+    with pytest.raises(FormatError, match="string"):
+        load_manifest(path)
+
+
+def test_save_over_own_grids_keeps_every_grid(tmp_path, fig3_manifest):
+    path = tmp_path / "m.json"
+    save_manifest(fig3_manifest, path)
+    loaded = load_manifest(path)
+    reordered = DatasetManifest(class_count=3, records=loaded.records[::-1])
+    save_manifest(reordered, path)
+    again = load_manifest(path)
+    for rec in again.records:
+        assert rec.oracle_labels == fig3_manifest.record(rec.image_id).oracle_labels

@@ -48,6 +48,19 @@ class TestOverlapped:
             touched = {t for t in range(spec.num_tasks) if rec.oracle_classes & task_classes(spec, t)}
             assert set(member[rec.image_id]) == touched
 
+    def test_membership_upper_bound_drops_later_tasks(self):
+        manifest = synthetic_manifest(200, 6, seed=3)
+        split = build_overlapped(manifest, parse_layout("2-2", 6))
+        full = split.membership()
+        for upto in range(3):
+            bounded = split.membership(upto)
+            assert bounded == {
+                image_id: [t for t in tasks if t <= upto]
+                for image_id, tasks in full.items()
+                if tasks[0] <= upto
+            }
+        assert split.membership(2) == full
+
 
 class TestDisjoint:
     def test_five_image_example(self, fig3_manifest, fig3_spec):
