@@ -8,11 +8,11 @@ numeric check. All randomness comes from explicit --seed flags.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import losses as L
+from .artifacts import json_text, read_json, reading
 from .errors import CissError, ValidationError
 from .manifest import load_manifest
 from .memory import (
@@ -36,16 +36,20 @@ EXIT_CHECK_FAILED = 3
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(doc))
 
 
 def _display(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _load_spec(args, class_count: int):
+def _load_spec(args, class_count: int | None = None):
+    """--task over --class-order, else over 1..`class_count` (a manifest's) or 1..--class-count."""
     order = load_class_order(args.class_order) if args.class_order else None
+    if class_count is None:
+        if order is None and not args.class_count:
+            raise ValidationError(f"eval {args.eval_cmd} needs --class-order or --class-count")
+        class_count = len(order) if order is not None else args.class_count
     return parse_layout(args.task, class_count, order)
 
 
@@ -149,27 +153,17 @@ def cmd_pseudo(args) -> int:
 
 
 def _read_pairs(path: str, first: str, second: str) -> list[tuple]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = read_json(path, "pairs file")
+    with reading(path, "pairs file"):
         pairs = [(Path(path).parent / e[first], Path(path).parent / e[second]) for e in doc]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: bad pairs file ({exc})") from exc
     if not pairs:
         raise ValidationError(f"{path}: pairs file is empty")
     return pairs
 
 
 def cmd_eval(args) -> int:
+    spec = _load_spec(args)
     if args.eval_cmd == "miou":
-        if args.class_order:
-            order = load_class_order(args.class_order)
-            class_count = len(order)
-        elif args.class_count:
-            order, class_count = None, args.class_count
-        else:
-            raise ValidationError("eval miou needs --class-order or --class-count")
-        spec = parse_layout(args.task, class_count, order)
         acc = ConfusionAccumulator()
         for pred_path, gt_path in _read_pairs(args.pairs, "pred", "gt"):
             accumulate(read_pgm(pred_path), read_pgm(gt_path), acc)
@@ -181,14 +175,6 @@ def cmd_eval(args) -> int:
         _emit(report)
         return EXIT_OK
     if args.eval_cmd == "prr":
-        if args.class_order:
-            order = load_class_order(args.class_order)
-            class_count = len(order)
-        elif args.class_count:
-            order, class_count = None, args.class_count
-        else:
-            raise ValidationError("eval prr needs --class-order or --class-count")
-        spec = parse_layout(args.task, class_count, order)
         if args.current_task < 1:
             raise ValidationError("--current-task must be >= 1 (there must be old classes)")
         old = classes_up_to(spec, args.current_task - 1)
@@ -342,11 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CissError as exc:
-        json.dump(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
+        sys.stderr.write(json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}, None))
         return EXIT_USAGE
 
 

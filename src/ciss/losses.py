@@ -10,7 +10,6 @@ Everything is float64, bucket probabilities are taken in log space, and
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Sequence
@@ -20,6 +19,7 @@ from statistics import fmean
 
 import numpy as np
 
+from .artifacts import read_json, reading
 from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid
 from .pgm import read_pgm
@@ -385,22 +385,14 @@ def load_loss_case(path: str | os.PathLike) -> LossCase:
     naming score/label files (paths relative to the case file) plus optional
     prev_scores and external kd/dkd/ac/pod scalars."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise FormatError(f"{path}: cannot read loss case ({exc})") from exc
-    try:
+    doc = read_json(path, "loss case")
+    with reading(path, "loss case"):
         old, new = doc["layout"]["old"], doc["layout"]["new"]
         if any(isinstance(c, bool) or not isinstance(c, int) for c in [*old, *new]):
             raise ValidationError(f"layout class ids must be integers, got {doc['layout']!r}")
         layout = TaskClassLayout(old_classes=frozenset(old), new_classes=frozenset(new))
         cfg = LossConfig.from_mapping(doc.get("config", {}))
         items = tuple(_load_item(path.parent, entry) for entry in doc["items"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: loss case missing field ({exc})") from exc
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
     if not items:
         raise FormatError(f"{path}: loss case has no items")
     return LossCase(layout=layout, cfg=cfg, items=items)

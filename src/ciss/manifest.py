@@ -7,12 +7,12 @@ A loaded manifest keeps each image's class set and reads its grid on demand.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+from .artifacts import grid_name, read_json, write_artifact
 from .errors import FormatError, ValidationError
 from .grid import IGNORE, LabelGrid
 from .pgm import read_pgm, write_pgm
@@ -118,11 +118,7 @@ class DatasetManifest:
 
 def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: cannot read manifest ({exc})") from exc
+    doc = read_json(path, "manifest")
     if not isinstance(doc, dict) or "class_count" not in doc or "images" not in doc:
         raise FormatError(f"{path}: manifest must be an object with class_count and images")
     if not isinstance(doc["class_count"], int) or isinstance(doc["class_count"], bool):
@@ -146,20 +142,9 @@ def save_manifest(manifest: DatasetManifest, path: str | os.PathLike) -> None:
     """Write the manifest JSON plus one P5 grid per record next to it.
 
     Loaded records read their grids on demand, possibly from the files being
-    replaced, so every grid is written under a temporary name before any
-    file is replaced.
+    replaced, which `write_artifact`'s staging allows.
     """
     path = Path(path)
-    grids_dir = path.parent / f"{path.stem}_grids"
-    grids_dir.mkdir(parents=True, exist_ok=True)
-    images = []
-    for i, rec in enumerate(manifest.records):
-        rel = f"{path.stem}_grids/{i:05d}.pgm"
-        write_pgm(rec.oracle_labels, path.parent / f"{rel}.tmp")
-        images.append({"id": rec.image_id, "labels": rel})
-    for image in images:
-        os.replace(path.parent / f"{image['labels']}.tmp", path.parent / image["labels"])
-    doc = {"class_count": manifest.class_count, "images": images}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    images = [{"id": rec.image_id, "labels": grid_name(path, i, 5)} for i, rec in enumerate(manifest.records)]
+    grids = ((image["labels"], rec.oracle_labels) for image, rec in zip(images, manifest.records))
+    write_artifact(path, {"class_count": manifest.class_count, "images": images}, grids, write_pgm)

@@ -8,14 +8,14 @@ the stored grids, never against a current-task relabeling.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, ValidationError
+from .artifacts import grid_name, read_json, reading, write_artifact
+from .errors import ValidationError
 from .grid import LabelGrid, relabel
 from .manifest import DatasetManifest
 from .pgm import read_pgm, write_pgm
@@ -338,36 +338,26 @@ def resolve_batch_labels(
 def save_memory(memory: ExemplarMemory, path: str | os.PathLike) -> None:
     """Write the memory JSON plus one P5 grid per entry in a sibling directory."""
     path = Path(path)
-    grids_dir = path.parent / f"{path.stem}_grids"
-    grids_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, entry in enumerate(memory.entries):
-        rel = f"{path.stem}_grids/{i:04d}.pgm"
-        write_pgm(entry.stored_labels, path.parent / rel)
-        entries.append(
-            {
-                "image_id": entry.image_id,
-                "saved_at": entry.saved_at,
-                "anchor_class": entry.anchor_class,
-                "labels_path": rel,
-            }
-        )
+    entries = [
+        {
+            "image_id": entry.image_id,
+            "saved_at": entry.saved_at,
+            "anchor_class": entry.anchor_class,
+            "labels_path": grid_name(path, i, 4),
+        }
+        for i, entry in enumerate(memory.entries)
+    ]
     doc: dict = {"capacity": memory.capacity, "entries": entries}
     if memory.warnings:
         doc["warnings"] = list(memory.warnings)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    grids = ((e["labels_path"], entry.stored_labels) for e, entry in zip(entries, memory.entries))
+    write_artifact(path, doc, grids, write_pgm)
 
 
 def load_memory(path: str | os.PathLike) -> ExemplarMemory:
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: cannot read memory file ({exc})") from exc
-    try:
+    doc = read_json(path, "memory file")
+    with reading(path, "memory file"):
         entries = tuple(
             ExemplarEntry(
                 image_id=str(e["image_id"]),
@@ -382,5 +372,3 @@ def load_memory(path: str | os.PathLike) -> ExemplarMemory:
             entries=entries,
             warnings=tuple(doc.get("warnings", ())),
         )
-    except (KeyError, TypeError, ValidationError) as exc:
-        raise FormatError(f"{path}: bad memory file ({exc})") from exc

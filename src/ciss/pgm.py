@@ -9,6 +9,7 @@ import os
 
 import numpy as np
 
+from .artifacts import read_bytes
 from .errors import FormatError
 from .grid import LabelGrid
 
@@ -38,11 +39,7 @@ def _tokenize_header(blob: bytes, count: int, start: int) -> tuple[list[bytes], 
 
 
 def read_pgm(path: str | os.PathLike) -> LabelGrid:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read PGM file ({exc})") from exc
+    blob = read_bytes(path, "PGM file")
     if len(blob) < 2:
         raise FormatError(f"{path}: not a PGM file")
     magic = blob[:2]
@@ -83,6 +80,9 @@ def read_pgm(path: str | os.PathLike) -> LabelGrid:
 
 def write_pgm(grid: LabelGrid, path: str | os.PathLike) -> None:
     header = f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(grid.data.tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(grid.data.tobytes())
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot write PGM file ({exc})") from exc

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid, class_ids
-from .scores import ScoreMatrix, softmax_probs
+from .scores import ScoreMatrix, softmax_probs, top_class
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,8 @@ def pseudo_label(
             f"grid has {gt.n_pixels} pixels, scores have {prev_scores.n_pixels}"
         )
     probs = softmax_probs(prev_scores)
-    order = np.argsort(prev_scores.class_map, kind="stable")
-    ordered_ids = np.asarray(prev_scores.class_map, dtype=np.int64)[order]
-    best_col = np.argmax(probs[:, order], axis=1)  # ties resolve to lowest id
-    best_class = ordered_ids[best_col]
-    confidence = probs[np.arange(probs.shape[0]), order[best_col]]
+    best_class = top_class(prev_scores, probs)
+    confidence = probs.max(axis=1)
 
     current = np.isin(gt.data, np.asarray(keep, dtype=np.uint8))
     out = np.full(gt.n_pixels, BACKGROUND, dtype=np.uint8)

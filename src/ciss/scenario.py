@@ -15,12 +15,11 @@ Three ways of distributing a dataset over incremental tasks:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
+from .artifacts import read_json, reading, write_artifact
 from .errors import FormatError, ValidationError
 from .manifest import DatasetManifest
 from .tasks import TaskSpec, task_classes, task_of_class
@@ -208,19 +207,12 @@ def save_split(split: SplitManifest, path: str | os.PathLike) -> None:
     if split.scenario == "partitioned":
         doc["seed"] = split.seed
         doc["assignments"] = {k: split.assignments[k] for k in sorted(split.assignments)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_artifact(path, doc)
 
 
 def load_split(path: str | os.PathLike) -> SplitManifest:
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: cannot read split manifest ({exc})") from exc
-    try:
+    doc = read_json(path, "split manifest")
+    with reading(path, "split manifest"):
         scenario = doc["scenario"]
         spec = TaskSpec(
             base_count=doc["base_count"],
@@ -235,32 +227,26 @@ def load_split(path: str | os.PathLike) -> SplitManifest:
             )
             for entry in doc["tasks"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: split manifest missing or malformed field ({exc})") from exc
-
-    if scenario not in SCENARIO_KINDS:
-        raise FormatError(f"{path}: unknown scenario kind {scenario!r}")
-    if len(tasks) != spec.num_tasks or [task.task_index for task in tasks] != list(range(spec.num_tasks)):
-        raise FormatError(f"{path}: task list does not cover tasks 0..{spec.task_count}")
-    for task in tasks:
-        if set(task.classes) != task_classes(spec, task.task_index):
-            raise FormatError(
-                f"{path}: task {task.task_index} class set does not match the layout"
-            )
-    seed = doc.get("seed")
-    assignments = doc.get("assignments")
-    if scenario == "partitioned":
-        if not _is_int(seed) or not isinstance(assignments, dict):
-            raise FormatError(f"{path}: partitioned split requires an integer seed and assignments")
-        bad = sorted(k for k, v in assignments.items() if not _is_int(v))
-        if bad:
-            raise FormatError(f"{path}: assignments of {bad[:3]} are not integer class ids")
-    try:
+        if scenario not in SCENARIO_KINDS:
+            raise FormatError(f"{path}: unknown scenario kind {scenario!r}")
+        if len(tasks) != spec.num_tasks or [task.task_index for task in tasks] != list(range(spec.num_tasks)):
+            raise FormatError(f"{path}: task list does not cover tasks 0..{spec.task_count}")
+        for task in tasks:
+            if set(task.classes) != task_classes(spec, task.task_index):
+                raise FormatError(
+                    f"{path}: task {task.task_index} class set does not match the layout"
+                )
+        seed = doc.get("seed")
+        assignments = doc.get("assignments")
+        if scenario == "partitioned":
+            if not _is_int(seed) or not isinstance(assignments, dict):
+                raise FormatError(f"{path}: partitioned split requires an integer seed and assignments")
+            bad = sorted(k for k, v in assignments.items() if not _is_int(v))
+            if bad:
+                raise FormatError(f"{path}: assignments of {bad[:3]} are not integer class ids")
         return SplitManifest(
             scenario=scenario, spec=spec, tasks=tasks, seed=seed, assignments=assignments
         )
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _is_int(value) -> bool:

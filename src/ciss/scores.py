@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_bytes, reading
 from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, LabelGrid
 
@@ -73,12 +74,14 @@ def predict_labels(scores: ScoreMatrix, *, width: int | None = None, height: int
         width, height = n, 1
     if width is None or height is None or width * height != n:
         raise ValidationError(f"shape {width}x{height} does not cover {n} pixels")
+    return LabelGrid(width=width, height=height, data=top_class(scores, scores.logits).astype(np.uint8))
+
+
+def top_class(scores: ScoreMatrix, values: np.ndarray) -> np.ndarray:
+    """Per row of `values` (N x K, columns in `scores.class_map` order), the class id of the largest
+    value: argmax takes the first maximum of the columns sorted by id, so ties go to the lowest id."""
     order = np.argsort(scores.class_map, kind="stable")
-    ordered_ids = np.asarray(scores.class_map, dtype=np.int64)[order]
-    # argmax returns the first maximum, so sorting columns by class id first
-    # makes ties resolve to the lowest id
-    best = np.argmax(scores.logits[:, order], axis=1)
-    return LabelGrid(width=width, height=height, data=ordered_ids[best].astype(np.uint8))
+    return np.asarray(scores.class_map, dtype=np.int64)[order][np.argmax(values[:, order], axis=1)]
 
 
 def write_scores(scores: ScoreMatrix, path: str | os.PathLike, *, binary: bool = False) -> None:
@@ -94,35 +97,28 @@ def write_scores(scores: ScoreMatrix, path: str | os.PathLike, *, binary: bool =
 
 
 def read_scores(path: str | os.PathLike) -> ScoreMatrix:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_bytes(path, "score file")
     head, sep, rest = blob.partition(b"\n")
     ids_line, sep2, payload = rest.partition(b"\n")
     if not sep or not sep2:
         raise FormatError(f"{path}: truncated score header")
-    try:
+    with reading(path, "score file"):
         n_str, k_str = head.split()
         n, k = int(n_str), int(k_str)
         class_map = tuple(int(v) for v in ids_line.split())
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad score header ({exc})") from exc
-    if len(class_map) != k:
-        raise FormatError(f"{path}: header declares {k} classes, found {len(class_map)} ids")
-
-    logits = None
-    try:
-        values = np.array([float(v) for v in payload.decode("ascii").split()], dtype=np.float64)
-        if values.size == n * k:
-            logits = values.reshape(n, k)
-    except (UnicodeDecodeError, ValueError):
-        pass
-    if logits is None:
-        if len(payload) != n * k * 8:
-            raise FormatError(
-                f"{path}: payload is neither {n}x{k} text floats nor {n * k * 8} binary bytes"
-            )
-        logits = np.frombuffer(payload, dtype="<f8").reshape(n, k)
-    try:
+        if len(class_map) != k:
+            raise FormatError(f"{path}: header declares {k} classes, found {len(class_map)} ids")
+        logits = None
+        try:
+            values = np.array([float(v) for v in payload.decode("ascii").split()], dtype=np.float64)
+            if values.size == n * k:
+                logits = values.reshape(n, k)
+        except (UnicodeDecodeError, ValueError):
+            pass
+        if logits is None:
+            if len(payload) != n * k * 8:
+                raise FormatError(
+                    f"{path}: payload is neither {n}x{k} text floats nor {n * k * 8} binary bytes"
+                )
+            logits = np.frombuffer(payload, dtype="<f8").reshape(n, k)
         return ScoreMatrix(class_map=class_map, logits=logits)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .artifacts import reading
 from .errors import ValidationError
 from .grid import IGNORE
 
@@ -102,9 +103,5 @@ def parse_layout(text: str, class_count: int, class_order: tuple[int, ...] | Non
 
 def load_class_order(path: str | os.PathLike) -> tuple[int, ...]:
     """Read a class order file: one integer per line, blank lines ignored."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh]
-    try:
-        return tuple(int(line) for line in lines if line)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: class order lines must be integers ({exc})") from None
+    with reading(path, "class order"), open(path, "rb") as fh:
+        return tuple(int(line) for line in fh.read().splitlines() if line.strip())

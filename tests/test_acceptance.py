@@ -292,6 +292,7 @@ def test_criterion_11_artifacts_match_pinned_digests(tmp_path):
         stream.update(path.name.encode() + b"\0" + path.read_bytes())
     got["memory_grids"] = stream.hexdigest()
     assert got == PINNED_DIGESTS
+    assert not list(base.rglob("*.tmp"))
 
 
 @pytest.mark.skipif(

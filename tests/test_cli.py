@@ -9,9 +9,13 @@ import pytest
 from ciss import (
     LabelGrid,
     ScoreMatrix,
+    build_overlapped,
     build_partitioned,
     load_manifest,
+    load_split,
+    sample_class_balanced,
     save_manifest,
+    save_memory,
     save_split,
     write_scores,
 )
@@ -374,17 +378,110 @@ def _pseudo_classes(value):
     return argv
 
 
+UNDECODABLE = b"\xff\xfe{"
+DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
+def _artifacts(tmp, manifest, spec):
+    """A valid overlapped split and a memory sampled from it, next to the manifest."""
+    split, memory = tmp / "split.json", tmp / "memory.json"
+    loaded = load_manifest(manifest)
+    save_split(build_overlapped(loaded, spec), split)
+    save_memory(sample_class_balanced(load_split(split), loaded, 0, 2, 0), memory)
+    return split, memory
+
+
+def _bad_file(kind, blob):
+    """A command that reads a `kind` file holding `blob`; its other inputs are valid."""
+    def argv(tmp, manifest, spec):
+        split, _ = _artifacts(tmp, manifest, spec)
+        bad = tmp / f"bad_{kind}"
+        bad.write_bytes(blob)
+        return {
+            "manifest": ["build", "--manifest", str(bad), "--scenario", "overlapped", "--task", "1-1",
+                         "--out", str(tmp / "s.json")],
+            "split": ["memory", "sample", "--manifest", str(manifest), "--split", str(bad),
+                      "--upto-task", "0", "--size", "2", "--seed", "0", "--out", str(tmp / "m.json")],
+            "memory": ["memory", "overlap-ratio", "--memory", str(bad), "--split", str(split),
+                       "--task", "1"],
+            "pairs": ["eval", "miou", "--pairs", str(bad), "--task", "1-1", "--class-count", "3"],
+            "case": ["loss", "value", "--loss", "ce_current", "--case", str(bad)],
+            "class-order": ["build", "--manifest", str(manifest), "--scenario", "overlapped",
+                            "--task", "1-1", "--class-order", str(bad), "--out", str(tmp / "s.json")],
+        }[kind]
+    return argv
+
+
+def _class_order_missing(tmp, manifest, spec):
+    return ["build", "--manifest", str(manifest), "--scenario", "overlapped", "--task", "1-1",
+            "--class-order", str(tmp / "missing.txt"), "--out", str(tmp / "s.json")]
+
+
+def _memory_saved_at_string(tmp, manifest, spec):
+    split, memory = _artifacts(tmp, manifest, spec)
+    _edit_manifest(memory, lambda doc: doc["entries"][0].update(saved_at="x"))
+    return ["memory", "overlap-ratio", "--memory", str(memory), "--split", str(split), "--task", "1"]
+
+
+def _pseudo_scores_missing(tmp, manifest, spec):
+    argv = _pseudo_classes("3")(tmp, manifest, spec)
+    (tmp / "prev.scores").unlink()
+    return argv
+
+
+def _pseudo_scores_negative_rows(tmp, manifest, spec):
+    argv = _pseudo_classes("3")(tmp, manifest, spec)
+    (tmp / "prev.scores").write_bytes(b"-1 0\n\n")
+    return argv
+
+
+def _case_scores_missing(tmp, manifest, spec):
+    doc = _case_24(tmp)
+    doc["items"][0]["scores"] = "missing.scores"
+    (tmp / "case.json").write_text(json.dumps(doc))
+    return ["loss", "value", "--loss", "ce_current", "--case", str(tmp / "case.json")]
+
+
+def _build_out_unwritable(tmp, manifest, spec):
+    return ["build", "--manifest", str(manifest), "--scenario", "overlapped", "--task", "1-1",
+            "--out", str(tmp / "nodir" / "s.json")]
+
+
+def _memory_out_unwritable(tmp, manifest, spec):
+    split, _ = _artifacts(tmp, manifest, spec)
+    (tmp / "afile").write_text("")
+    return ["memory", "sample", "--manifest", str(manifest), "--split", str(split), "--upto-task", "0",
+            "--size", "2", "--seed", "0", "--out", str(tmp / "afile" / "m.json")]
+
+
+def _pseudo_out_unwritable(tmp, manifest, spec):
+    argv = _pseudo_classes("3")(tmp, manifest, spec)
+    argv[-1] = str(tmp / "nodir" / "p.pgm")
+    return argv
+
+
 class TestLoaderContract:
-    """Malformed manifests, splits and class ids exit 2 with one JSON error
-    on stderr, never a traceback, and never let 255 become a class."""
+    """Malformed, unreadable or unwritable files and bad class ids exit 2 with
+    one JSON error on stderr, never a traceback, and never let 255 become a
+    class."""
 
     @pytest.mark.parametrize(
         "make_argv",
         [_manifest_labels_int, _manifest_id_int, _manifest_class_count_255, _manifest_grid_missing,
          _eval_class_count_255, _split_assignment_string, _pseudo_classes("300"),
-         _pseudo_classes("3,255"), _pseudo_classes("-1")],
+         _pseudo_classes("3,255"), _pseudo_classes("-1"),
+         *(_bad_file(kind, UNDECODABLE) for kind in ("manifest", "split", "memory", "pairs")),
+         *(_bad_file(kind, DEEP) for kind in ("manifest", "split", "memory", "pairs", "case")),
+         _class_order_missing, _bad_file("class-order", b"\xff\n"), _memory_saved_at_string,
+         _pseudo_scores_missing, _pseudo_scores_negative_rows, _case_scores_missing,
+         _build_out_unwritable, _memory_out_unwritable, _pseudo_out_unwritable],
         ids=["labels-int", "id-int", "class-count-255", "grid-missing", "eval-class-count-255",
-             "assignment-string", "current-classes-300", "current-classes-255", "current-classes-negative"],
+             "assignment-string", "current-classes-300", "current-classes-255", "current-classes-negative",
+             "manifest-undecodable", "split-undecodable", "memory-undecodable", "pairs-undecodable",
+             "manifest-deep", "split-deep", "memory-deep", "pairs-deep", "case-deep",
+             "class-order-missing", "class-order-undecodable", "memory-saved-at-string",
+             "pseudo-scores-missing", "scores-negative-rows", "case-scores-missing",
+             "build-out-unwritable", "memory-out-unwritable", "pseudo-out-unwritable"],
     )
     def test_exits_2_with_one_json_error(self, tmp_path, manifest_path, fig3_spec, make_argv):
         _assert_one_json_error(make_argv(tmp_path, manifest_path, fig3_spec))

@@ -1,9 +1,11 @@
 """Exemplar memory: balanced sampling, overlap auditing, replay batches."""
 import collections
+import errno
 
 import pytest
 
 from ciss import (
+    FormatError,
     ValidationError,
     build_overlapped,
     build_partitioned,
@@ -267,6 +269,30 @@ class TestPersistence:
         save_memory(memory, run1 / "memory.json")
         save_memory(memory, run2 / "memory.json")
         assert (run1 / "memory.json").read_bytes() == (run2 / "memory.json").read_bytes()
+
+    def test_failed_grid_write_leaves_previous_memory(self, ample_manifest, ample_split, tmp_path, monkeypatch):
+        path = tmp_path / "memory.json"
+        old = sample_class_balanced(ample_split, ample_manifest, upto_task=1, capacity=16, seed=4)
+        new = sample_class_balanced(ample_split, ample_manifest, upto_task=1, capacity=16, seed=5)
+        assert new != old
+        save_memory(old, path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        written = []
+
+        def fail_fourth(grid, file):
+            if len(written) == 3:
+                with open(file, "wb") as fh:
+                    fh.write(b"P5\n")  # a partly written grid
+                raise OSError(errno.ENOSPC, "No space left on device", str(file))
+            ciss.pgm.write_pgm(grid, file)
+            written.append(file)
+
+        monkeypatch.setattr(ciss.memory, "write_pgm", fail_fourth)
+        with pytest.raises(FormatError):
+            save_memory(new, path)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert load_memory(path) == old
 
 
 class TestExtend:
