@@ -28,6 +28,11 @@ def reading(path: str | os.PathLike, what: str):
         raise FormatError(f"{path}: cannot read {what} ({exc})") from exc
 
 
+def is_int(value) -> bool:
+    """A JSON integer; booleans, Python ints though they are, are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_bytes(path: str | os.PathLike, what: str) -> bytes:
     with reading(path, what), open(path, "rb") as fh:
         return fh.read()

@@ -19,12 +19,13 @@ from statistics import fmean
 
 import numpy as np
 
-from .artifacts import read_json, reading
+from .artifacts import is_int, read_json, reading
 from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid
 from .pgm import read_pgm
 from .scores import ScoreMatrix, read_scores, softmax_probs
 
+_LN2 = math.log(2.0)
 COMPOSITE_LOSSES = ("memory_augmented", "bce_replay", "pseudo_replay")
 
 
@@ -140,23 +141,34 @@ def _bucket_ce(z, single_cols, pooled_cols, w, grad: bool):
 def _binary_ce(z, bucket, cols, gamma: float, grad: bool):
     """Per-pixel binary cross-entropy summed over the columns `cols`: gamma
     log p where the label is that column's class (bucket == its index), and
-    log(1 - p) at every other valid pixel (bucket >= 0)."""
+    log(1 - p) at every other valid pixel (bucket >= 0). log(1 - p) is
+    log1p(-p) where p <= 1/2; where p > 1/2, at most one column per row, it is
+    the log-sum-exp of the row's other columns, exact as p nears 1."""
     lse_all = _lse(z)
-    valid = bucket >= 0
-    loss = np.zeros(len(z))
-    u = np.zeros_like(z) if grad else None
-    for s, col in enumerate(cols):
-        log_p = z[:, col] - lse_all
-        log_1m = _lse(np.delete(z, col, axis=1)) - lse_all  # log(1 - p) without cancellation
-        pos, neg = bucket == s, valid & (bucket != s)
-        loss -= np.where(pos, gamma * log_p, np.where(neg, log_1m, 0.0))
-        if grad:
-            u[pos, col] += gamma
-            u[neg, col] -= np.exp(log_p[neg] - log_1m[neg])  # p / (1 - p)
+    log_p = z[:, cols] - lse_all[:, None]
+    log_1m = np.log1p(-np.exp(np.minimum(log_p, -_LN2)))
+    rows, s = np.nonzero(log_p > -_LN2)
+    others = z[rows]
+    others[np.arange(len(rows)), cols[s]] = -np.inf
+    lse_others = _lse(others)
+    log_1m[rows, s] = lse_others - lse_all[rows]
+    pos = bucket[:, None] == np.arange(len(cols))
+    neg = (bucket >= 0)[:, None] & ~pos
+    loss = -np.where(pos, gamma * log_p, np.where(neg, log_1m, 0.0)).sum(axis=1)
     if not grad:
         return loss, None
+    # a term's gradient is w (e_c - p): w = gamma on a positive, -p_c / (1 - p_c) on a negative
+    u = np.zeros_like(z)
+    u[:, cols] = np.where(pos, gamma, np.where(neg, -np.exp(log_p - log_1m), 0.0))
+    big = neg[rows, s]  # negatives with p > 1/2, where p sum(u) - u would cancel
+    rows, s, others, lse_others = rows[big], s[big], others[big], lse_others[big]
+    u[rows, cols[s]] = 0.0
     g = np.exp(z - lse_all[:, None]) * u.sum(axis=1, keepdims=True) - u
-    g[~valid] = 0.0
+    # their terms' gradients on their own: p_c (e_c - q), q the softmax over the other columns
+    p_c = np.exp(log_p[rows, s])
+    term = np.exp(others - lse_others[:, None]) * -p_c[:, None]
+    term[np.arange(len(rows)), cols[s]] = p_c
+    np.add.at(g, rows, term)
     return loss, g
 
 
@@ -388,7 +400,7 @@ def load_loss_case(path: str | os.PathLike) -> LossCase:
     doc = read_json(path, "loss case")
     with reading(path, "loss case"):
         old, new = doc["layout"]["old"], doc["layout"]["new"]
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in [*old, *new]):
+        if not all(map(is_int, [*old, *new])):
             raise ValidationError(f"layout class ids must be integers, got {doc['layout']!r}")
         layout = TaskClassLayout(old_classes=frozenset(old), new_classes=frozenset(new))
         cfg = LossConfig.from_mapping(doc.get("config", {}))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .artifacts import grid_name, read_json, write_artifact
+from .artifacts import grid_name, is_int, read_json, write_artifact
 from .errors import FormatError, ValidationError
 from .grid import IGNORE, LabelGrid
 from .pgm import read_pgm, write_pgm
@@ -121,7 +121,7 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     doc = read_json(path, "manifest")
     if not isinstance(doc, dict) or "class_count" not in doc or "images" not in doc:
         raise FormatError(f"{path}: manifest must be an object with class_count and images")
-    if not isinstance(doc["class_count"], int) or isinstance(doc["class_count"], bool):
+    if not is_int(doc["class_count"]):
         raise FormatError(f"{path}: class_count must be an integer")
     if not isinstance(doc["images"], list):
         raise FormatError(f"{path}: images must be a list")

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import grid_name, read_json, reading, write_artifact
-from .errors import ValidationError
+from .artifacts import grid_name, is_int, read_json, reading, write_artifact
+from .errors import FormatError, ValidationError
 from .grid import LabelGrid, relabel
 from .manifest import DatasetManifest
 from .pgm import read_pgm, write_pgm
@@ -358,17 +358,20 @@ def load_memory(path: str | os.PathLike) -> ExemplarMemory:
     path = Path(path)
     doc = read_json(path, "memory file")
     with reading(path, "memory file"):
+        numbers = [doc["capacity"], *(e[k] for e in doc["entries"] for k in ("saved_at", "anchor_class"))]
+        if not all(map(is_int, numbers)):
+            raise FormatError(f"{path}: capacity, saved_at and anchor_class must be integers")
         entries = tuple(
             ExemplarEntry(
                 image_id=str(e["image_id"]),
                 stored_labels=read_pgm(path.parent / e["labels_path"]),
-                saved_at=int(e["saved_at"]),
-                anchor_class=int(e["anchor_class"]),
+                saved_at=e["saved_at"],
+                anchor_class=e["anchor_class"],
             )
             for e in doc["entries"]
         )
         return ExemplarMemory(
-            capacity=int(doc["capacity"]),
+            capacity=doc["capacity"],
             entries=entries,
             warnings=tuple(doc.get("warnings", ())),
         )

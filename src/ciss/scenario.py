@@ -19,7 +19,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .artifacts import read_json, reading, write_artifact
+from .artifacts import is_int, read_json, reading, write_artifact
 from .errors import FormatError, ValidationError
 from .manifest import DatasetManifest
 from .tasks import TaskSpec, task_classes, task_of_class
@@ -214,6 +214,10 @@ def load_split(path: str | os.PathLike) -> SplitManifest:
     doc = read_json(path, "split manifest")
     with reading(path, "split manifest"):
         scenario = doc["scenario"]
+        layout = [doc["base_count"], doc["step"], *doc["class_order"]]
+        layout += [v for entry in doc["tasks"] for v in (entry["t"], *entry["classes"])]
+        if not all(map(is_int, layout)):
+            raise FormatError(f"{path}: base_count, step, class_order, t and classes must be integers")
         spec = TaskSpec(
             base_count=doc["base_count"],
             step=doc["step"],
@@ -239,18 +243,14 @@ def load_split(path: str | os.PathLike) -> SplitManifest:
         seed = doc.get("seed")
         assignments = doc.get("assignments")
         if scenario == "partitioned":
-            if not _is_int(seed) or not isinstance(assignments, dict):
+            if not is_int(seed) or not isinstance(assignments, dict):
                 raise FormatError(f"{path}: partitioned split requires an integer seed and assignments")
-            bad = sorted(k for k, v in assignments.items() if not _is_int(v))
+            bad = sorted(k for k, v in assignments.items() if not is_int(v))
             if bad:
                 raise FormatError(f"{path}: assignments of {bad[:3]} are not integer class ids")
         return SplitManifest(
             scenario=scenario, spec=spec, tasks=tasks, seed=seed, assignments=assignments
         )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_spec(manifest: DatasetManifest, spec: TaskSpec) -> None:

@@ -1,12 +1,15 @@
 """Per-pixel score matrices and the argmax prediction rule.
 
 A score matrix holds N x K logits with an explicit class-id map (background
-included). File format: line 1 is "N K", line 2 the K class ids, then either
-N text lines of K floats or N*K little-endian float64 values.
+included). File format: line 1 is "N K" or "N K binary", line 2 the K class
+ids, then the payload: N*K little-endian float64 values when tagged binary;
+untagged, N text lines of K floats, or else N*K float64 values.
 """
 from __future__ import annotations
 
+import io
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +88,7 @@ def top_class(scores: ScoreMatrix, values: np.ndarray) -> np.ndarray:
 
 
 def write_scores(scores: ScoreMatrix, path: str | os.PathLike, *, binary: bool = False) -> None:
-    header = f"{scores.n_pixels} {scores.n_classes}\n"
+    header = f"{scores.n_pixels} {scores.n_classes}{' binary' if binary else ''}\n"
     header += " ".join(str(c) for c in scores.class_map) + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
@@ -96,29 +99,44 @@ def write_scores(scores: ScoreMatrix, path: str | os.PathLike, *, binary: bool =
                 fh.write((" ".join(format(v, ".17g") for v in row) + "\n").encode("ascii"))
 
 
+_NON_SPACE = re.compile(rb"[^ \t\n\r\x0b\x0c\x1c-\x1f]")  # str.isspace() on ASCII
+
+
+def _text_rows(blob: bytes, fh: io.BytesIO, n: int, k: int) -> np.ndarray | None:
+    """The payload from `fh`'s position to the end of `blob` as N lines of K
+    floats (blank lines skipped, LF or CRLF ends), or None when it is not."""
+    if not blob.isascii():
+        return None
+    if _NON_SPACE.search(blob, fh.tell()) is None:  # no rows, which loadtxt warns about
+        return np.empty((0, k)) if n == 0 else None
+    try:
+        rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape == (n, k) else None
+
+
 def read_scores(path: str | os.PathLike) -> ScoreMatrix:
     blob = read_bytes(path, "score file")
-    head, sep, rest = blob.partition(b"\n")
-    ids_line, sep2, payload = rest.partition(b"\n")
-    if not sep or not sep2:
+    fh = io.BytesIO(blob)  # shares blob's buffer
+    head, ids_line = fh.readline(), fh.readline()
+    if not ids_line.endswith(b"\n"):
         raise FormatError(f"{path}: truncated score header")
     with reading(path, "score file"):
-        n_str, k_str = head.split()
+        n_str, k_str, *tag = head.split()
         n, k = int(n_str), int(k_str)
+        if tag not in ([], [b"binary"]):
+            raise FormatError(f"{path}: unknown score format tag {b' '.join(tag).decode('latin-1')!r}")
+        if n < 0 or k < 0:
+            raise FormatError(f"{path}: header declares {n}x{k} scores")
         class_map = tuple(int(v) for v in ids_line.split())
         if len(class_map) != k:
             raise FormatError(f"{path}: header declares {k} classes, found {len(class_map)} ids")
-        logits = None
-        try:
-            values = np.array([float(v) for v in payload.decode("ascii").split()], dtype=np.float64)
-            if values.size == n * k:
-                logits = values.reshape(n, k)
-        except (UnicodeDecodeError, ValueError):
-            pass
+        offset = fh.tell()
+        logits = None if tag else _text_rows(blob, fh, n, k)
         if logits is None:
-            if len(payload) != n * k * 8:
-                raise FormatError(
-                    f"{path}: payload is neither {n}x{k} text floats nor {n * k * 8} binary bytes"
-                )
-            logits = np.frombuffer(payload, dtype="<f8").reshape(n, k)
+            if len(blob) - offset != n * k * 8:
+                text = "" if tag else f"{n} lines of {k} floats or "
+                raise FormatError(f"{path}: payload is not {text}{n * k * 8} binary bytes")
+            logits = np.frombuffer(blob, dtype="<f8", count=n * k, offset=offset).reshape(n, k)
         return ScoreMatrix(class_map=class_map, logits=logits)

@@ -417,10 +417,37 @@ def _class_order_missing(tmp, manifest, spec):
             "--class-order", str(tmp / "missing.txt"), "--out", str(tmp / "s.json")]
 
 
-def _memory_saved_at_string(tmp, manifest, spec):
-    split, memory = _artifacts(tmp, manifest, spec)
-    _edit_manifest(memory, lambda doc: doc["entries"][0].update(saved_at="x"))
-    return ["memory", "overlap-ratio", "--memory", str(memory), "--split", str(split), "--task", "1"]
+def _memory_field(edit):
+    """`memory overlap-ratio` on a valid memory file changed by `edit`."""
+    def argv(tmp, manifest, spec):
+        split, memory = _artifacts(tmp, manifest, spec)
+        _edit_manifest(memory, edit)
+        return ["memory", "overlap-ratio", "--memory", str(memory), "--split", str(split), "--task", "1"]
+    return argv
+
+
+def _split_field(edit):
+    """`memory sample` from a valid overlapped split file changed by `edit`."""
+    def argv(tmp, manifest, spec):
+        split, _ = _artifacts(tmp, manifest, spec)
+        _edit_manifest(split, edit)
+        return ["memory", "sample", "--manifest", str(manifest), "--split", str(split),
+                "--upto-task", "0", "--size", "2", "--seed", "0", "--out", str(tmp / "m.json")]
+    return argv
+
+
+# non-integers in integer fields; all but the string would pass through int() as valid values
+_NON_INTEGER_FIELDS = {
+    "memory-saved-at-string": _memory_field(lambda doc: doc["entries"][0].update(saved_at="x")),
+    "memory-saved-at-float": _memory_field(lambda doc: doc["entries"][0].update(saved_at=0.9)),
+    "memory-anchor-class-bool": _memory_field(lambda doc: doc["entries"][0].update(anchor_class=True)),
+    "memory-capacity-float": _memory_field(lambda doc: doc.update(capacity=2.7)),
+    "split-base-count-bool": _split_field(lambda doc: doc.update(base_count=True)),
+    "split-step-bool": _split_field(lambda doc: doc.update(step=True)),
+    "split-class-order-float": _split_field(lambda doc: doc.update(class_order=[1.9, 2, 3])),
+    "split-task-t-bool": _split_field(lambda doc: doc["tasks"][1].update(t=True)),
+    "split-task-classes-float": _split_field(lambda doc: doc["tasks"][1].update(classes=[2.0])),
+}
 
 
 def _pseudo_scores_missing(tmp, manifest, spec):
@@ -429,9 +456,12 @@ def _pseudo_scores_missing(tmp, manifest, spec):
     return argv
 
 
-def _pseudo_scores_negative_rows(tmp, manifest, spec):
-    argv = _pseudo_classes("3")(tmp, manifest, spec)
-    (tmp / "prev.scores").write_bytes(b"-1 0\n\n")
+def _pseudo_scores(blob):
+    """`pseudo` whose previous-model score file holds `blob`."""
+    def argv(tmp, manifest, spec):
+        argv = _pseudo_classes("3")(tmp, manifest, spec)
+        (tmp / "prev.scores").write_bytes(blob)
+        return argv
     return argv
 
 
@@ -472,15 +502,16 @@ class TestLoaderContract:
          _pseudo_classes("3,255"), _pseudo_classes("-1"),
          *(_bad_file(kind, UNDECODABLE) for kind in ("manifest", "split", "memory", "pairs")),
          *(_bad_file(kind, DEEP) for kind in ("manifest", "split", "memory", "pairs", "case")),
-         _class_order_missing, _bad_file("class-order", b"\xff\n"), _memory_saved_at_string,
-         _pseudo_scores_missing, _pseudo_scores_negative_rows, _case_scores_missing,
+         _class_order_missing, _bad_file("class-order", b"\xff\n"), *_NON_INTEGER_FIELDS.values(),
+         _pseudo_scores_missing, _pseudo_scores(b"-1 0\n\n"), _pseudo_scores(b"2 2\n0 3\n0.9 0.1 0.2 0.8\n"),
+         _case_scores_missing,
          _build_out_unwritable, _memory_out_unwritable, _pseudo_out_unwritable],
         ids=["labels-int", "id-int", "class-count-255", "grid-missing", "eval-class-count-255",
              "assignment-string", "current-classes-300", "current-classes-255", "current-classes-negative",
              "manifest-undecodable", "split-undecodable", "memory-undecodable", "pairs-undecodable",
              "manifest-deep", "split-deep", "memory-deep", "pairs-deep", "case-deep",
-             "class-order-missing", "class-order-undecodable", "memory-saved-at-string",
-             "pseudo-scores-missing", "scores-negative-rows", "case-scores-missing",
+             "class-order-missing", "class-order-undecodable", *_NON_INTEGER_FIELDS,
+             "pseudo-scores-missing", "scores-negative-rows", "scores-one-line", "case-scores-missing",
              "build-out-unwritable", "memory-out-unwritable", "pseudo-out-unwritable"],
     )
     def test_exits_2_with_one_json_error(self, tmp_path, manifest_path, fig3_spec, make_argv):

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ciss import (
     ATOMIC_LOSSES,
@@ -589,6 +592,109 @@ def test_full_size_gradcheck_passes_at_defaults(full_size_items, loss_id):
     report = grad_check(loss_id, full_size_items[loss_id], FULL_LAYOUT, cfg, max_coords=3)
     assert report.coords_checked == 3
     assert report.passed, f"{loss_id}: max relative error {report.max_rel_err}"
+
+
+# --- the binary cross-entropy kernel ----------------------------------------------
+
+
+def exact_bce(scores, labels, selected, gamma):
+    """oracle_bce with log(1 - p) taken as the log-sum-exp of the other
+    columns minus that of the whole row, so it stays exact where 1 - p
+    rounds away in math.log(1 - p)."""
+    def lse(values):
+        m = max(values)
+        return m + math.log(math.fsum(math.exp(v - m) for v in values))
+
+    total, n = 0.0, 0
+    for i in range(scores.n_pixels):
+        y = int(labels.data[i])
+        if y == 255:
+            continue
+        row = scores.logits[i].tolist()
+        for c in sorted(selected):
+            j = scores.class_map.index(c)
+            total += gamma * (row[j] - lse(row)) if y == c else lse(row[:j] + row[j + 1:]) - lse(row)
+        n += 1
+    return -total / n
+
+
+def reference_binary_ce(z, bucket, cols, gamma):
+    """The O(N*K^2) kernel: for each selected column, log(1 - p) from the
+    log-sum-exp of the other K - 1 columns."""
+    lse_all = losses_module._lse(z)
+    valid = bucket >= 0
+    loss, u = np.zeros(len(z)), np.zeros_like(z)
+    for s, col in enumerate(cols):
+        log_p = z[:, col] - lse_all
+        log_1m = losses_module._lse(np.delete(z, col, axis=1)) - lse_all
+        pos, neg = bucket == s, valid & (bucket != s)
+        loss -= np.where(pos, gamma * log_p, np.where(neg, log_1m, 0.0))
+        u[pos, col] += gamma
+        u[neg, col] -= np.exp(log_p[neg] - log_1m[neg])
+    return loss, np.exp(z - lse_all[:, None]) * u.sum(axis=1, keepdims=True) - u
+
+
+LEADS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
+
+
+def confident_item(loss_id):
+    """Rows where a selected class leads the runner-up by each of LEADS
+    logits, so its p runs from just over 1/2 to within 1e-26 of 1. Each
+    such row is labeled in turn the leading class, another selected class,
+    background and ignore."""
+    selected = sorted(WIDE.old_classes if loss_id == "bce_old" else WIDE.new_classes)
+    cmap, rng = (0, 1, 2, 3, 4, 5), np.random.default_rng(9)
+    rows, labels = [], []
+    for lead in LEADS:
+        for leader in selected:
+            runner_up = 0 if leader != selected[0] else selected[-1]
+            for label in (leader, *[c for c in selected if c != leader][:1], 0, 255):
+                base = rng.uniform(-5, 5)
+                row = base - 40.0 + rng.uniform(-1, 1, size=len(cmap))
+                row[cmap.index(runner_up)] = base
+                row[cmap.index(leader)] = base + lead
+                rows.append(row)
+                labels.append(label)
+    return LossItem(scores=ScoreMatrix(class_map=cmap, logits=np.array(rows)), labels=labels_of(labels))
+
+
+class TestBinaryCE:
+    @pytest.mark.parametrize("loss_id", ["bce_old", "bce_new"])
+    def test_confident_rows_match_exact_oracle(self, loss_id):
+        item, cfg = confident_item(loss_id), LossConfig(positive_weight=2.0)
+        p = np.exp(item.scores.logits - losses_module._lse(item.scores.logits)[:, None]).max(axis=1)
+        assert p.min() < 0.53 and 1.0 - p.max() < 1e-26
+        selected = WIDE.old_classes if loss_id == "bce_old" else WIDE.new_classes
+        got = loss_value(loss_id, item, WIDE, cfg)
+        assert got == pytest.approx(exact_bce(item.scores, item.labels, selected, 2.0), rel=1e-10)
+        assert np.all(np.isfinite(grad_logits(loss_id, item, WIDE, cfg)))
+        report = grad_check(loss_id, item, WIDE, cfg)
+        assert report.passed, f"{loss_id}: max relative error {report.max_rel_err}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference_kernel(self, data):
+        """Against the O(N*K^2) kernel, up to that kernel's own rounding: each
+        of its log-sum-exps rounds at eps times the largest logit, and its
+        gradient p sum(u) - u cancels at eps times p / (1 - p)."""
+        n, k = data.draw(st.integers(1, 12)), data.draw(st.integers(2, 7))
+        ties = data.draw(st.lists(st.floats(-50, 50), min_size=1, max_size=3))
+        z = data.draw(hnp.arrays(np.float64, (n, k), elements=st.sampled_from(ties) | st.floats(-50, 50)))
+        cols = np.array(data.draw(st.permutations(range(k)))[: data.draw(st.integers(1, k - 1))])
+        bucket = data.draw(hnp.arrays(np.intp, n, elements=st.integers(-1, len(cols))))
+        assume((bucket >= 0).any())
+        gamma = data.draw(st.floats(0.1, 4.0))
+        loss, grad = losses_module._binary_ce(z, bucket, cols, gamma, True)
+        ref_loss, ref_grad = reference_binary_ce(z, bucket, cols, gamma)
+
+        norm, eps = (bucket >= 0).sum(), np.finfo(np.float64).eps
+        rounding = eps * len(cols) * max(1.0, np.abs(z).max())
+        value, ref_value = loss.sum() / norm, ref_loss.sum() / norm
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value) + 4 * rounding
+        p = np.exp(z - losses_module._lse(z)[:, None])[:, cols]
+        odds = float((p / np.maximum(1.0 - p, np.finfo(np.float64).tiny)).max())
+        assert np.all(np.isfinite(grad))
+        assert np.abs(grad - ref_grad).max() / norm <= 1e-15 + 8 * rounding * max(1.0, odds) / norm
 
 
 # --- loss case files -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Score matrices: softmax, argmax prediction, and file round-trips."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,3 +126,125 @@ def test_scores_reader_rejects_bad_payload(tmp_path):
     path.write_bytes(b"2\n0 1\n")
     with pytest.raises(FormatError):
         read_scores(path)
+
+
+# --- the score-file parser ------------------------------------------------------
+
+
+def float_per_token(payload: bytes) -> np.ndarray:
+    """The payload parsed one Python float() per whitespace-separated token."""
+    return np.array([float(v) for v in payload.decode("ascii").split()], dtype=np.float64)
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.7e308, -1.7e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: hnp.arrays(
+            np.float64, st.tuples(st.integers(1, 6), st.just(k)),
+            elements=st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+)
+def test_text_parse_is_bitwise_float_per_token(tmp_path_factory, z):
+    path = tmp_path_factory.mktemp("scores") / "s.scores"
+    m = ScoreMatrix(class_map=tuple(range(z.shape[1])), logits=z)
+    write_scores(m, path)
+    payload = path.read_bytes().split(b"\n", 2)[2]
+    got = read_scores(path).logits
+    assert np.array_equal(bits(got), bits(float_per_token(payload).reshape(z.shape)))
+    assert np.array_equal(bits(got), bits(z))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"1.5\t-2\n3e-5\t\t4\n", b"1.5 -2\r\n3e-5 4\r\n", b"\n1.5 -2\n\n\n3e-5 4\n\n", b"  1.5    -2 \n3e-5  4",
+     b"\t1.5 \t-2\r\n\r\n  3e-5 4   \r\n", b"-0 5e-324\n1.7e308 -2.2250738585072014e-308\n"],
+    ids=["tabs", "crlf", "blank-lines", "spaces-no-final-newline", "mixed", "edge-values"],
+)
+def test_text_parse_handles_whitespace_like_float_per_token(tmp_path, payload):
+    path = tmp_path / "s.scores"
+    path.write_bytes(b"2 2\n0 1\n" + payload)
+    assert np.array_equal(bits(read_scores(path).logits), bits(float_per_token(payload).reshape(2, 2)))
+
+
+@pytest.mark.parametrize("payload", [b"", b"\n", b" \t\r\n\n"], ids=["empty", "newline", "whitespace"])
+def test_zero_rows_and_empty_payloads(tmp_path, payload):
+    path = tmp_path / "s.scores"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path.write_bytes(b"0 2\n0 1\n" + payload)
+        m = read_scores(path)
+        assert m.class_map == (0, 1) and m.logits.shape == (0, 2)
+        for header in (b"-1 0\n\n", b"2 2\n0 1\n", b"-1 2\n0 1\n"):
+            path.write_bytes(header + payload)
+            with pytest.raises(FormatError):
+                read_scores(path)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"1 2 3 4\n", b"1 2\n3\n4\n", b"1\n2\n3\n4\n", b"1 2 3\n4\n", b"1 2\r3 4\r"],
+    ids=["one-line", "split-row", "one-per-line", "uneven", "cr-only"],
+)
+def test_rows_must_each_hold_k_values(tmp_path, payload):
+    path = tmp_path / "s.scores"
+    path.write_bytes(b"2 2\n0 1\n" + payload)
+    with pytest.raises(FormatError):
+        read_scores(path)
+
+
+def test_binary_writer_tags_the_header(tmp_path):
+    path = tmp_path / "s.scores"
+    write_scores(ScoreMatrix(class_map=(0, 1), logits=np.zeros((3, 2))), path, binary=True)
+    assert path.read_bytes().split(b"\n")[0] == b"3 2 binary"
+    write_scores(ScoreMatrix(class_map=(0, 1), logits=np.zeros((3, 2))), path)
+    assert path.read_bytes().split(b"\n")[0] == b"3 2"
+
+
+@pytest.mark.parametrize("value", [0.0, 2.0])
+def test_tagged_ascii_looking_payload_reads_as_binary(tmp_path, value):
+    # 0.0 and 2.0 are all-ASCII bytes; a tagged file never tries text
+    path = tmp_path / "s.scores"
+    m = ScoreMatrix(class_map=(0, 1, 2), logits=np.full((4, 3), value))
+    write_scores(m, path, binary=True)
+    assert path.read_bytes()[len(b"4 3 binary\n0 1 2\n"):].isascii()
+    assert np.array_equal(bits(read_scores(path).logits), bits(m.logits))
+
+
+def test_tagged_payload_that_is_valid_text_reads_as_binary(tmp_path):
+    path = tmp_path / "s.scores"
+    path.write_bytes(b"1 1 binary\n0\n1234567\n")
+    assert read_scores(path).logits[0, 0] == np.frombuffer(b"1234567\n", dtype="<f8")[0]
+    path.write_bytes(b"1 1\n0\n1234567\n")  # untagged: text first
+    assert read_scores(path).logits[0, 0] == 1234567.0
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"1 2 binary\n0 1\n" + np.zeros(1).tobytes(), b"1 2 binary\n0 1\n1.0 2.0\n",
+     b"1 2 binary\n0 1\n" + np.zeros(3).tobytes(), b"1 2 text\n0 1\n1.0 2.0\n",
+     b"1 2 binary binary\n0 1\n" + np.zeros(2).tobytes()],
+    ids=["tagged-short", "tagged-text", "tagged-long", "unknown-tag", "two-tags"],
+)
+def test_bad_tagged_files_are_format_errors(tmp_path, blob):
+    path = tmp_path / "s.scores"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError):
+        read_scores(path)
+
+
+def test_untagged_binary_still_loads(tmp_path):
+    rng = np.random.default_rng(8)
+    z = rng.normal(size=(5, 3))
+    path = tmp_path / "s.scores"
+    path.write_bytes(b"5 3\n0 2 1\n" + z.astype("<f8").tobytes())
+    back = read_scores(path)
+    assert back.class_map == (0, 2, 1)
+    assert np.array_equal(bits(back.logits), bits(z))
