@@ -241,8 +241,16 @@ def cmd_loss(args) -> int:
     raise ValidationError(f"unknown loss subcommand {args.loss_cmd!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors take the path of every other exit-2 error: one JSON
+    line on stderr."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ciss", description=__doc__)
+    parser = _Parser(prog="ciss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a split manifest for a scenario")
@@ -324,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CissError as exc:
         sys.stderr.write(json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}, None))

@@ -1,6 +1,7 @@
 """Loss kernel for incremental segmentation training on raw score matrices.
 
-Two per-pixel kernels compute every loss on N x K logits. The bucket
+Two per-pixel kernels compute every loss on N x K logits, run over fixed
+blocks of rows so that their temporaries stay in cache. The bucket
 cross-entropy scores one-column buckets plus background pooled with absorbed
 classes (new ones for memory replay, old ones for current-task labels),
 weighted one-hot by labels or by the previous model's distribution for
@@ -14,6 +15,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from statistics import fmean
 
@@ -23,9 +25,11 @@ from .artifacts import is_int, read_json, reading
 from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid
 from .pgm import read_pgm
-from .scores import ScoreMatrix, read_scores, softmax_probs
+from .scores import ScoreMatrix, read_scores, softmax_rows
 
 _LN2 = math.log(2.0)
+# rows per kernel call, so that a call's N x K temporaries stay in cache
+BLOCK_ROWS = 2048
 COMPOSITE_LOSSES = ("memory_augmented", "bce_replay", "pseudo_replay")
 
 
@@ -87,6 +91,12 @@ class TaskClassLayout:
             raise ValidationError("layout needs at least one new class")
 
 
+def _checked_source(source):
+    if source not in ("current", "memory"):
+        raise ValidationError(f"unknown item source {source!r}")
+    return source
+
+
 @dataclass(frozen=True)
 class LossItem:
     """One batch element: scores, labels, which side of the batch it came
@@ -103,8 +113,7 @@ class LossItem:
     pod: float | None = None
 
     def __post_init__(self) -> None:
-        if self.source not in ("current", "memory"):
-            raise ValidationError(f"unknown item source {self.source!r}")
+        _checked_source(self.source)
 
 
 # --- the two per-pixel kernels ------------------------------------------------
@@ -201,16 +210,21 @@ def _label_buckets(scores: ScoreMatrix, labels: LabelGrid | None, singles: list[
     return bucket
 
 
-def _bucket_kernel(scores: ScoreMatrix, singles: list[int], pooled: frozenset[int], w: np.ndarray):
+def _bucket_kernel(scores: ScoreMatrix, singles: list[int], pooled: frozenset[int], weights):
+    """The bucket cross-entropy with `weights(rows)` for the item's pixels `rows`."""
     cols = _cols(scores, singles), _cols(scores, pooled | {BACKGROUND})
-    return lambda z, rows, grad: _bucket_ce(z, *cols, w[rows], grad)
+    return lambda z, rows, grad: _bucket_ce(z, *cols, weights(rows), grad)
 
 
 def _ce(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
     """Cross-entropy: one-hot label weights, normalized by the valid pixel count."""
     bucket = _label_buckets(item.scores, item.labels, singles)
-    w = (bucket[:, None] == np.arange(len(singles) + 1)).astype(np.float64)
-    return _bucket_kernel(item.scores, singles, pooled, w), int((bucket >= 0).sum())
+    buckets = np.arange(len(singles) + 1)
+
+    def one_hot(rows):
+        return (bucket[rows, None] == buckets).astype(np.float64)
+
+    return _bucket_kernel(item.scores, singles, pooled, one_hot), int((bucket >= 0).sum())
 
 
 def _kd(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
@@ -221,10 +235,15 @@ def _kd(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossCon
     _check_classes(prev, frozenset(singles), "previous-model")
     if prev.n_pixels != item.scores.n_pixels:
         raise ValidationError(f"previous scores cover {prev.n_pixels} pixels, current {item.scores.n_pixels}")
-    w = softmax_probs(prev)[:, _cols(prev, singles + [BACKGROUND])]
-    if not cfg.kd_includes_bg:
-        w[:, -1] = 0.0
-    return _bucket_kernel(item.scores, singles, pooled, w), len(w)
+    cols = _cols(prev, singles + [BACKGROUND])
+
+    def prev_probs(rows):
+        w = softmax_rows(prev.logits[rows])[:, cols]
+        if not cfg.kd_includes_bg:
+            w[:, -1] = 0.0
+        return w
+
+    return _bucket_kernel(item.scores, singles, pooled, prev_probs), prev.n_pixels
 
 
 def _bce(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
@@ -259,15 +278,30 @@ def _prepare(loss_id: str, item: LossItem, layout: TaskClassLayout | None, cfg: 
     return prepare(item, sorted(getattr(layout, own)), getattr(layout, pooled), cfg)
 
 
+def _blocked(kernel, z: np.ndarray, grad: bool, rows: np.ndarray | None = None):
+    """Run `kernel` over BLOCK_ROWS-row blocks of the logits z, which hold the
+    item's pixels `rows` (all of them, in order, when None); return the loss
+    per row and, when asked, the gradient. Every kernel is row-local, so the
+    blocks change no bit of either."""
+    loss = np.empty(len(z))
+    g = np.empty(z.shape) if grad else None
+    for start in range(0, len(z), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        loss[block], block_grad = kernel(z[block], block if rows is None else rows[block], grad)
+        if grad:
+            g[block] = block_grad
+    return loss, g
+
+
 def loss_value(loss_id: str, item: LossItem, layout: TaskClassLayout, cfg: LossConfig) -> float:
     kernel, norm = _prepare(loss_id, item, layout, cfg)
-    return float(kernel(item.scores.logits, slice(None), False)[0].sum()) / norm
+    return float(_blocked(kernel, item.scores.logits, False)[0].sum()) / norm
 
 
 def grad_logits(loss_id: str, item: LossItem, layout: TaskClassLayout, cfg: LossConfig) -> np.ndarray:
     """Analytic derivative of the loss with respect to every logit."""
     kernel, norm = _prepare(loss_id, item, layout, cfg)
-    grad = kernel(item.scores.logits, slice(None), True)[1]
+    grad = _blocked(kernel, item.scores.logits, True)[1]
     grad /= norm
     if not np.all(np.isfinite(grad)):
         raise ValidationError(f"{loss_id}: non-finite gradient")
@@ -372,30 +406,47 @@ def pseudo_replay_objective(items: Sequence[LossItem], cfg: LossConfig) -> float
 
 
 # --- loss-case files and finite-difference validation -------------------------
+class _CaseItem:
+    """A loss-case item with LossItem's fields. Its source and scalars are
+    checked at load; each of its files is read on first use, so a command
+    reads only the files that its loss scores."""
+
+    def __init__(self, root: Path, entry) -> None:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"loss case item must be an object, got {entry!r}")
+        self._scores = root / entry["scores"]
+        self._labels = root / entry["labels"] if "labels" in entry else None
+        self._prev = root / entry["prev_scores"] if "prev_scores" in entry else None
+        self.source = _checked_source(entry.get("source", "current"))
+        for key in ("kd", "dkd", "ac", "pod"):
+            setattr(self, key, None if entry.get(key) is None else _finite(entry[key], key))
+
+    @cached_property
+    def scores(self) -> ScoreMatrix:
+        return read_scores(self._scores)
+
+    @cached_property
+    def labels(self) -> LabelGrid | None:
+        return None if self._labels is None else read_pgm(self._labels)
+
+    @cached_property
+    def prev_scores(self) -> ScoreMatrix | None:
+        return None if self._prev is None else read_scores(self._prev)
+
+
 @dataclass(frozen=True)
 class LossCase:
     layout: TaskClassLayout
     cfg: LossConfig
-    items: tuple[LossItem, ...]
-
-
-def _load_item(root: Path, entry) -> LossItem:
-    if not isinstance(entry, dict):
-        raise ValidationError(f"loss case item must be an object, got {entry!r}")
-    return LossItem(
-        scores=read_scores(root / entry["scores"]),
-        labels=read_pgm(root / entry["labels"]) if "labels" in entry else None,
-        source=entry.get("source", "current"),
-        prev_scores=read_scores(root / entry["prev_scores"]) if "prev_scores" in entry else None,
-        **{k: _finite(entry[k], k) for k in ("kd", "dkd", "ac", "pod") if entry.get(k) is not None},
-    )
+    items: tuple[_CaseItem, ...]
 
 
 def load_loss_case(path: str | os.PathLike) -> LossCase:
     """Read a loss-case file: JSON with `layout` ({old, new} class-id lists),
     `config` (lambda, gamma, alpha, beta, kd_includes_bg), and `items`, each
     naming score/label files (paths relative to the case file) plus optional
-    prev_scores and external kd/dkd/ac/pod scalars."""
+    prev_scores and external kd/dkd/ac/pod scalars. Every item's fields are
+    checked here; its files are read when a loss first uses them."""
     path = Path(path)
     doc = read_json(path, "loss case")
     with reading(path, "loss case"):
@@ -404,7 +455,7 @@ def load_loss_case(path: str | os.PathLike) -> LossCase:
             raise ValidationError(f"layout class ids must be integers, got {doc['layout']!r}")
         layout = TaskClassLayout(old_classes=frozenset(old), new_classes=frozenset(new))
         cfg = LossConfig.from_mapping(doc.get("config", {}))
-        items = tuple(_load_item(path.parent, entry) for entry in doc["items"])
+        items = tuple(_CaseItem(path.parent, entry) for entry in doc["items"])
     if not items:
         raise FormatError(f"{path}: loss case has no items")
     return LossCase(layout=layout, cfg=cfg, items=items)
@@ -437,15 +488,16 @@ def grad_check(
         raise ValidationError(f"at least one coordinate must be checked, got {max_coords}")
     kernel, norm = _prepare(loss_id, item, layout, cfg)
     z = item.scores.logits
-    loss, grad = kernel(z, slice(None), True)
+    loss, grad = _blocked(kernel, z, True)
     grad /= norm
     if not np.all(np.isfinite(grad)):
         raise ValidationError(f"{loss_id}: non-finite gradient")
-    picks = np.random.default_rng(seed).permutation(z.size)[:max_coords]
+    picks = np.random.default_rng(seed).choice(z.size, min(max_coords, z.size), replace=False)
     rows, cols = np.divmod(picks, z.shape[1])
     nudge = np.zeros((len(picks), z.shape[1]))
     nudge[np.arange(len(picks)), cols] = step
-    plus, minus = kernel(z[rows] + nudge, rows, False)[0], kernel(z[rows] - nudge, rows, False)[0]
+    plus = _blocked(kernel, z[rows] + nudge, False, rows)[0]
+    minus = _blocked(kernel, z[rows] - nudge, False, rows)[0]
     fd = (plus - minus) / (2.0 * step) / norm
     scale = max(float(np.abs(grad).max()), float(np.abs(fd).max()), 1e-300)
     max_rel = float(np.abs(grad.reshape(-1)[picks] - fd).max() / scale)

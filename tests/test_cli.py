@@ -19,6 +19,7 @@ from ciss import (
     save_split,
     write_scores,
 )
+from ciss import losses
 from ciss.cli import main
 from ciss.pgm import read_pgm, write_pgm
 from conftest import one_hot_scores
@@ -295,10 +296,11 @@ class TestLossCaseContract:
             (None, GRADCHECK + ["--tol", "-1"]),
             (None, GRADCHECK + ["--tol", "nan"]),
             (None, GRADCHECK + ["--tol", "inf"]),
+            (None, GRADCHECK + ["--samples", "abc"]),
         ],
         ids=["kd-string", "pod-list", "dkd-nan", "ac-inf", "lambda-string", "lambda-nan",
              "gamma-inf", "kd_includes_bg-string", "config-list", "old-string-id", "new-float-id",
-             "samples-0", "samples-negative", "tol-negative", "tol-nan", "tol-inf"],
+             "samples-0", "samples-negative", "tol-negative", "tol-nan", "tol-inf", "samples-not-int"],
     )
     def test_exits_2_with_one_json_error(self, tmp_path, edit, argv):
         doc = _case_24(tmp_path)
@@ -307,6 +309,62 @@ class TestLossCaseContract:
         path = tmp_path / "case.json"
         path.write_text(json.dumps(doc))
         _assert_one_json_error([*argv, "--case", str(path)])
+
+
+class TestLossCaseReads:
+    """A command reads the files of the items and the parts of them that its
+    loss scores, and nothing when --item is out of range."""
+
+    @pytest.fixture
+    def case(self, tmp_path, monkeypatch):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(_case_24(tmp_path)))
+        reads = {"scores": 0, "grids": 0}
+
+        def counted(key, read):
+            def wrapper(file):
+                reads[key] += 1
+                return read(file)
+            return wrapper
+
+        monkeypatch.setattr(losses, "read_scores", counted("scores", losses.read_scores))
+        monkeypatch.setattr(losses, "read_pgm", counted("grids", losses.read_pgm))
+        return path, reads
+
+    @pytest.mark.parametrize(
+        "argv, scores, grids",
+        [(["--loss", "ce_current", "--item", "0"], 1, 1),
+         (["--loss", "kd_old", "--item", "0"], 2, 0),
+         (["--loss", "memory_augmented"], 4, 2)],
+        ids=["ce_current", "kd_old", "memory_augmented"],
+    )
+    def test_reads_only_scored_files(self, capsys, case, argv, scores, grids):
+        path, reads = case
+        code, _, err = run(capsys, ["loss", "value", "--case", str(path), *argv])
+        assert code == 0, err
+        assert reads == {"scores": scores, "grids": grids}
+
+    def test_item_out_of_range_reads_nothing(self, capsys, case):
+        path, reads = case
+        argv = ["loss", "value", "--case", str(path), "--loss", "ce_current", "--item", "5"]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert set(json.loads(err)) == {"error"}
+        assert reads == {"scores": 0, "grids": 0}
+
+    def test_broken_unscored_item_is_not_read(self, capsys, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(_case_24(tmp_path)))
+        argv = ["loss", "value", "--case", str(path), "--loss", "ce_current"]
+        code, intact, _ = run(capsys, [*argv, "--item", "0"])
+        assert code == 0
+        blob = (tmp_path / "s1.scores").read_bytes()
+        (tmp_path / "s1.scores").write_bytes(blob[: len(blob) // 2])
+        code, doc, err = run(capsys, [*argv, "--item", "0"])
+        assert code == 0, err
+        assert doc == intact
+        _assert_one_json_error([*argv, "--item", "1"])
+        _assert_one_json_error(["loss", "value", "--case", str(path), "--loss", "bce_replay"])
 
 
 def _assert_one_json_error(argv):
@@ -472,6 +530,10 @@ def _case_scores_missing(tmp, manifest, spec):
     return ["loss", "value", "--loss", "ce_current", "--case", str(tmp / "case.json")]
 
 
+def _build_flags_missing(tmp, manifest, spec):
+    return ["build", "--manifest", "x"]
+
+
 def _build_out_unwritable(tmp, manifest, spec):
     return ["build", "--manifest", str(manifest), "--scenario", "overlapped", "--task", "1-1",
             "--out", str(tmp / "nodir" / "s.json")]
@@ -504,7 +566,7 @@ class TestLoaderContract:
          *(_bad_file(kind, DEEP) for kind in ("manifest", "split", "memory", "pairs", "case")),
          _class_order_missing, _bad_file("class-order", b"\xff\n"), *_NON_INTEGER_FIELDS.values(),
          _pseudo_scores_missing, _pseudo_scores(b"-1 0\n\n"), _pseudo_scores(b"2 2\n0 3\n0.9 0.1 0.2 0.8\n"),
-         _case_scores_missing,
+         _case_scores_missing, _build_flags_missing,
          _build_out_unwritable, _memory_out_unwritable, _pseudo_out_unwritable],
         ids=["labels-int", "id-int", "class-count-255", "grid-missing", "eval-class-count-255",
              "assignment-string", "current-classes-300", "current-classes-255", "current-classes-negative",
@@ -512,17 +574,25 @@ class TestLoaderContract:
              "manifest-deep", "split-deep", "memory-deep", "pairs-deep", "case-deep",
              "class-order-missing", "class-order-undecodable", *_NON_INTEGER_FIELDS,
              "pseudo-scores-missing", "scores-negative-rows", "scores-one-line", "case-scores-missing",
-             "build-out-unwritable", "memory-out-unwritable", "pseudo-out-unwritable"],
+             "build-flags-missing", "build-out-unwritable", "memory-out-unwritable",
+             "pseudo-out-unwritable"],
     )
     def test_exits_2_with_one_json_error(self, tmp_path, manifest_path, fig3_spec, make_argv):
         _assert_one_json_error(make_argv(tmp_path, manifest_path, fig3_spec))
 
 
 class TestProcessLevel:
-    def test_usage_error_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["build", "--scenario", "overlapped"])  # missing required flags
-        assert exc.value.code == 2
+    def test_usage_error_exits_2(self, capsys):
+        code, doc, err = run(capsys, ["build", "--scenario", "overlapped"])  # missing required flags
+        assert code == 2
+        assert doc is None
+        assert set(json.loads(err)) == {"error"}
+
+    def test_help_exits_0(self):
+        proc = subprocess.run([sys.executable, "-m", "ciss.cli", "--help"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: ciss")
+        assert proc.stderr == ""
 
     def test_module_entry_point(self, manifest_path, tmp_path):
         out = tmp_path / "split.json"

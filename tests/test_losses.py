@@ -488,8 +488,7 @@ class TestPseudoReplayObjective:
 # --- gradients -----------------------------------------------------------------
 
 
-def _random_item(loss_id, seed):
-    n = 8
+def _random_item(loss_id, seed, n=8):
     cmap = (0, 1, 2, 3, 4, 5)
     scores = rand_scores(n, cmap, seed)
     prev = rand_scores(n, (0, 1, 2), seed + 500)
@@ -560,6 +559,76 @@ class TestGradients:
         report = grad_check(loss_id, _random_item(loss_id, seed=4), WIDE, CFG)
         assert report.passed is False
         assert report.max_rel_err > 1e-4
+
+
+B = losses_module.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("loss_id, cfg", [*((lid, CFG) for lid in ATOMIC_LOSSES),
+                                          ("kd_old", LossConfig(kd_weight=5.0, kd_includes_bg=False))],
+                         ids=[*ATOMIC_LOSSES, "kd_old-no-bg"])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 17])
+def test_blocked_kernel_is_bit_identical_to_one_call(loss_id, cfg, n):
+    """Row blocks, of all rows in order or of a shuffled subset, give the
+    loss vector and gradient of one call over the whole matrix, bit for bit."""
+    item = _random_item(loss_id, seed=n, n=n)
+    kernel, _ = losses_module._prepare(loss_id, item, WIDE, cfg)
+    z = item.scores.logits
+    rows = np.random.default_rng(n).permutation(n)[: max(1, n - 5)]
+    for grad in (False, True):
+        for blocked, whole in (
+            (losses_module._blocked(kernel, z, grad), kernel(z, slice(None), grad)),
+            (losses_module._blocked(kernel, z[rows], grad, rows), kernel(z[rows], rows, grad)),
+        ):
+            assert np.array_equal(blocked[0], whole[0])
+            if grad:
+                assert np.array_equal(blocked[1], whole[1])
+
+
+def _checked_coords(monkeypatch, item, **kwargs):
+    """grad_check's report and the flat coordinates it differenced, read off
+    the nudged logits it handed to the kernel."""
+    seen = []
+    blocked = losses_module._blocked
+
+    def spy(kernel, z, grad, rows=None):
+        if rows is not None:
+            seen.append((z, rows))
+        return blocked(kernel, z, grad, rows)
+
+    monkeypatch.setattr(losses_module, "_blocked", spy)
+    report = grad_check("ce_plain", item, WIDE, CFG, **kwargs)
+    (plus, rows), (minus, _) = seen
+    moved_rows, cols = np.nonzero(plus != item.scores.logits[rows])
+    assert np.array_equal(moved_rows, np.arange(len(rows)))  # one coordinate per differenced row
+    assert np.array_equal(np.nonzero(minus != item.scores.logits[rows])[1], cols)
+    return report, rows * item.scores.n_classes + cols
+
+
+class TestGradCheckSampling:
+    ITEM = _random_item("ce_plain", seed=9)  # 8 x 6: 48 coordinates
+
+    def test_picks_are_distinct_and_in_range(self, monkeypatch):
+        _, picks = _checked_coords(monkeypatch, self.ITEM, max_coords=20, seed=3)
+        assert len(set(picks.tolist())) == 20
+        assert picks.min() >= 0 and picks.max() < 48
+
+    @pytest.mark.parametrize("max_coords", [1, 47, 48, 49, 1000])
+    def test_coords_checked_is_capped_by_the_matrix(self, max_coords):
+        report = grad_check("ce_plain", self.ITEM, WIDE, CFG, max_coords=max_coords)
+        assert report.coords_checked == min(max_coords, 48)
+        assert report.passed
+
+    def test_same_seed_same_report(self, monkeypatch):
+        first, picks = _checked_coords(monkeypatch, self.ITEM, max_coords=10, seed=5)
+        again, picks_again = _checked_coords(monkeypatch, self.ITEM, max_coords=10, seed=5)
+        assert first == again
+        assert np.array_equal(picks, picks_again)
+
+    def test_oversampling_checks_every_coordinate_once(self, monkeypatch):
+        report, picks = _checked_coords(monkeypatch, self.ITEM, max_coords=1000, seed=1)
+        assert report.coords_checked == 48
+        assert sorted(picks.tolist()) == list(range(48))
 
 
 FULL_LAYOUT = TaskClassLayout(old_classes=frozenset(range(1, 16)), new_classes=frozenset({16}))
