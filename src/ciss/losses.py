@@ -235,6 +235,8 @@ def _kd(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossCon
     _check_classes(prev, frozenset(singles), "previous-model")
     if prev.n_pixels != item.scores.n_pixels:
         raise ValidationError(f"previous scores cover {prev.n_pixels} pixels, current {item.scores.n_pixels}")
+    if prev.n_pixels == 0:
+        raise ValidationError("previous scores hold no pixels; loss undefined")
     cols = _cols(prev, singles + [BACKGROUND])
 
     def prev_probs(rows):
@@ -486,6 +488,8 @@ def grad_check(
         raise ValidationError(f"step and tol must be finite numbers > 0, got {step} and {tol}")
     if max_coords < 1:
         raise ValidationError(f"at least one coordinate must be checked, got {max_coords}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     kernel, norm = _prepare(loss_id, item, layout, cfg)
     z = item.scores.logits
     loss, grad = _blocked(kernel, z, True)

@@ -297,10 +297,12 @@ class TestLossCaseContract:
             (None, GRADCHECK + ["--tol", "nan"]),
             (None, GRADCHECK + ["--tol", "inf"]),
             (None, GRADCHECK + ["--samples", "abc"]),
+            (None, GRADCHECK + ["--seed", "-1"]),
         ],
         ids=["kd-string", "pod-list", "dkd-nan", "ac-inf", "lambda-string", "lambda-nan",
              "gamma-inf", "kd_includes_bg-string", "config-list", "old-string-id", "new-float-id",
-             "samples-0", "samples-negative", "tol-negative", "tol-nan", "tol-inf", "samples-not-int"],
+             "samples-0", "samples-negative", "tol-negative", "tol-nan", "tol-inf", "samples-not-int",
+             "seed-negative"],
     )
     def test_exits_2_with_one_json_error(self, tmp_path, edit, argv):
         doc = _case_24(tmp_path)
@@ -309,6 +311,16 @@ class TestLossCaseContract:
         path = tmp_path / "case.json"
         path.write_text(json.dumps(doc))
         _assert_one_json_error([*argv, "--case", str(path)])
+
+    @pytest.mark.parametrize("command", ["value", "gradcheck"])
+    def test_zero_pixel_distillation_exits_2(self, tmp_path, command):
+        write_scores(ScoreMatrix(class_map=(0, 1, 2, 3), logits=np.zeros((0, 4))), tmp_path / "s.scores")
+        write_scores(ScoreMatrix(class_map=(0, 1), logits=np.zeros((0, 2))), tmp_path / "p.scores")
+        doc = {"layout": {"old": [1], "new": [2, 3]},
+               "items": [{"source": "current", "scores": "s.scores", "prev_scores": "p.scores"}]}
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        _assert_one_json_error(["loss", command, "--loss", "kd_old", "--case", str(path)])
 
 
 class TestLossCaseReads:
@@ -603,3 +615,58 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["task_counts"] == [4, 2, 3]
+
+
+def _leaf_commands(tmp, manifest, spec) -> dict[str, list[str]]:
+    """One valid invocation of every leaf command."""
+    split, memory = _artifacts(tmp, manifest, spec)
+    write_pgm(LabelGrid(width=4, height=1, data=np.array([1, 2, 3, 0], dtype=np.uint8)), tmp / "a.pgm")
+    (tmp / "miou.json").write_text(json.dumps([{"pred": "a.pgm", "gt": "a.pgm"}]))
+    (tmp / "prr.json").write_text(json.dumps([{"oracle": "a.pgm", "pseudo": "a.pgm"}]))
+    (tmp / "case.json").write_text(json.dumps(_case_24(tmp)))
+    audit = ["--memory", str(memory), "--split", str(split), "--task", "1"]
+    layout = ["--task", "2-1", "--class-count", "3"]
+    case = ["--case", str(tmp / "case.json"), "--loss", "ce_current"]
+    return {
+        "build": ["build", "--manifest", str(manifest), "--scenario", "overlapped", "--task", "1-1",
+                  "--out", str(tmp / "s.json")],
+        "memory sample": ["memory", "sample", "--manifest", str(manifest), "--split", str(split),
+                          "--upto-task", "0", "--size", "2", "--seed", "0", "--out", str(tmp / "m.json")],
+        "memory overlap-ratio": ["memory", "overlap-ratio", *audit],
+        "memory variant": ["memory", "variant", *audit, "--manifest", str(manifest), "--seed", "2",
+                           "--out", str(tmp / "v.json")],
+        "memory batch": ["memory", "batch", *audit, "--size", "4", "--seed", "3"],
+        "pseudo": _pseudo_classes("3")(tmp, manifest, spec),
+        "eval miou": ["eval", "miou", "--pairs", str(tmp / "miou.json"), *layout],
+        "eval prr": ["eval", "prr", "--pairs", str(tmp / "prr.json"), *layout, "--current-task", "1"],
+        "loss value": ["loss", "value", *case],
+        "loss gradcheck": ["loss", "gradcheck", *case],
+    }
+
+
+class TestDocuments:
+    """Every leaf command exits 0 with one JSON document on stdout, ending in
+    a newline, nothing on stderr, and the document's keys as published."""
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("build", {"out", "pairwise_overlaps", "scenario", "task_counts"}),
+            ("memory sample", {"capacity", "out", "stored", "warnings"}),
+            ("memory overlap-ratio", {"overlap_ratio", "overlap_ratio_display"}),
+            ("memory variant", {"out", "overlap_ratio", "overlap_ratio_display", "warnings"}),
+            ("memory batch", {"items", "n_current", "n_memory", "warnings"}),
+            ("pseudo", {"out", "relabeled_pixels", "tau"}),
+            ("eval miou", {"miou_groups", "miou_groups_display", "per_class_iou"}),
+            ("eval prr", {"prr", "prr_display"}),
+            ("loss value", {"loss", "loss_display", "loss_id"}),
+            ("loss gradcheck", {"coords_checked", "loss", "loss_display", "loss_id", "max_rel_err", "passed",
+                                "step", "tol"}),
+        ],
+    )
+    def test_one_document(self, capsys, tmp_path, manifest_path, fig3_spec, command, keys):
+        code = main(_leaf_commands(tmp_path, manifest_path, fig3_spec)[command])
+        out, err = capsys.readouterr()
+        doc, end = json.JSONDecoder().raw_decode(out)
+        assert (code, out[end:], err) == (0, "\n", "")
+        assert set(doc) == keys
