@@ -151,8 +151,8 @@ def cmd_eval_prr(args) -> dict:
     if args.current_task < 1:
         raise ValidationError("--current-task must be >= 1 (there must be old classes)")
     old = classes_up_to(spec, args.current_task - 1)
-    pairs = [(read_pgm(oracle), read_pgm(pseudo))
-             for oracle, pseudo in _read_pairs(args.pairs, "oracle", "pseudo")]
+    pairs = ((read_pgm(oracle), read_pgm(pseudo))
+             for oracle, pseudo in _read_pairs(args.pairs, "oracle", "pseudo"))
     return _displayed("prr", pseudo_label_retrieval_rate(pairs, old))
 
 

@@ -28,11 +28,17 @@ class LabelGrid:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"grid dimensions must be positive, got {self.width}x{self.height}")
-        arr = np.ascontiguousarray(self.data, dtype=np.uint8).reshape(-1)
+        arr = np.asarray(self.data).reshape(-1)
         if arr.size != self.width * self.height:
             raise ValidationError(
                 f"grid data length {arr.size} does not match {self.width}x{self.height}"
             )
+        if arr.dtype != np.uint8:
+            if arr.dtype.kind not in "iu":
+                raise ValidationError(f"grid class ids must be integers, got dtype {arr.dtype}")
+            if arr.min() < 0 or arr.max() > IGNORE:
+                raise ValidationError(f"grid class ids must lie in 0..{IGNORE}")
+        arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

@@ -5,10 +5,15 @@ associatively, so evaluation can be sharded over images and reduced in any
 order. A class absent from both prediction and ground truth (zero
 denominator) contributes 0 to a subset mean and is reported as null in
 detailed output.
+
+Each image pair is counted in one pass: a 256x256 joint histogram of
+(ground truth, prediction) ids, whose diagonal, column and row sums give the
+tp, fp and fn counts. The retrieval rate takes its pairs from any iterable
+and scores them one at a time, so only one pair's grids need be in memory.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -53,13 +58,14 @@ def accumulate(
         )
     if acc is None:
         acc = ConfusionAccumulator()
-    valid = gt.data != IGNORE
-    p = pred.data[valid].astype(np.int64)
-    g = gt.data[valid].astype(np.int64)
-    hit = p == g
-    acc.tp += np.bincount(g[hit], minlength=_N_IDS)
-    acc.fp += np.bincount(p[~hit], minlength=_N_IDS)
-    acc.fn += np.bincount(g[~hit], minlength=_N_IDS)
+    # joint[g, p]: pixels with ground truth g predicted as p
+    joint = np.bincount((gt.data.astype(np.uint16) << 8) | pred.data, minlength=_N_IDS * _N_IDS)
+    joint = joint.reshape(_N_IDS, _N_IDS)
+    joint[IGNORE] = 0
+    hits = joint.diagonal()
+    acc.tp += hits
+    acc.fp += joint.sum(axis=0) - hits
+    acc.fn += joint.sum(axis=1) - hits
     return acc
 
 
@@ -67,6 +73,8 @@ def iou_per_class(acc: ConfusionAccumulator, classes: Iterable[int]) -> dict[int
     """IoU percentage per class; None where the class never occurred."""
     out: dict[int, float | None] = {}
     for c in sorted(set(int(c) for c in classes)):
+        if not BACKGROUND <= c < IGNORE:
+            raise ValidationError(f"class id {c} is outside {BACKGROUND}..{IGNORE - 1}")
         tp, fp, fn = acc.counts(c)
         denom = tp + fp + fn
         out[c] = None if denom == 0 else 100.0 * tp / denom
@@ -91,22 +99,24 @@ def _image_miou_defined(pred: LabelGrid, gt: LabelGrid, classes: set[int]) -> fl
 
 
 def pseudo_label_retrieval_rate(
-    pairs: Sequence[tuple[LabelGrid, LabelGrid]], old_classes: set[int]
+    pairs: Iterable[tuple[LabelGrid, LabelGrid]], old_classes: set[int]
 ) -> float:
     """How well pseudo-labels recover the oracle annotation of old classes.
 
     Each (oracle, pseudo) pair scores the per-image mIoU over the old classes
     plus background; the result is the dataset mean of those per-image scores.
     Classes that occur in neither grid of an image are left out of that
-    image's mean instead of deflating it.
+    image's mean instead of deflating it. Pairs are consumed one at a time.
     """
-    if not pairs:
-        raise ValidationError("retrieval rate of an empty evaluation set is undefined")
     measured = set(old_classes) | {BACKGROUND}
     total = 0.0
+    count = 0
     for oracle, pseudo in pairs:
         total += _image_miou_defined(pred=pseudo, gt=oracle, classes=measured)
-    return total / len(pairs)
+        count += 1
+    if not count:
+        raise ValidationError("retrieval rate of an empty evaluation set is undefined")
+    return total / count
 
 
 def evaluation_report(acc: ConfusionAccumulator, spec: TaskSpec) -> dict:

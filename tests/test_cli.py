@@ -192,6 +192,48 @@ class TestEvalCommands:
         assert doc["prr"] == 100.0
         assert doc["prr_display"] == "100.00"
 
+    def test_prr_reads_and_scores_one_pair_at_a_time(self, capsys, tmp_path, monkeypatch):
+        import ciss.cli
+        import ciss.metrics
+
+        grid = LabelGrid(width=4, height=1, data=np.array([1, 2, 0, 0], dtype=np.uint8))
+        write_pgm(grid, tmp_path / "o.pgm")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([{"oracle": "o.pgm", "pseudo": "o.pgm"}] * 3))
+        events = []
+
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(ciss.cli, "read_pgm", logged("read", ciss.cli.read_pgm))
+        monkeypatch.setattr(ciss.metrics, "accumulate", logged("score", ciss.metrics.accumulate))
+        code, doc, _ = run(
+            capsys,
+            ["eval", "prr", "--pairs", str(pairs), "--task", "2-1", "--class-count", "3",
+             "--current-task", "1"],
+        )
+        assert code == 0 and doc["prr"] == 100.0
+        assert events == ["read", "read", "score"] * 3
+
+    def test_prr_reports_the_first_faulty_pair(self, capsys, tmp_path):
+        # pair 0 has mismatched sizes, pair 1 a missing file; pairs are
+        # scored as they are read, so the size mismatch is reported
+        write_pgm(LabelGrid(width=2, height=1, data=np.array([1, 0], dtype=np.uint8)), tmp_path / "a.pgm")
+        write_pgm(LabelGrid(width=3, height=1, data=np.array([1, 0, 0], dtype=np.uint8)), tmp_path / "b.pgm")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([{"oracle": "a.pgm", "pseudo": "b.pgm"},
+                                     {"oracle": "a.pgm", "pseudo": "absent.pgm"}]))
+        code, doc, err = run(
+            capsys,
+            ["eval", "prr", "--pairs", str(pairs), "--task", "2-1", "--class-count", "3",
+             "--current-task", "1"],
+        )
+        assert code == 2 and doc is None
+        assert json.loads(err)["error"]["message"] == "prediction 3x1 does not match ground truth 2x1"
+
 
 class TestLossCommands:
     @pytest.fixture

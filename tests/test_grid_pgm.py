@@ -15,6 +15,23 @@ def test_grid_rejects_length_mismatch():
         LabelGrid(width=3, height=2, data=np.zeros(5, dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[300, 1, 2], [-1, 1, 2], [256, 1, 2], [1.7, 2.2, 3.0], [True, False, True]],
+    ids=["300", "minus-1", "256", "float", "bool"],
+)
+def test_grid_rejects_ids_that_do_not_fit_a_byte(values):
+    # a silent uint8 cast would turn -1 into ignore, 256 into background
+    # and 1.7 into 1
+    with pytest.raises(ValidationError):
+        LabelGrid(width=3, height=1, data=np.array(values))
+
+
+def test_grid_takes_wider_integer_ids_in_range():
+    g = LabelGrid(width=3, height=1, data=np.array([0, 7, 255], dtype=np.int64))
+    assert g.data.dtype == np.uint8 and g.data.tolist() == [0, 7, 255]
+
+
 def test_grid_is_immutable():
     g = LabelGrid(width=2, height=2, data=np.array([1, 2, 0, 255], dtype=np.uint8))
     with pytest.raises(ValueError):
