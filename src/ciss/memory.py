@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import os
 import random
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,6 +108,32 @@ def _class_pools(
     return pools
 
 
+class _Untaken:
+    """Per-key pools of (image id, saved-at task) pairs, each in image-id
+    order, holding only the images not taken. A draw indexes a pool directly:
+    the same pair that filtering the full pool against the taken ids picks."""
+
+    def __init__(self, pools: dict, taken=frozenset()) -> None:
+        self._full = pools
+        self.pools = {key: [c for c in pool if c[0] not in taken] for key, pool in pools.items()}
+        self._holders: dict[str, list] = {}
+        for key, pool in pools.items():
+            for image_id, _ in pool:
+                self._holders.setdefault(image_id, []).append(key)
+
+    def take(self, image_id: str) -> None:
+        """Drop the image from every pool that holds it."""
+        for key in self._holders.get(image_id, ()):
+            pool = self.pools[key]
+            del pool[bisect_left(pool, (image_id,))]
+
+    def release(self, image_id: str) -> None:
+        """Put a taken image back into every pool it came from."""
+        for key in self._holders.get(image_id, ()):
+            full = self._full[key]
+            insort(self.pools[key], full[bisect_left(full, (image_id,))])
+
+
 def _make_entry(
     manifest: DatasetManifest, spec: TaskSpec, image_id: str, saved_at: int, anchor: int
 ) -> ExemplarEntry:
@@ -135,10 +163,9 @@ def sample_class_balanced(
     if not 0 <= upto_task <= spec.task_count:
         raise ValidationError(f"task index {upto_task} outside 0..{spec.task_count}")
     order = spec.class_order[: spec.base_count + upto_task * spec.step]
-    pools = _class_pools(split, manifest, order, upto_task)
+    untaken = _Untaken(_class_pools(split, manifest, order, upto_task))
 
     rng = random.Random(seed)
-    taken: set[str] = set()
     entries: list[ExemplarEntry] = []
     warnings: list[str] = []
     while len(entries) < capacity:
@@ -146,11 +173,11 @@ def sample_class_balanced(
         for cls in order:
             if len(entries) >= capacity:
                 break
-            pool = [cand for cand in pools[cls] if cand[0] not in taken]
+            pool = untaken.pools[cls]
             if not pool:
                 continue
             image_id, saved_at = pool[rng.randrange(len(pool))]
-            taken.add(image_id)
+            untaken.take(image_id)
             entries.append(_make_entry(manifest, spec, image_id, saved_at, cls))
             progress = True
         if not progress:
@@ -175,38 +202,35 @@ def extend_class_balanced(
     """
     spec = split.spec
     new_classes = [c for c in spec.class_order if c in task_classes(spec, new_task)]
-    pools = _class_pools(split, manifest, new_classes, new_task)
+    untaken = _Untaken(_class_pools(split, manifest, new_classes, new_task), memory.ids())
     rng = random.Random(seed)
 
     entries = list(memory.entries)
     warnings = list(memory.warnings)
     visible = spec.base_count + new_task * spec.step
     target = max(1, memory.capacity // visible)
-
-    def anchor_counts() -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for e in entries:
-            counts[e.anchor_class] = counts.get(e.anchor_class, 0) + 1
-        return counts
+    counts = Counter(e.anchor_class for e in entries)
 
     for cls in new_classes:
-        stored = sum(1 for e in entries if e.anchor_class == cls)
-        while stored < target:
-            taken = {e.image_id for e in entries}
-            pool = [cand for cand in pools[cls] if cand[0] not in taken]
+        while counts[cls] < target:
+            pool = untaken.pools[cls]
             if not pool:
                 warnings.append(f"class {cls}: no unsampled images left")
                 break
+            evicted = None
             if len(entries) >= memory.capacity:
-                counts = anchor_counts()
                 top = max(counts.values())
                 if top <= target:
                     break  # nothing over-represented to evict
                 victims = [i for i, e in enumerate(entries) if counts[e.anchor_class] == top]
-                entries.pop(victims[rng.randrange(len(victims))])
+                evicted = entries.pop(victims[rng.randrange(len(victims))])
+                counts[evicted.anchor_class] -= 1
             image_id, saved_at = pool[rng.randrange(len(pool))]
+            untaken.take(image_id)
+            if evicted is not None:  # drawable again, from the next draw on
+                untaken.release(evicted.image_id)
             entries.append(_make_entry(manifest, spec, image_id, saved_at, cls))
-            stored += 1
+            counts[cls] += 1
     return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 
 
@@ -243,22 +267,23 @@ def make_non_overlapping_variant(
     current = set(split.task_ids(t))
     pool = sorted(set(split.task_ids(0)) - current - memory.ids())
     anchors = {e.anchor_class for e in memory.entries if e.image_id in current}
-    pools = _class_pools(split, manifest, anchors, spec.task_count, pool)
+    # key None holds every candidate, for replacements that fall back to task 0
+    untaken = _Untaken(
+        {**_class_pools(split, manifest, anchors, spec.task_count, pool), None: [(i, 0) for i in pool]}
+    )
     rng = random.Random(seed)
 
-    used: set[str] = set()
     entries: list[ExemplarEntry] = []
     warnings = list(memory.warnings)
     for entry in memory.entries:
         if entry.image_id not in current:
             entries.append(entry)
             continue
-        preferred = [cand for cand in pools[entry.anchor_class] if cand[0] not in used]
-        if preferred:
+        if preferred := untaken.pools[entry.anchor_class]:
             image_id, saved_at = preferred[rng.randrange(len(preferred))]
             anchor = entry.anchor_class
-        elif remaining := [image_id for image_id in pool if image_id not in used]:
-            image_id, saved_at = remaining[rng.randrange(len(remaining))], 0
+        elif remaining := untaken.pools[None]:
+            image_id, saved_at = remaining[rng.randrange(len(remaining))]
             stored_visible = sorted(
                 manifest.record(image_id).oracle_classes & classes_up_to(spec, 0),
                 key=spec.class_order.index,
@@ -271,7 +296,7 @@ def make_non_overlapping_variant(
             entries.append(entry)
             warnings.append(f"{entry.image_id}: non-overlapping supply exhausted, kept")
             continue
-        used.add(image_id)
+        untaken.take(image_id)
         entries.append(_make_entry(manifest, spec, image_id, saved_at, anchor))
     return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 

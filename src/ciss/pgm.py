@@ -63,7 +63,8 @@ def read_pgm(path: str | os.PathLike) -> LabelGrid:
         found = min(n, len(blob) - pos - 1)
         if found != n:
             raise FormatError(f"{path}: expected {n} raster bytes, found {found}")
-        data = np.frombuffer(blob, dtype=np.uint8, count=n, offset=pos + 1).copy()
+        # a read-only view of the file's immutable bytes, never copied
+        data = np.frombuffer(blob, dtype=np.uint8, count=n, offset=pos + 1)
     else:
         try:
             data = np.array([int(v) for v in blob[pos:].split()], dtype=np.int64)
@@ -71,9 +72,10 @@ def read_pgm(path: str | os.PathLike) -> LabelGrid:
             raise FormatError(f"{path}: bad ASCII raster ({exc})") from exc
         if data.size != n:
             raise FormatError(f"{path}: expected {n} pixel values, found {data.size}")
-        if data.size and (data.min() < 0 or data.max() > 255):
+        if data.min() < 0 or data.max() > 255:
             raise FormatError(f"{path}: ASCII pixel value outside 0..255")
-    if data.size and int(data.max()) > maxval:
+    # no byte exceeds maxval 255, so the raster is scanned only below it
+    if maxval < 255 and int(data.max()) > maxval:
         raise FormatError(f"{path}: pixel value {int(data.max())} exceeds maxval {maxval}")
     return LabelGrid(width=width, height=height, data=data.astype(np.uint8, copy=False))
 
@@ -83,6 +85,6 @@ def write_pgm(grid: LabelGrid, path: str | os.PathLike) -> None:
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(grid.data.tobytes())
+            fh.write(grid.data)  # the grid's own contiguous buffer
     except OSError as exc:
         raise FormatError(f"{path}: cannot write PGM file ({exc})") from exc

@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifacts import read_bytes, reading
 from .errors import FormatError, ValidationError
-from .grid import BACKGROUND, LabelGrid
+from .grid import BACKGROUND, IGNORE, LabelGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,6 +31,8 @@ class ScoreMatrix:
             raise ValidationError("class map is empty")
         if len(set(cmap)) != len(cmap):
             raise ValidationError("class map contains duplicates")
+        if not all(BACKGROUND <= c < IGNORE for c in cmap):
+            raise ValidationError(f"class map ids must lie in {BACKGROUND}..{IGNORE - 1}")
         if BACKGROUND not in cmap:
             raise ValidationError("class map must include the background class")
         arr = np.ascontiguousarray(self.logits, dtype=np.float64)

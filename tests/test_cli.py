@@ -620,6 +620,7 @@ class TestLoaderContract:
          *(_bad_file(kind, DEEP) for kind in ("manifest", "split", "memory", "pairs", "case")),
          _class_order_missing, _bad_file("class-order", b"\xff\n"), *_NON_INTEGER_FIELDS.values(),
          _pseudo_scores_missing, _pseudo_scores(b"-1 0\n\n"), _pseudo_scores(b"2 2\n0 3\n0.9 0.1 0.2 0.8\n"),
+         _pseudo_scores(b"2 2\n0 300\n0.0 5.0\n0.0 5.0\n"), _pseudo_scores(b"2 2\n0 255\n0.0 5.0\n0.0 5.0\n"),
          _case_scores_missing, _build_flags_missing,
          _build_out_unwritable, _memory_out_unwritable, _pseudo_out_unwritable],
         ids=["labels-int", "id-int", "class-count-255", "grid-missing", "eval-class-count-255",
@@ -627,7 +628,8 @@ class TestLoaderContract:
              "manifest-undecodable", "split-undecodable", "memory-undecodable", "pairs-undecodable",
              "manifest-deep", "split-deep", "memory-deep", "pairs-deep", "case-deep",
              "class-order-missing", "class-order-undecodable", *_NON_INTEGER_FIELDS,
-             "pseudo-scores-missing", "scores-negative-rows", "scores-one-line", "case-scores-missing",
+             "pseudo-scores-missing", "scores-negative-rows", "scores-one-line",
+             "scores-class-300", "scores-class-255", "case-scores-missing",
              "build-flags-missing", "build-out-unwritable", "memory-out-unwritable",
              "pseudo-out-unwritable"],
     )

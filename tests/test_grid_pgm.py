@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ciss import BACKGROUND, IGNORE, FormatError, LabelGrid, ValidationError, relabel
@@ -119,6 +119,8 @@ def test_pgm_accepts_lower_maxval(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P2\n2 1\n3\n0 3\n")
     assert read_pgm(path).data.tolist() == [0, 3]
+    path.write_bytes(b"P5\n2 1\n3\n\x00\x03")
+    assert read_pgm(path).data.tolist() == [0, 3]
 
 
 @pytest.mark.parametrize(
@@ -130,6 +132,7 @@ def test_pgm_accepts_lower_maxval(tmp_path):
         b"P2\n2 2\n255\n0 1 2\n",  # short ASCII raster
         b"P2\n2 2\n3\n0 1 2 9\n",  # value above maxval
         b"P2\n2 2",  # truncated header
+        b"P5\n2 2\n200\n\x00\xc8\xc9\x07",  # byte above maxval
     ],
 )
 def test_pgm_rejects_malformed_files(tmp_path, blob):
@@ -156,10 +159,30 @@ def test_relabel_table_matches_isin_rule(g, classes):
     assert relabel(g, classes).data.tolist() == expected.tolist()
 
 
+def _rows(*rows) -> LabelGrid:
+    return LabelGrid.from_rows(np.array(rows, dtype=np.uint8))
+
+
+@st.composite
+def run_grids(draw):
+    """Multi-row grids made of runs of one id, cut across row ends."""
+    w, h = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    runs = draw(st.lists(st.tuples(st.integers(0, 255), st.integers(1, 80)), min_size=1, max_size=20))
+    values = np.repeat([v for v, _ in runs], [n for _, n in runs]).astype(np.uint8)
+    return LabelGrid(width=w, height=h, data=np.resize(values, w * h))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 255), min_size=1, max_size=300))
-def test_foreground_classes_match_unique_rule(values):
-    g = LabelGrid(width=len(values), height=1, data=np.array(values, dtype=np.uint8))
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=300).map(_rows) | run_grids())
+@example(_rows([9, 3, 3], [3, 3, 3], [0, 0, 0]))  # a class only at pixel 0
+@example(_rows([3, 3, 0], [0, 0, 3], [3, 3, 9]))  # a class only at the last pixel
+@example(_rows([0, 0, 0, 0], [0, 0, 6, 0], [0, 0, 0, 0]))  # one isolated pixel
+@example(_rows([4]))
+@example(_rows([0]))
+@example(_rows([255]))
+@example(_rows(*[[12] * 7] * 5))  # a grid of one value
+@example(LabelGrid(width=40, height=30, data=np.random.default_rng(0).integers(0, 256, 1200, dtype=np.uint8)))
+def test_foreground_classes_match_unique_rule(g):
     assert g.foreground_classes() == {int(v) for v in np.unique(g.data)} - {BACKGROUND, IGNORE}
 
 
@@ -170,7 +193,7 @@ def test_relabel_rejects_ids_outside_foreground_range(target):
         relabel(g, {1, target})
 
 
-def test_pgm_p5_raster_is_copied_once(tmp_path):
+def test_pgm_p5_raster_is_not_copied(tmp_path):
     n = 400 * 300
     raster = np.random.default_rng(0).integers(0, 256, n, dtype=np.uint8)
     path = tmp_path / "g.pgm"
@@ -182,8 +205,22 @@ def test_pgm_p5_raster_is_copied_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(grid.data, raster)
-    # the file's bytes plus one owned raster; each further copy adds n
-    assert peak < 2.5 * n
+    # the file's bytes, viewed in place; each copy of the raster adds n
+    assert peak < 1.5 * n
+
+
+def test_pgm_p5_reads_a_read_only_view_and_writes_it_back_unchanged(tmp_path):
+    raster = np.random.default_rng(1).integers(0, 256, 7 * 5, dtype=np.uint8)
+    blob = b"P5\n7 5\n255\n" + raster.tobytes()
+    (tmp_path / "a.pgm").write_bytes(blob)
+    grid = read_pgm(tmp_path / "a.pgm")
+    assert grid.as_rows().shape == (5, 7) and np.array_equal(grid.data, raster)
+    assert not grid.data.flags.writeable
+    with pytest.raises(ValueError):
+        grid.data[0] = 1
+    write_pgm(grid, tmp_path / "b.pgm")
+    write_pgm(read_pgm(tmp_path / "b.pgm"), tmp_path / "c.pgm")
+    assert (tmp_path / "b.pgm").read_bytes() == (tmp_path / "c.pgm").read_bytes() == blob
 
 
 def test_pgm_missing_file_is_a_format_error(tmp_path):

@@ -1,10 +1,12 @@
 """Exemplar memory: balanced sampling, overlap auditing, replay batches."""
 import collections
 import errno
+import random
 
 import pytest
 
 from ciss import (
+    ExemplarMemory,
     FormatError,
     ValidationError,
     build_overlapped,
@@ -308,3 +310,119 @@ class TestExtend:
         assert counts[new_class] >= 1
         kept = {e.image_id for e in base.entries} & {e.image_id for e in extended.entries}
         assert len(kept) >= len(base) - counts[new_class]
+
+
+# --- draws match the filter-every-draw loops they replaced ---------------------
+
+
+def _reference_sample(split, manifest, upto_task, capacity, seed):
+    """Class-balanced sampling that filters each pool against the taken ids
+    on every draw."""
+    spec = split.spec
+    order = spec.class_order[: spec.base_count + upto_task * spec.step]
+    pools = ciss.memory._class_pools(split, manifest, order, upto_task)
+    rng = random.Random(seed)
+    taken, entries, warnings = set(), [], []
+    while len(entries) < capacity:
+        progress = False
+        for cls in order:
+            if len(entries) >= capacity:
+                break
+            pool = [cand for cand in pools[cls] if cand[0] not in taken]
+            if not pool:
+                continue
+            image_id, saved_at = pool[rng.randrange(len(pool))]
+            taken.add(image_id)
+            entries.append(ciss.memory._make_entry(manifest, spec, image_id, saved_at, cls))
+            progress = True
+        if not progress:
+            warnings.append(f"supply exhausted: stored {len(entries)} of {capacity} requested entries")
+            break
+    return ExemplarMemory(capacity=capacity, entries=tuple(entries), warnings=tuple(warnings))
+
+
+def _reference_extend(memory, split, manifest, new_task, seed):
+    """Extension that rebuilds the taken ids and anchor counts on every draw."""
+    spec = split.spec
+    new_classes = [c for c in spec.class_order if c in task_classes(spec, new_task)]
+    pools = ciss.memory._class_pools(split, manifest, new_classes, new_task)
+    rng = random.Random(seed)
+    entries, warnings = list(memory.entries), list(memory.warnings)
+    target = max(1, memory.capacity // (spec.base_count + new_task * spec.step))
+    for cls in new_classes:
+        stored = sum(1 for e in entries if e.anchor_class == cls)
+        while stored < target:
+            taken = {e.image_id for e in entries}
+            pool = [cand for cand in pools[cls] if cand[0] not in taken]
+            if not pool:
+                warnings.append(f"class {cls}: no unsampled images left")
+                break
+            if len(entries) >= memory.capacity:
+                counts = collections.Counter(e.anchor_class for e in entries)
+                top = max(counts.values())
+                if top <= target:
+                    break
+                victims = [i for i, e in enumerate(entries) if counts[e.anchor_class] == top]
+                entries.pop(victims[rng.randrange(len(victims))])
+            image_id, saved_at = pool[rng.randrange(len(pool))]
+            entries.append(ciss.memory._make_entry(manifest, spec, image_id, saved_at, cls))
+            stored += 1
+    return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
+
+
+def _reference_variant(memory, split, manifest, t, seed):
+    """The non-overlapping variant, filtering its pools by the used ids on
+    every replacement."""
+    spec = split.spec
+    current = set(split.task_ids(t))
+    pool = sorted(set(split.task_ids(0)) - current - memory.ids())
+    anchors = {e.anchor_class for e in memory.entries if e.image_id in current}
+    pools = ciss.memory._class_pools(split, manifest, anchors, spec.task_count, pool)
+    rng = random.Random(seed)
+    used, entries, warnings = set(), [], list(memory.warnings)
+    for entry in memory.entries:
+        if entry.image_id not in current:
+            entries.append(entry)
+            continue
+        preferred = [cand for cand in pools[entry.anchor_class] if cand[0] not in used]
+        if preferred:
+            image_id, saved_at = preferred[rng.randrange(len(preferred))]
+            anchor = entry.anchor_class
+        elif remaining := [image_id for image_id in pool if image_id not in used]:
+            image_id, saved_at = remaining[rng.randrange(len(remaining))], 0
+            visible = manifest.record(image_id).oracle_classes & classes_up_to(spec, 0)
+            anchor = sorted(visible, key=spec.class_order.index)[0]
+            warnings.append(f"{entry.image_id}: no replacement with anchor class {entry.anchor_class}, reassigned")
+        else:
+            entries.append(entry)
+            warnings.append(f"{entry.image_id}: non-overlapping supply exhausted, kept")
+            continue
+        used.add(image_id)
+        entries.append(ciss.memory._make_entry(manifest, spec, image_id, saved_at, anchor))
+    return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
+
+
+def _as_tuples(memory):
+    return (
+        memory.capacity,
+        [(e.image_id, e.saved_at, e.anchor_class, e.stored_labels.data.tobytes()) for e in memory.entries],
+        memory.warnings,
+    )
+
+
+@pytest.mark.parametrize("layout", ["15-1", "10-2", "4-4"])
+@pytest.mark.parametrize("capacity", [5, 24, 120])
+def test_draws_match_the_filtering_loops(layout, capacity):
+    """Over 12 seeds, sample, extend and variant pick the same images, in the
+    same order and with the same warnings, as loops that filter every pool on
+    every draw; the small manifest runs supply out at the larger capacities."""
+    for seed in range(12):
+        manifest = synthetic_manifest(90, 20, seed=100 + seed, min_classes=1, max_classes=4)
+        split = build_overlapped(manifest, parse_layout(layout, 20))
+        for upto in (0, 1):
+            memory = sample_class_balanced(split, manifest, upto, capacity, seed)
+            assert _as_tuples(memory) == _as_tuples(_reference_sample(split, manifest, upto, capacity, seed))
+            extended = extend_class_balanced(memory, split, manifest, upto + 1, seed)
+            assert _as_tuples(extended) == _as_tuples(_reference_extend(memory, split, manifest, upto + 1, seed))
+            variant = make_non_overlapping_variant(memory, split, manifest, upto + 1, seed)
+            assert _as_tuples(variant) == _as_tuples(_reference_variant(memory, split, manifest, upto + 1, seed))

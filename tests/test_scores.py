@@ -105,6 +105,9 @@ def test_scorematrix_validation():
         ScoreMatrix(class_map=(0, 0), logits=np.zeros((1, 2)))  # duplicate
     with pytest.raises(ValidationError):
         ScoreMatrix(class_map=(0, 1), logits=np.array([[np.inf, 0.0]]))
+    for cmap in ((0, 255), (0, 300), (0, -1)):  # argmax ids must fit a grid's 0..254
+        with pytest.raises(ValidationError):
+            ScoreMatrix(class_map=cmap, logits=np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("binary", [False, True])
