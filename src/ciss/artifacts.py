@@ -45,8 +45,12 @@ def read_json(path: str | os.PathLike, what: str):
 
 
 def json_text(doc, indent: int | None = 2) -> str:
-    """Sorted keys and a trailing newline; `indent` None gives one line."""
-    return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+    """Sorted keys and a trailing newline; `indent` None gives one line. A NaN
+    or an infinity, which JSON cannot carry, is a `ValidationError`."""
+    try:
+        return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"document holds a number JSON cannot carry ({exc})") from exc
 
 
 def grid_name(path: Path, index: int, digits: int) -> str:

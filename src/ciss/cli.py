@@ -3,15 +3,20 @@ metrics, generate pseudo-labels, and run the loss kernel.
 
 Every invocation writes exactly one JSON document to stdout; error objects
 go to stderr. Exit codes: 0 success, 2 usage or validation failure, 3 failed
-numeric check. All randomness comes from explicit --seed flags.
+numeric check. All randomness comes from explicit --seed flags. numpy's
+floating-point warnings are off, so they never reach stderr; a NaN or an
+infinity that reaches a document is refused instead.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import itertools
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import losses as L
 from .artifacts import json_text, read_json, reading
@@ -156,6 +161,13 @@ def cmd_eval_prr(args) -> dict:
     return _displayed("prr", pseudo_label_retrieval_rate(pairs, old))
 
 
+def _loss(loss_id: str, value: float) -> dict:
+    """The loss `value` displayed; a loss that overflowed to infinity or NaN is a `ValidationError`."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{loss_id}: loss is not finite ({value})")
+    return _displayed("loss", value)
+
+
 def _select_item(case: L.LossCase, index: int) -> L.LossItem:
     if not 0 <= index < len(case.items):
         raise ValidationError(f"item index {index} outside 0..{len(case.items) - 1}")
@@ -175,7 +187,7 @@ def cmd_loss_value(args) -> dict:
     else:
         known = ", ".join(L.ATOMIC_LOSSES + L.COMPOSITE_LOSSES)
         raise ValidationError(f"unknown loss id {args.loss!r}; expected one of {known}")
-    return {"loss_id": args.loss, **_displayed("loss", value)}
+    return {"loss_id": args.loss, **_loss(args.loss, value)}
 
 
 def cmd_loss_gradcheck(args) -> dict:
@@ -186,7 +198,7 @@ def cmd_loss_gradcheck(args) -> dict:
         )
     report = L.grad_check(args.loss, _select_item(case, args.item), case.layout, case.cfg,
                           step=args.step, tol=args.tol, max_coords=args.samples, seed=args.seed)
-    return {**dataclasses.asdict(report), **_displayed("loss", report.loss)}
+    return {**dataclasses.asdict(report), **_loss(args.loss, report.loss)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -275,11 +287,13 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command: its JSON document on stdout, or one JSON error line on stderr."""
     try:
         args = build_parser().parse_args(argv)
-        doc = args.func(args)
+        with np.errstate(all="ignore"):
+            doc = args.func(args)
+        text = json_text(doc)
     except CissError as exc:
         sys.stderr.write(json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}, None))
         return EXIT_USAGE
-    sys.stdout.write(json_text(doc))
+    sys.stdout.write(text)
     return EXIT_CHECK_FAILED if doc.get("passed") is False else EXIT_OK
 
 

@@ -19,7 +19,10 @@ IGNORE = 255
 
 @dataclass(frozen=True, eq=False)
 class LabelGrid:
-    """Immutable per-pixel class-id grid of shape height x width."""
+    """Immutable per-pixel class-id grid of shape height x width. The grid
+    keeps a read-only uint8 array: a read-only contiguous uint8 input is kept
+    as it is, any other one is copied, so no reference the caller holds can
+    change the grid."""
 
     width: int
     height: int
@@ -38,7 +41,8 @@ class LabelGrid:
                 raise ValidationError(f"grid class ids must be integers, got dtype {arr.dtype}")
             if arr.min() < 0 or arr.max() > IGNORE:
                 raise ValidationError(f"grid class ids must lie in 0..{IGNORE}")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        if arr.flags.writeable or arr.dtype != np.uint8 or not arr.flags.c_contiguous:
+            arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -104,4 +108,6 @@ def relabel(oracle: LabelGrid, classes: Iterable[int]) -> LabelGrid:
     lut = np.zeros(256, dtype=np.uint8)
     lut[keep] = keep
     lut[IGNORE] = IGNORE
-    return LabelGrid(width=oracle.width, height=oracle.height, data=lut.take(oracle.data))
+    data = lut.take(oracle.data)
+    data.setflags(write=False)
+    return LabelGrid(width=oracle.width, height=oracle.height, data=data)

@@ -1,13 +1,15 @@
 """Loss kernel for incremental segmentation training on raw score matrices.
 
 Two per-pixel kernels compute every loss on N x K logits, run over fixed
-blocks of rows so that their temporaries stay in cache. The bucket
-cross-entropy scores one-column buckets plus background pooled with absorbed
-classes (new ones for memory replay, old ones for current-task labels),
-weighted one-hot by labels or by the previous model's distribution for
-distillation; the binary cross-entropy scores each selected class on its own.
-Everything is float64, bucket probabilities are taken in log space, and
-`grad_check` validates every gradient against finite differences.
+blocks of rows so that their temporaries stay in cache, each block taken
+class-major (K x b) so that every per-pixel reduction runs over contiguous
+rows. The bucket cross-entropy scores one-class buckets plus background
+pooled with absorbed classes (new ones for memory replay, old ones for
+current-task labels), weighted one-hot by labels or by the previous model's
+distribution for distillation; the binary cross-entropy scores each selected
+class on its own. Everything is float64, bucket probabilities are taken in
+log space, and `grad_check` validates every gradient against finite
+differences.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from statistics import fmean
 
 import numpy as np
 
@@ -25,10 +26,15 @@ from .artifacts import is_int, read_json, reading
 from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid
 from .pgm import read_pgm
-from .scores import ScoreMatrix, read_scores, softmax_rows
+from .scores import ScoreMatrix, read_scores
 
 _LN2 = math.log(2.0)
-# rows per kernel call, so that a call's N x K temporaries stay in cache
+# rows per kernel call, so that a call's K x b temporaries stay in cache. Larger
+# blocks run faster in a warm process but not in a fresh CLI child, whose
+# allocator maps and faults in each larger temporary anew: at 8192 rows a
+# `loss value --loss memory_augmented` child on a 500 x 375, K = 17 batch took
+# 35.1k minor page faults and 0.253 s against 30.8k and 0.238 s at 2048
+# (ce_current: 13.6k against 12.7k; 2-core VM, median of 6 alternating runs).
 BLOCK_ROWS = 2048
 COMPOSITE_LOSSES = ("memory_augmented", "bce_replay", "pseudo_replay")
 
@@ -117,67 +123,94 @@ class LossItem:
 
 
 # --- the two per-pixel kernels ------------------------------------------------
-def _lse(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1)
-    return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+# Both take a block of b pixels class-major, zt of shape K x b (one column per
+# pixel), so that every per-pixel reduction runs along axis 0 over contiguous
+# rows, and return the block's loss per pixel and, when asked, its K x b
+# gradient.
+def _slice_if_run(index: np.ndarray):
+    """Row indices as a slice when they are one ascending run, so that the rows they take are a view."""
+    if len(index) and np.array_equal(index, np.arange(index[0], index[0] + len(index))):
+        return slice(int(index[0]), int(index[0]) + len(index))
+    return index
 
 
-def _bucket_log_probs(z: np.ndarray, single_cols: np.ndarray, pooled_cols: np.ndarray):
-    """The log-softmax, and log P(B_b) per pixel for the one-column buckets
-    followed by the pooled bucket."""
-    log_p = z - _lse(z)[:, None]
-    log_b = np.empty((len(z), len(single_cols) + 1))
-    log_b[:, :-1] = log_p[:, single_cols]
-    log_b[:, -1] = _lse(log_p[:, pooled_cols])
-    return log_p, log_b
+def _bucket_log_probs(zt, singles, pooled):
+    """log P(B_b) per pixel, (S+1) x b: the one-row buckets `singles`, then
+    the bucket of the rows `pooled`; and exp(z - max) over the pooled rows
+    with its column sums. The pooled log-sum-exp takes the pooled rows' own
+    max, so P(pool) stays exact when every pooled logit sits far below the
+    row's max."""
+    pool = zt[pooled]
+    top = pool.max(axis=0)
+    pool = np.exp(pool - top)
+    pool_sum = pool.sum(axis=0)
+    log_b = np.vstack((zt[singles], top + np.log(pool_sum)))
+    log_b -= log_b.max(axis=0)
+    log_b -= np.log(np.exp(log_b).sum(axis=0))
+    return log_b, pool, pool_sum
 
 
-def _bucket_ce(z, single_cols, pooled_cols, w, grad: bool):
-    """Per-pixel l_i = -sum_b w_ib log P_i(B_b) and, when asked, its gradient
-    (sum_b w_ib) p_i - sum_b w_ib p_i 1[B_b] / P_i(B_b). The weights hold one
-    column per bucket, the pooled bucket last."""
-    log_p, log_b = _bucket_log_probs(z, single_cols, pooled_cols)
-    loss = -(w * log_b).sum(axis=1)
+def _bucket_ce(zt, singles, pooled, w, grad: bool):
+    """Per-pixel l = -sum_b w_b log P(B_b) and, when asked, its gradient
+    (sum_b w_b) p - sum_b w_b p 1[B_b] / P(B_b): W P_b - w_b on a one-row
+    bucket, (W P(pool) - w_pool) q on the pooled rows, q the softmax within
+    the pool. The weights w hold one row per bucket, the pooled bucket last."""
+    log_b, pool, pool_sum = _bucket_log_probs(zt, singles, pooled)
+    loss = -(w * log_b).sum(axis=0)
     if not grad:
         return loss, None
-    g = np.exp(log_p)
-    g *= w.sum(axis=1)[:, None]
-    g[:, single_cols] -= w[:, :-1]
-    g[:, pooled_cols] -= w[:, -1:] * np.exp(log_p[:, pooled_cols] - log_b[:, -1:])
+    w_sum = w.sum(axis=0)
+    g = np.empty(zt.shape)
+    g[singles] = np.exp(log_b[:-1]) * w_sum - w[:-1]
+    g[pooled] = pool * ((np.exp(log_b[-1]) * w_sum - w[-1]) / pool_sum)
     return loss, g
 
 
-def _binary_ce(z, bucket, cols, gamma: float, grad: bool):
-    """Per-pixel binary cross-entropy summed over the columns `cols`: gamma
-    log p where the label is that column's class (bucket == its index), and
+def _binary_ce(zt, bucket, selected, gamma: float, grad: bool):
+    """Per-pixel binary cross-entropy summed over the rows `selected`: gamma log p
+    where the label is that row's class (bucket == its index), and
     log(1 - p) at every other valid pixel (bucket >= 0). log(1 - p) is
-    log1p(-p) where p <= 1/2; where p > 1/2, at most one column per row, it is
-    the log-sum-exp of the row's other columns, exact as p nears 1."""
-    lse_all = _lse(z)
-    log_p = z[:, cols] - lse_all[:, None]
-    log_1m = np.log1p(-np.exp(np.minimum(log_p, -_LN2)))
-    rows, s = np.nonzero(log_p > -_LN2)
-    others = z[rows]
-    others[np.arange(len(rows)), cols[s]] = -np.inf
-    lse_others = _lse(others)
-    log_1m[rows, s] = lse_others - lse_all[rows]
-    pos = bucket[:, None] == np.arange(len(cols))
-    neg = (bucket >= 0)[:, None] & ~pos
-    loss = -np.where(pos, gamma * log_p, np.where(neg, log_1m, 0.0)).sum(axis=1)
+    log1p(-p) where p <= 1/2; where p > 1/2, at most one row per pixel, it
+    is the log-sum-exp of the pixel's other rows with their own max, exact
+    as p nears 1."""
+    top = zt.max(axis=0)
+    e = np.exp(zt - top)
+    e_sum = e.sum(axis=0)
+    lse = top + np.log(e_sum)
+    log_p = zt[selected] - lse
+    terms = np.log1p(-np.exp(np.minimum(log_p, -_LN2)))  # log(1 - p), then the positives' terms
+    # the pixels j where a row's p exceeds 1/2, and that row s: the pixel's
+    # largest p, since rounding can put a second one just over 1/2, where its
+    # log1p(-p) is exact
+    j = np.flatnonzero(log_p.max(axis=0) > -_LN2)
+    s = log_p[:, j].argmax(axis=0)
+    others = zt[:, j]
+    others[selected[s], np.arange(len(j))] = -np.inf
+    others_top = others.max(axis=0)
+    q = np.exp(others - others_top)
+    q_sum = q.sum(axis=0)
+    terms[s, j] = others_top + np.log(q_sum) - lse[j]
+    valid = bucket >= 0
+    own = np.flatnonzero(valid & (bucket < len(selected)))  # pixels labeled a selected class
+    label = bucket[own]
+    # a term's gradient is u (e_c - p): u = -p_c / (1 - p_c) on a negative, gamma on a positive
+    u = -np.exp(log_p - terms) if grad else None
+    terms[label, own] = gamma * log_p[label, own]
+    loss = np.where(valid, -terms.sum(axis=0), 0.0)
     if not grad:
         return loss, None
-    # a term's gradient is w (e_c - p): w = gamma on a positive, -p_c / (1 - p_c) on a negative
-    u = np.zeros_like(z)
-    u[:, cols] = np.where(pos, gamma, np.where(neg, -np.exp(log_p - log_1m), 0.0))
-    big = neg[rows, s]  # negatives with p > 1/2, where p sum(u) - u would cancel
-    rows, s, others, lse_others = rows[big], s[big], others[big], lse_others[big]
-    u[rows, cols[s]] = 0.0
-    g = np.exp(z - lse_all[:, None]) * u.sum(axis=1, keepdims=True) - u
-    # their terms' gradients on their own: p_c (e_c - q), q the softmax over the other columns
-    p_c = np.exp(log_p[rows, s])
-    term = np.exp(others - lse_others[:, None]) * -p_c[:, None]
-    term[np.arange(len(rows)), cols[s]] = p_c
-    np.add.at(g, rows, term)
+    u[label, own] = gamma
+    u *= valid
+    big = valid[j] & (bucket[j] != s)  # negatives with p > 1/2, where p sum(u) - u would cancel
+    s, j, q, q_sum = s[big], j[big], q[:, big], q_sum[big]
+    u[s, j] = 0.0
+    g = e * (u.sum(axis=0) / e_sum)
+    g[selected] -= u
+    # their terms' gradients on their own: p_c (e_c - q), q the softmax over the other rows
+    p_c = np.exp(log_p[s, j])
+    term = q * (-p_c / q_sum)
+    term[selected[s], np.arange(len(j))] = p_c
+    g[:, j] += term
     return loss, g
 
 
@@ -200,7 +233,8 @@ def _label_buckets(scores: ScoreMatrix, labels: LabelGrid | None, singles: list[
     if labels.n_pixels != scores.n_pixels:
         raise ValidationError(f"labels have {labels.n_pixels} pixels, scores have {scores.n_pixels}")
     index = {c: b for b, c in enumerate(singles)} | {IGNORE: -1, BACKGROUND: len(singles)}
-    table = np.array([index.get(c, -2) for c in range(256)], dtype=np.intp)
+    # int16 holds every bucket index in a quarter of intp's bytes
+    table = np.array([index.get(c, -2) for c in range(256)], dtype=np.int16)
     bucket = table[labels.data]
     if not (bucket >= 0).any():
         raise ValidationError("every pixel is ignored; loss undefined")
@@ -210,19 +244,24 @@ def _label_buckets(scores: ScoreMatrix, labels: LabelGrid | None, singles: list[
     return bucket
 
 
+def _bucket_rows(scores: ScoreMatrix, singles, pooled: frozenset[int]):
+    """The class-major rows of the one-row buckets `singles` (in order) and of the pooled bucket."""
+    return _slice_if_run(_cols(scores, singles)), _slice_if_run(_cols(scores, pooled | {BACKGROUND}))
+
+
 def _bucket_kernel(scores: ScoreMatrix, singles: list[int], pooled: frozenset[int], weights):
-    """The bucket cross-entropy with `weights(rows)` for the item's pixels `rows`."""
-    cols = _cols(scores, singles), _cols(scores, pooled | {BACKGROUND})
-    return lambda z, rows, grad: _bucket_ce(z, *cols, weights(rows), grad)
+    """The bucket cross-entropy with `weights(rows)`, (S+1) x b, for the item's pixels `rows`."""
+    buckets = _bucket_rows(scores, singles, pooled)
+    return lambda zt, rows, grad: _bucket_ce(zt, *buckets, weights(rows), grad)
 
 
 def _ce(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
     """Cross-entropy: one-hot label weights, normalized by the valid pixel count."""
     bucket = _label_buckets(item.scores, item.labels, singles)
-    buckets = np.arange(len(singles) + 1)
+    buckets = np.arange(len(singles) + 1)[:, None]
 
     def one_hot(rows):
-        return (bucket[rows, None] == buckets).astype(np.float64)
+        return (bucket[rows] == buckets).astype(np.float64)
 
     return _bucket_kernel(item.scores, singles, pooled, one_hot), int((bucket >= 0).sum())
 
@@ -240,9 +279,13 @@ def _kd(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossCon
     cols = _cols(prev, singles + [BACKGROUND])
 
     def prev_probs(rows):
-        w = softmax_rows(prev.logits[rows])[:, cols]
+        e = prev.logits[rows].T.copy()
+        e -= e.max(axis=0)
+        np.exp(e, out=e)
+        w = e[cols]
+        w /= e.sum(axis=0)
         if not cfg.kd_includes_bg:
-            w[:, -1] = 0.0
+            w[-1] = 0.0
         return w
 
     return _bucket_kernel(item.scores, singles, pooled, prev_probs), prev.n_pixels
@@ -252,7 +295,7 @@ def _bce(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossCo
     """Binary cross-entropy over `singles`, normalized by the valid pixel count."""
     bucket = _label_buckets(item.scores, item.labels, singles)
     cols, gamma = _cols(item.scores, singles), cfg.positive_weight
-    return (lambda z, rows, grad: _binary_ce(z, bucket[rows], cols, gamma, grad)), int((bucket >= 0).sum())
+    return (lambda zt, rows, grad: _binary_ce(zt, bucket[rows], cols, gamma, grad)), int((bucket >= 0).sum())
 
 
 # loss id -> (preparation, layout side scored class by class, side pooled with
@@ -269,8 +312,8 @@ ATOMIC_LOSSES = tuple(_LOSSES)
 
 
 def _prepare(loss_id: str, item: LossItem, layout: TaskClassLayout | None, cfg: LossConfig):
-    """Validate the item once; return (kernel(z, rows, grad), normalizer), the
-    kernel scoring logits z of the item's pixels `rows`."""
+    """Validate the item once; return (kernel(zt, rows, grad), normalizer), the
+    kernel scoring the class-major logits zt (K x b) of the item's pixels `rows`."""
     if loss_id not in _LOSSES:
         raise ValidationError(f"unknown loss id {loss_id!r}; expected one of {ATOMIC_LOSSES}")
     prepare, own, pooled = _LOSSES[loss_id]
@@ -280,18 +323,28 @@ def _prepare(loss_id: str, item: LossItem, layout: TaskClassLayout | None, cfg: 
     return prepare(item, sorted(getattr(layout, own)), getattr(layout, pooled), cfg)
 
 
+def _blocks(z: np.ndarray):
+    """(block, zt) for BLOCK_ROWS-row blocks of the N x K logits z, zt the
+    block's rows class-major (K x b). A last block of one row joins the block
+    before it: numpy sums a lone column pairwise and wider blocks row by row,
+    so only then does a row's result not depend on the blocks."""
+    start = 0
+    for stop in [*range(BLOCK_ROWS, len(z) - 1, BLOCK_ROWS), len(z)]:
+        yield slice(start, stop), np.ascontiguousarray(z[start:stop].T)
+        start = stop
+
+
 def _blocked(kernel, z: np.ndarray, grad: bool, rows: np.ndarray | None = None):
-    """Run `kernel` over BLOCK_ROWS-row blocks of the logits z, which hold the
-    item's pixels `rows` (all of them, in order, when None); return the loss
-    per row and, when asked, the gradient. Every kernel is row-local, so the
+    """Run `kernel` over the blocks of the logits z, which hold the item's
+    pixels `rows` (all of them, in order, when None); return the loss per row
+    and, when asked, the N x K gradient. Every kernel is pixel-local, so the
     blocks change no bit of either."""
     loss = np.empty(len(z))
     g = np.empty(z.shape) if grad else None
-    for start in range(0, len(z), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        loss[block], block_grad = kernel(z[block], block if rows is None else rows[block], grad)
+    for block, zt in _blocks(z):
+        loss[block], block_grad = kernel(zt, block if rows is None else rows[block], grad)
         if grad:
-            g[block] = block_grad
+            g[block] = block_grad.T
     return loss, g
 
 
@@ -312,8 +365,11 @@ def grad_logits(loss_id: str, item: LossItem, layout: TaskClassLayout, cfg: Loss
 
 def _bucket_probs(scores: ScoreMatrix, layout: TaskClassLayout, singles, pooled) -> np.ndarray:
     _check_classes(scores, layout.old_classes | layout.new_classes, "score")
-    cols = _cols(scores, sorted(singles)), _cols(scores, pooled | {BACKGROUND})
-    return np.exp(_bucket_log_probs(scores.logits, *cols)[1])
+    buckets = _bucket_rows(scores, sorted(singles), pooled)
+    probs = np.empty((scores.n_pixels, len(singles) + 1))
+    for block, zt in _blocks(scores.logits):
+        probs[block] = np.exp(_bucket_log_probs(zt, *buckets)[0]).T
+    return probs
 
 
 def probs_bg_absorbing_new(scores: ScoreMatrix, layout: TaskClassLayout) -> np.ndarray:
@@ -358,6 +414,13 @@ def ce_plain(scores: ScoreMatrix, labels: LabelGrid) -> float:
 
 
 # --- composite objectives -----------------------------------------------------
+def _mean(values) -> float:
+    """statistics.fmean without importing statistics (and with it fractions
+    and decimal) into every command: an fsum over the count."""
+    values = list(values)
+    return math.fsum(values) / len(values)
+
+
 def _sides(items: Sequence[LossItem]) -> tuple[list[LossItem], list[LossItem]]:
     current = [it for it in items if it.source == "current"]
     if not current:
@@ -371,11 +434,11 @@ def memory_augmented_objective(items: Sequence[LossItem], layout: TaskClassLayou
     averages over its own item set; the distillation denominator is the
     combined batch length (items appearing on both sides count twice)."""
     current, stored = _sides(items)
-    total = fmean(loss_value("ce_current", it, layout, cfg) for it in current)
+    total = _mean(loss_value("ce_current", it, layout, cfg) for it in current)
     if cfg.kd_weight > 0:
-        total += cfg.kd_weight * fmean([loss_value("kd_old", it, layout, cfg) for it in items])
+        total += cfg.kd_weight * _mean([loss_value("kd_old", it, layout, cfg) for it in items])
     if stored:
-        total += fmean(loss_value("ce_memory", it, layout, cfg) for it in stored)
+        total += _mean(loss_value("ce_memory", it, layout, cfg) for it in stored)
     return total
 
 
@@ -389,10 +452,10 @@ def bce_replay_objective(items: Sequence[LossItem], layout: TaskClassLayout, cfg
         raise ValidationError("every item needs externally computed kd and dkd values")
     if any(it.ac is None for it in current):
         raise ValidationError("current items need an externally computed ac value")
-    total = fmean(cfg.kd_alpha * it.kd + cfg.kd_beta * it.dkd for it in items)
-    total += fmean(loss_value("bce_new", it, layout, cfg) + it.ac for it in current)
+    total = _mean(cfg.kd_alpha * it.kd + cfg.kd_beta * it.dkd for it in items)
+    total += _mean(loss_value("bce_new", it, layout, cfg) + it.ac for it in current)
     if stored:
-        total += fmean(loss_value("bce_old", it, layout, cfg) for it in stored)
+        total += _mean(loss_value("bce_old", it, layout, cfg) for it in stored)
     return total
 
 
@@ -404,7 +467,7 @@ def pseudo_replay_objective(items: Sequence[LossItem], cfg: LossConfig) -> float
         raise ValidationError("objective requires at least one item")
     if any(it.pod is None for it in items):
         raise ValidationError("every item needs an externally computed pod value")
-    return fmean(loss_value("ce_plain", it, None, cfg) + cfg.kd_weight * it.pod for it in items)
+    return _mean(loss_value("ce_plain", it, None, cfg) + cfg.kd_weight * it.pod for it in items)
 
 
 # --- loss-case files and finite-difference validation -------------------------
@@ -483,7 +546,9 @@ def grad_check(
     term, so each difference is of that row's loss value alone over the full
     normalizer: O(K) per coordinate, no cancellation against other pixels.
     The error is relative to the largest gradient magnitude, so near-zero
-    derivatives are judged on the gradient's scale."""
+    derivatives are judged on the gradient's scale. The gradient is taken
+    block by block, its largest magnitude and its values at the picks kept,
+    so the N x K gradient is never built."""
     if not (math.isfinite(step) and step > 0 and math.isfinite(tol) and tol > 0):
         raise ValidationError(f"step and tol must be finite numbers > 0, got {step} and {tol}")
     if max_coords < 1:
@@ -492,18 +557,25 @@ def grad_check(
         raise ValidationError(f"seed must be >= 0, got {seed}")
     kernel, norm = _prepare(loss_id, item, layout, cfg)
     z = item.scores.logits
-    loss, grad = _blocked(kernel, z, True)
-    grad /= norm
-    if not np.all(np.isfinite(grad)):
-        raise ValidationError(f"{loss_id}: non-finite gradient")
     picks = np.random.default_rng(seed).choice(z.size, min(max_coords, z.size), replace=False)
     rows, cols = np.divmod(picks, z.shape[1])
+    # the gradient's scale and its values at the picks, block by block
+    loss, grad, top = np.empty(len(z)), np.empty(len(picks)), 0.0
+    for block, zt in _blocks(z):
+        loss[block], block_grad = kernel(zt, block, True)
+        block_top = float(np.abs(block_grad).max())
+        if not math.isfinite(block_top):
+            raise ValidationError(f"{loss_id}: non-finite gradient")
+        top = max(top, block_top)
+        here = (block.start <= rows) & (rows < block.stop)
+        grad[here] = block_grad[cols[here], rows[here] - block.start]
+    grad /= norm
     nudge = np.zeros((len(picks), z.shape[1]))
     nudge[np.arange(len(picks)), cols] = step
     plus = _blocked(kernel, z[rows] + nudge, False, rows)[0]
     minus = _blocked(kernel, z[rows] - nudge, False, rows)[0]
     fd = (plus - minus) / (2.0 * step) / norm
-    scale = max(float(np.abs(grad).max()), float(np.abs(fd).max()), 1e-300)
-    max_rel = float(np.abs(grad.reshape(-1)[picks] - fd).max() / scale)
+    scale = max(top / norm, float(np.abs(fd).max()), 1e-300)
+    max_rel = float(np.abs(grad - fd).max() / scale)
     passed = bool(np.isfinite(max_rel) and max_rel < tol)
     return GradCheckReport(loss_id, float(loss.sum()) / norm, max_rel, len(picks), step, tol, passed)

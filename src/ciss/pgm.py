@@ -77,7 +77,9 @@ def read_pgm(path: str | os.PathLike) -> LabelGrid:
     # no byte exceeds maxval 255, so the raster is scanned only below it
     if maxval < 255 and int(data.max()) > maxval:
         raise FormatError(f"{path}: pixel value {int(data.max())} exceeds maxval {maxval}")
-    return LabelGrid(width=width, height=height, data=data.astype(np.uint8, copy=False))
+    data = data.astype(np.uint8, copy=False)
+    data.setflags(write=False)
+    return LabelGrid(width=width, height=height, data=data)
 
 
 def write_pgm(grid: LabelGrid, path: str | os.PathLike) -> None:

@@ -47,4 +47,5 @@ def pseudo_label(
     out[fill] = best_class[fill].astype(np.uint8)
     keep_ignore = gt.data == IGNORE
     out[keep_ignore] = IGNORE
+    out.setflags(write=False)
     return LabelGrid(width=gt.width, height=gt.height, data=out)

@@ -21,6 +21,10 @@ from .grid import BACKGROUND, IGNORE, LabelGrid
 
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
+    """N x K logits with one class id per column. The matrix keeps a read-only
+    array: a read-only input is kept as it is, any other one is copied, so no
+    reference the caller holds can change the logits."""
+
     class_map: tuple[int, ...]
     logits: np.ndarray
 
@@ -35,7 +39,9 @@ class ScoreMatrix:
             raise ValidationError(f"class map ids must lie in {BACKGROUND}..{IGNORE - 1}")
         if BACKGROUND not in cmap:
             raise ValidationError("class map must include the background class")
-        arr = np.ascontiguousarray(self.logits, dtype=np.float64)
+        arr = np.asarray(self.logits)
+        if arr.flags.writeable or arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            arr = np.array(arr, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.shape[1] != len(cmap):
             raise ValidationError(
                 f"logits shape {arr.shape} does not match {len(cmap)} mapped classes"
@@ -83,7 +89,9 @@ def predict_labels(scores: ScoreMatrix, *, width: int | None = None, height: int
         width, height = n, 1
     if width is None or height is None or width * height != n:
         raise ValidationError(f"shape {width}x{height} does not cover {n} pixels")
-    return LabelGrid(width=width, height=height, data=top_class(scores, scores.logits).astype(np.uint8))
+    data = top_class(scores, scores.logits).astype(np.uint8)
+    data.setflags(write=False)
+    return LabelGrid(width=width, height=height, data=data)
 
 
 def top_class(scores: ScoreMatrix, values: np.ndarray) -> np.ndarray:
@@ -119,6 +127,7 @@ def _text_rows(blob: bytes, fh: io.BytesIO, n: int, k: int) -> np.ndarray | None
         rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
+    rows.setflags(write=False)  # the matrix's own, so ScoreMatrix keeps it uncopied
     return rows if rows.shape == (n, k) else None
 
 

@@ -354,6 +354,31 @@ class TestLossCaseContract:
         path.write_text(json.dumps(doc))
         _assert_one_json_error([*argv, "--case", str(path)])
 
+    def test_non_finite_loss_exits_2(self, tmp_path):
+        """A loss that overflows, in a composite's weights or in an atomic
+        loss's logits, is an error, not `Infinity` or `NaN` on stdout."""
+        doc = _case_24(tmp_path)
+        doc["config"]["lambda"] = 1e308
+        doc["items"][0]["pod"] = 10.0
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        _assert_one_json_error(["loss", "value", "--loss", "pseudo_replay", "--case", str(path)])
+        # pixel 1 of item 0 is labeled 2, whose logit sits 2e308 below the max
+        logits = np.zeros((24, 4))
+        logits[1] = [1e308, -1e308, -1e308, -1e308]
+        write_scores(ScoreMatrix(class_map=(0, 1, 2, 3), logits=logits), tmp_path / "s0.scores")
+        for argv in (["loss", "value", "--loss", "ce_current"], GRADCHECK):
+            _assert_one_json_error([*argv, "--case", str(path)])
+
+    def test_nan_in_a_document_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(_case_24(tmp_path)))
+        nan_report = losses.GradCheckReport("ce_current", 1.0, float("nan"), 1, 1e-5, 1e-6, False)
+        monkeypatch.setattr(losses, "grad_check", lambda *args, **kwargs: nan_report)
+        code, doc, err = run(capsys, [*GRADCHECK, "--case", str(path)])
+        assert (code, doc) == (2, None)
+        assert len(err.splitlines()) == 1 and set(json.loads(err)) == {"error"}
+
     @pytest.mark.parametrize("command", ["value", "gradcheck"])
     def test_zero_pixel_distillation_exits_2(self, tmp_path, command):
         write_scores(ScoreMatrix(class_map=(0, 1, 2, 3), logits=np.zeros((0, 4))), tmp_path / "s.scores")
@@ -643,6 +668,13 @@ class TestProcessLevel:
         assert code == 2
         assert doc is None
         assert set(json.loads(err)) == {"error"}
+
+    def test_import_leaves_statistics_out(self):
+        """statistics, and with it fractions and decimal, cost every command's start-up."""
+        code = "import sys, ciss.cli; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_help_exits_0(self):
         proc = subprocess.run([sys.executable, "-m", "ciss.cli", "--help"], capture_output=True, text=True)

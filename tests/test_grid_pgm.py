@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ciss import BACKGROUND, IGNORE, FormatError, LabelGrid, ValidationError, relabel
+from ciss import BACKGROUND, IGNORE, FormatError, LabelGrid, OracleRecord, ValidationError, relabel
 from ciss.pgm import read_pgm, write_pgm
 
 
@@ -36,6 +36,37 @@ def test_grid_is_immutable():
     g = LabelGrid(width=2, height=2, data=np.array([1, 2, 0, 255], dtype=np.uint8))
     with pytest.raises(ValueError):
         g.data[0] = 3
+
+
+def test_grid_copies_a_writeable_input():
+    """Writes through the caller's array change neither the grid nor a record
+    derived from it, and the caller's array stays writeable."""
+    a = np.array([0, 3, 3, 0], dtype=np.uint8)
+    grid = LabelGrid(2, 2, a)
+    record = OracleRecord.from_grid("x", grid)
+    rows = np.array([[0, 3], [3, 0]], dtype=np.int64)
+    from_rows = LabelGrid.from_rows(rows)
+    a[:] = 7
+    rows[:] = 9
+    assert a.flags.writeable and rows.flags.writeable
+    assert grid.foreground_classes() == record.oracle_classes == from_rows.foreground_classes() == {3}
+    assert record.oracle_labels == grid == from_rows
+
+
+def test_grid_keeps_a_read_only_input():
+    a = np.array([0, 3, 3, 0], dtype=np.uint8)
+    a.setflags(write=False)
+    assert np.shares_memory(LabelGrid(2, 2, a).data, a)
+
+
+def test_relabel_and_p2_rasters_are_kept_uncopied(tmp_path):
+    """relabel and the P2 reader hand the grid read-only rasters of their
+    own, which it keeps as views instead of copying them."""
+    oracle = LabelGrid(4, 3, np.random.default_rng(2).integers(0, 21, 12, dtype=np.uint8))
+    (tmp_path / "a.pgm").write_bytes(b"P2\n4 3\n255\n" + " ".join(map(str, oracle.data.tolist())).encode())
+    for grid in (relabel(oracle, {1, 2, 3}), read_pgm(tmp_path / "a.pgm")):
+        assert not grid.data.flags.writeable
+        assert grid.data.base is not None and grid.data.base.flags.owndata
 
 
 def test_foreground_classes_exclude_reserved_ids():

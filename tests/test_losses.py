@@ -36,6 +36,7 @@ from ciss import (
     write_scores,
 )
 from ciss import losses as losses_module
+from ciss.losses import GradCheckReport
 from ciss.pgm import write_pgm
 
 LAYOUT = TaskClassLayout(old_classes=frozenset({1}), new_classes=frozenset({2, 3}))
@@ -485,6 +486,14 @@ class TestPseudoReplayObjective:
             pseudo_replay_objective([bare], LossConfig())
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20))
+def test_mean_is_fmean_bit_for_bit(values):
+    import statistics
+
+    assert losses_module._mean(iter(values)) == statistics.fmean(values)
+
+
 # --- gradients -----------------------------------------------------------------
 
 
@@ -570,19 +579,21 @@ B = losses_module.BLOCK_ROWS
 @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 17])
 def test_blocked_kernel_is_bit_identical_to_one_call(loss_id, cfg, n):
     """Row blocks, of all rows in order or of a shuffled subset, give the
-    loss vector and gradient of one call over the whole matrix, bit for bit."""
+    loss vector and gradient of one class-major call over the whole matrix,
+    bit for bit."""
     item = _random_item(loss_id, seed=n, n=n)
     kernel, _ = losses_module._prepare(loss_id, item, WIDE, cfg)
     z = item.scores.logits
     rows = np.random.default_rng(n).permutation(n)[: max(1, n - 5)]
+    zt, zt_rows = np.ascontiguousarray(z.T), np.ascontiguousarray(z[rows].T)
     for grad in (False, True):
         for blocked, whole in (
-            (losses_module._blocked(kernel, z, grad), kernel(z, slice(None), grad)),
-            (losses_module._blocked(kernel, z[rows], grad, rows), kernel(z[rows], rows, grad)),
+            (losses_module._blocked(kernel, z, grad), kernel(zt, slice(None), grad)),
+            (losses_module._blocked(kernel, z[rows], grad, rows), kernel(zt_rows, rows, grad)),
         ):
             assert np.array_equal(blocked[0], whole[0])
             if grad:
-                assert np.array_equal(blocked[1], whole[1])
+                assert np.array_equal(blocked[1], whole[1].T)
 
 
 def _checked_coords(monkeypatch, item, **kwargs):
@@ -663,6 +674,99 @@ def test_full_size_gradcheck_passes_at_defaults(full_size_items, loss_id):
     assert report.passed, f"{loss_id}: max relative error {report.max_rel_err}"
 
 
+@pytest.mark.parametrize("loss_id", ATOMIC_LOSSES)
+def test_gradcheck_report_matches_the_full_gradient(full_size_items, loss_id):
+    """grad_check takes the gradient block by block; its report is, field for
+    field, the one computed from grad_logits' N x K gradient."""
+    item, cfg, k, seed = full_size_items[loss_id], LossConfig(kd_weight=0.5, positive_weight=2.0), 5, 3
+    report = grad_check(loss_id, item, FULL_LAYOUT, cfg, max_coords=k, seed=seed)
+    grad = grad_logits(loss_id, item, FULL_LAYOUT, cfg)
+    z = item.scores.logits
+    picks = np.random.default_rng(seed).choice(z.size, k, replace=False)
+    rows, cols = np.divmod(picks, z.shape[1])
+    kernel, norm = losses_module._prepare(loss_id, item, FULL_LAYOUT, cfg)
+    nudge = np.zeros((k, z.shape[1]))
+    nudge[np.arange(k), cols] = 1e-5
+    plus = losses_module._blocked(kernel, z[rows] + nudge, False, rows)[0]
+    minus = losses_module._blocked(kernel, z[rows] - nudge, False, rows)[0]
+    fd = (plus - minus) / (2.0 * 1e-5) / norm
+    scale = max(float(np.abs(grad).max()), float(np.abs(fd).max()), 1e-300)
+    max_rel = float(np.abs(grad.reshape(-1)[picks] - fd).max() / scale)
+    loss = loss_value(loss_id, item, FULL_LAYOUT, cfg)
+    assert report == GradCheckReport(loss_id, loss, max_rel, k, 1e-5, 1e-6, max_rel < 1e-6)
+
+
+def lse_rows(z):
+    """Row-wise log-sum-exp of an N x K array."""
+    m = z.max(axis=1)
+    return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+
+
+def exact_bucket_ce(z, w, singles, pooled):
+    """Row-major and in log space: the summed loss -sum_b w_b log P(B_b) and
+    its gradient W p - sum_b w_b 1[j in B_b] exp(z_j - lse(B_b)), w holding
+    one column per bucket (one per single column, then the pooled one)."""
+    lse_all = lse_rows(z)
+    lse_pool = lse_rows(z[:, pooled])
+    log_b = np.column_stack([z[:, singles] - lse_all[:, None], lse_pool - lse_all])
+    g = np.exp(z - lse_all[:, None]) * w.sum(axis=1, keepdims=True)
+    g[:, singles] -= w[:, :-1]
+    g[:, pooled] -= w[:, -1:] * np.exp(z[:, pooled] - lse_pool[:, None])
+    return -(w * log_b).sum(), g
+
+
+@pytest.fixture(scope="module")
+def far_pool_items():
+    """500x375 logits at K=17. In the even rows the classes ce_current pools
+    with background (0..15) sit 800 to 900 below the row max, in the odd rows
+    those ce_memory and kd_old pool (0 and 16). ce_current labels the even
+    rows background, ce_memory the odd ones; the other rows and every item's
+    ignored pixels are drawn at random."""
+    n, rng = 500 * 375, np.random.default_rng(33)
+    z = rng.uniform(-5, 5, size=(n, 17))
+    z[0::2, :16] = z[0::2, 16:] - rng.uniform(800, 900, size=(n // 2, 16))
+    odd_top = z[1::2, 1:16].max(axis=1, keepdims=True)
+    z[1::2, [0, 16]] = odd_top - rng.uniform(800, 900, size=(n // 2, 2))
+    scores = ScoreMatrix(class_map=tuple(range(17)), logits=z)
+    prev = ScoreMatrix(class_map=tuple(range(16)), logits=rng.uniform(-5, 5, size=(n, 16)))
+    current = rng.choice(np.array([0, 16, 255], dtype=np.uint8), size=n)
+    current[0::2] = np.where(rng.random(n // 2) < 0.9, 0, 255)
+    memory = rng.choice(np.array([0, *range(1, 16), 255], dtype=np.uint8), size=n)
+    memory[1::2] = np.where(rng.random(n // 2) < 0.9, 0, 255)
+    grid = {"ce_current": current, "ce_memory": memory}
+    return {lid: LossItem(scores=scores, prev_scores=prev,
+                          labels=LabelGrid(500, 375, grid[lid]) if lid in grid else None)
+            for lid in ("ce_current", "ce_memory", "kd_old")}
+
+
+@pytest.mark.parametrize("loss_id", ["ce_current", "ce_memory", "kd_old"])
+def test_far_pooled_rows_match_exact_oracle(far_pool_items, loss_id):
+    """P(pool) below 1e-347: the pooled log-sum-exp keeps the pooled logits'
+    own max, so loss and gradient match the log-space oracle."""
+    item, cfg = far_pool_items[loss_id], LossConfig(kd_weight=0.5)
+    z = item.scores.logits
+    singles, pooled = (list(range(1, 16)), [0, 16]) if loss_id != "ce_current" else ([16], list(range(16)))
+    if loss_id == "kd_old":
+        a = item.prev_scores.logits
+        w = np.exp(a - lse_rows(a)[:, None])[:, [*range(1, 16), 0]]
+        norm = len(z)
+    else:
+        y = item.labels.data.astype(np.intp)
+        w = np.zeros((len(z), len(singles) + 1))
+        valid = y != 255
+        bucket = np.array([singles.index(c) if c in singles else len(singles) for c in y[valid]])
+        w[np.flatnonzero(valid), bucket] = 1.0
+        norm = int(valid.sum())
+        far = slice(0, None, 2) if loss_id == "ce_current" else slice(1, None, 2)
+        assert (w[far, -1] == 1).mean() > 0.85  # most far rows are labeled background
+    want_loss, want_grad = exact_bucket_ce(z, w, singles, pooled)
+    assert loss_value(loss_id, item, FULL_LAYOUT, cfg) == pytest.approx(want_loss / norm, rel=1e-10)
+    grad = grad_logits(loss_id, item, FULL_LAYOUT, cfg)
+    np.testing.assert_allclose(grad * norm, want_grad, rtol=0, atol=1e-12)
+    report = grad_check(loss_id, item, FULL_LAYOUT, cfg)
+    assert report.passed, f"{loss_id}: max relative error {report.max_rel_err}"
+
+
 # --- the binary cross-entropy kernel ----------------------------------------------
 
 
@@ -688,14 +792,14 @@ def exact_bce(scores, labels, selected, gamma):
 
 
 def reference_binary_ce(z, bucket, cols, gamma):
-    """The O(N*K^2) kernel: for each selected column, log(1 - p) from the
-    log-sum-exp of the other K - 1 columns."""
-    lse_all = losses_module._lse(z)
+    """The O(N*K^2) kernel on N x K logits: for each selected column,
+    log(1 - p) from the log-sum-exp of the other K - 1 columns."""
+    lse_all = lse_rows(z)
     valid = bucket >= 0
     loss, u = np.zeros(len(z)), np.zeros_like(z)
     for s, col in enumerate(cols):
         log_p = z[:, col] - lse_all
-        log_1m = losses_module._lse(np.delete(z, col, axis=1)) - lse_all
+        log_1m = lse_rows(np.delete(z, col, axis=1)) - lse_all
         pos, neg = bucket == s, valid & (bucket != s)
         loss -= np.where(pos, gamma * log_p, np.where(neg, log_1m, 0.0))
         u[pos, col] += gamma
@@ -727,11 +831,65 @@ def confident_item(loss_id):
     return LossItem(scores=ScoreMatrix(class_map=cmap, logits=np.array(rows)), labels=labels_of(labels))
 
 
+def exact_bce_grad(z, bucket, cols, gamma):
+    """Row-major and in log space: each term's gradient on its own, gamma
+    (p - e_c) for a positive and, for a negative, p_c at c and -p_c q_j at
+    every other column j, q the softmax over the columns other than c."""
+    lse_all = lse_rows(z)
+    g = np.zeros_like(z)
+    for s, col in enumerate(cols):
+        pos, neg = bucket == s, (bucket >= 0) & (bucket != s)
+        g[pos] += gamma * np.exp(z[pos] - lse_all[pos, None])
+        g[pos, col] -= gamma
+        others = np.delete(z[neg], col, axis=1)
+        log_p = z[neg, col] - lse_all[neg]
+        term = -np.exp(log_p[:, None] + z[neg] - lse_rows(others)[:, None])
+        term[:, col] = np.exp(log_p)
+        g[neg] += term
+    return g
+
+
+@pytest.fixture(scope="module")
+def confident_full_size():
+    """500x375 logits at K=17 where every row has a leading class, 0.05 to 50
+    logits above the rest, so its p runs from about 1/2 to within 1e-20 of
+    1; labels drawn at random, so the leader is mostly a negative."""
+    n, rng = 500 * 375, np.random.default_rng(44)
+    z = rng.uniform(-5, 5, size=(n, 17))
+    leader = rng.integers(1, 17, size=n)
+    z[np.arange(n), leader] = z.max(axis=1) + rng.uniform(0.05, 50, size=n)
+    scores = ScoreMatrix(class_map=tuple(range(17)), logits=z)
+    ids = {"bce_new": (0, 16, 255), "bce_old": (0, *range(1, 16), 255)}
+    return {lid: LossItem(scores=scores, labels=LabelGrid(500, 375, rng.choice(np.array(v, np.uint8), size=n)))
+            for lid, v in ids.items()}
+
+
 class TestBinaryCE:
+    @pytest.mark.parametrize("loss_id", ["bce_old", "bce_new"])
+    def test_full_size_confident_negatives_match_exact_oracle(self, confident_full_size, loss_id):
+        """Negatives with p > 1/2 at N=187,500: log(1 - p) from the other
+        classes' log-sum-exp, and their gradients on their own, match the
+        log-space oracles."""
+        item, cfg = confident_full_size[loss_id], LossConfig(positive_weight=2.0)
+        z, y = item.scores.logits, item.labels.data
+        cols = list(range(1, 16)) if loss_id == "bce_old" else [16]
+        bucket = np.array([cols.index(c) if c in cols else (-1 if c == 255 else len(cols)) for c in range(256)])[y]
+        p = np.exp(z - lse_rows(z)[:, None])
+        lead = p[:, cols].argmax(axis=1)
+        negative = (bucket >= 0) & (bucket != lead) & (p[:, cols].max(axis=1) > 0.5)
+        assert negative.sum() > 1000 and (1.0 - p[:, cols].max(axis=1))[negative].min() < 1e-20
+        norm = int((bucket >= 0).sum())
+        ref_loss, _ = reference_binary_ce(z, bucket, np.array(cols), 2.0)
+        assert loss_value(loss_id, item, FULL_LAYOUT, cfg) == pytest.approx(ref_loss.sum() / norm, rel=1e-10)
+        grad = grad_logits(loss_id, item, FULL_LAYOUT, cfg)
+        np.testing.assert_allclose(grad * norm, exact_bce_grad(z, bucket, cols, 2.0), rtol=0, atol=1e-12)
+        report = grad_check(loss_id, item, FULL_LAYOUT, cfg)
+        assert report.passed, f"{loss_id}: max relative error {report.max_rel_err}"
+
     @pytest.mark.parametrize("loss_id", ["bce_old", "bce_new"])
     def test_confident_rows_match_exact_oracle(self, loss_id):
         item, cfg = confident_item(loss_id), LossConfig(positive_weight=2.0)
-        p = np.exp(item.scores.logits - losses_module._lse(item.scores.logits)[:, None]).max(axis=1)
+        p = np.exp(item.scores.logits - lse_rows(item.scores.logits)[:, None]).max(axis=1)
         assert p.min() < 0.53 and 1.0 - p.max() < 1e-26
         selected = WIDE.old_classes if loss_id == "bce_old" else WIDE.new_classes
         got = loss_value(loss_id, item, WIDE, cfg)
@@ -753,14 +911,15 @@ class TestBinaryCE:
         bucket = data.draw(hnp.arrays(np.intp, n, elements=st.integers(-1, len(cols))))
         assume((bucket >= 0).any())
         gamma = data.draw(st.floats(0.1, 4.0))
-        loss, grad = losses_module._binary_ce(z, bucket, cols, gamma, True)
+        loss, grad_t = losses_module._binary_ce(np.ascontiguousarray(z.T), bucket, cols, gamma, True)
+        grad = grad_t.T
         ref_loss, ref_grad = reference_binary_ce(z, bucket, cols, gamma)
 
         norm, eps = (bucket >= 0).sum(), np.finfo(np.float64).eps
         rounding = eps * len(cols) * max(1.0, np.abs(z).max())
         value, ref_value = loss.sum() / norm, ref_loss.sum() / norm
         assert abs(value - ref_value) <= 1e-12 * abs(ref_value) + 4 * rounding
-        p = np.exp(z - losses_module._lse(z)[:, None])[:, cols]
+        p = np.exp(z - lse_rows(z)[:, None])[:, cols]
         odds = float((p / np.maximum(1.0 - p, np.finfo(np.float64).tiny)).max())
         assert np.all(np.isfinite(grad))
         assert np.abs(grad - ref_grad).max() / norm <= 1e-15 + 8 * rounding * max(1.0, odds) / norm

@@ -22,6 +22,13 @@ def test_tau_one_is_identity():
     assert out == gt
 
 
+def test_output_raster_is_kept_uncopied():
+    gt = LabelGrid(width=6, height=1, data=np.array([3, 3, 0, 0, 255, 3], dtype=np.uint8))
+    out = pseudo_label(gt, random_scores(6, (0, 1, 2), seed=0), current_classes={3}, cfg=PseudoConfig(tau=0.5))
+    assert not out.data.flags.writeable
+    assert out.data.base is not None and out.data.base.flags.owndata  # a view of the raster it made
+
+
 def test_current_class_pixels_never_change():
     gt = LabelGrid(width=4, height=1, data=np.array([3, 3, 0, 0], dtype=np.uint8))
     prev = one_hot_scores(

@@ -110,6 +110,44 @@ def test_scorematrix_validation():
             ScoreMatrix(class_map=cmap, logits=np.zeros((1, 2)))
 
 
+def test_scorematrix_copies_a_writeable_input():
+    """The matrix neither freezes the caller's array nor lets a view of it
+    write a non-finite value past the check."""
+    a = np.zeros((2, 2))
+    view = a[:]
+    m = ScoreMatrix(class_map=(0, 1), logits=a)
+    assert a.flags.writeable
+    view[0, 0] = np.inf
+    a[1, 1] = 5.0
+    assert np.all(np.isfinite(m.logits)) and not m.logits.any()
+    assert not m.logits.flags.writeable
+
+
+def test_scorematrix_keeps_a_read_only_input():
+    a = np.zeros((2, 2))
+    a.setflags(write=False)
+    assert ScoreMatrix(class_map=(0, 1), logits=a).logits is a
+
+
+def test_internal_arrays_are_kept_uncopied(tmp_path, monkeypatch):
+    """The text reader's rows and predict_labels' raster are read-only and
+    the matrix and grid keep them as they are."""
+    made = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        made.append(loadtxt(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    write_scores(ScoreMatrix(class_map=(0, 1), logits=np.eye(2)), tmp_path / "s.txt")
+    m = read_scores(tmp_path / "s.txt")
+    assert m.logits is made[0]
+    data = predict_labels(m).data
+    assert not data.flags.writeable
+    assert data.base is not None and data.base.flags.owndata
+
+
 @pytest.mark.parametrize("binary", [False, True])
 def test_scores_file_roundtrip(tmp_path, binary):
     rng = np.random.default_rng(5)
