@@ -10,15 +10,9 @@ from .losses import (
     LossConfig,
     LossItem,
     TaskClassLayout,
-    bce_new_classes,
-    bce_old_classes,
     bce_replay_objective,
-    ce_current,
-    ce_memory,
-    ce_plain,
     grad_check,
     grad_logits,
-    kd_old_classes,
     load_loss_case,
     loss_value,
     memory_augmented_objective,

@@ -176,26 +176,15 @@ def _select_item(case: L.LossCase, index: int) -> L.LossItem:
 
 def cmd_loss_value(args) -> dict:
     case = L.load_loss_case(args.case)
-    if args.loss in L.ATOMIC_LOSSES:
-        value = L.loss_value(args.loss, _select_item(case, args.item), case.layout, case.cfg)
-    elif args.loss == "memory_augmented":
-        value = L.memory_augmented_objective(case.items, case.layout, case.cfg)
-    elif args.loss == "bce_replay":
-        value = L.bce_replay_objective(case.items, case.layout, case.cfg)
-    elif args.loss == "pseudo_replay":
-        value = L.pseudo_replay_objective(case.items, case.cfg)
+    if args.loss in L.COMPOSITE_LOSSES:
+        value = getattr(L, f"{args.loss}_objective")(case.items, case.layout, case.cfg)
     else:
-        known = ", ".join(L.ATOMIC_LOSSES + L.COMPOSITE_LOSSES)
-        raise ValidationError(f"unknown loss id {args.loss!r}; expected one of {known}")
+        value = L.loss_value(args.loss, _select_item(case, args.item), case.layout, case.cfg)
     return {"loss_id": args.loss, **_loss(args.loss, value)}
 
 
 def cmd_loss_gradcheck(args) -> dict:
     case = L.load_loss_case(args.case)
-    if args.loss not in L.ATOMIC_LOSSES:
-        raise ValidationError(
-            f"gradcheck supports {', '.join(L.ATOMIC_LOSSES)}; composites are affine in them"
-        )
     report = L.grad_check(args.loss, _select_item(case, args.item), case.layout, case.cfg,
                           step=args.step, tol=args.tol, max_coords=args.samples, seed=args.seed)
     return {**dataclasses.asdict(report), **_loss(args.loss, report.loss)}
@@ -230,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     layout.add_argument("--class-count", type=int)
     case = argparse.ArgumentParser(add_help=False)
     case.add_argument("--case", required=True)
-    case.add_argument("--loss", required=True)
     case.add_argument("--item", type=int, default=0)
 
     p = _command(sub, "build", "build a split manifest for a scenario", cmd_build)
@@ -274,8 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--current-task", type=int, required=True)
 
     lsub = sub.add_parser("loss", help="loss kernel").add_subparsers(dest="loss_cmd", required=True)
-    _command(lsub, "value", "evaluate a loss on a case file", cmd_loss_value, case)
+    p = _command(lsub, "value", "evaluate a loss on a case file", cmd_loss_value, case)
+    p.add_argument("--loss", required=True, choices=L.ATOMIC_LOSSES + L.COMPOSITE_LOSSES)
     g = _command(lsub, "gradcheck", "finite-difference gradient validation", cmd_loss_gradcheck, case)
+    g.add_argument("--loss", required=True, choices=L.ATOMIC_LOSSES, help="composites are affine in these")
     g.add_argument("--step", type=float, default=1e-5)
     g.add_argument("--tol", type=float, default=1e-6)
     g.add_argument("--samples", type=int, default=64)

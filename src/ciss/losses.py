@@ -154,9 +154,12 @@ def _bucket_ce(zt, singles, pooled, w, grad: bool):
     """Per-pixel l = -sum_b w_b log P(B_b) and, when asked, its gradient
     (sum_b w_b) p - sum_b w_b p 1[B_b] / P(B_b): W P_b - w_b on a one-row
     bucket, (W P(pool) - w_pool) q on the pooled rows, q the softmax within
-    the pool. The weights w hold one row per bucket, the pooled bucket last."""
+    the pool. The weights w hold one row per bucket, the pooled bucket last.
+    A bucket of weight 0 adds 0, also where its log P(B_b) is -inf."""
     log_b, pool, pool_sum = _bucket_log_probs(zt, singles, pooled)
-    loss = -(w * log_b).sum(axis=0)
+    terms = w * log_b
+    np.copyto(terms, 0.0, where=np.isnan(terms))  # the NaNs of 0 x -inf
+    loss = -terms.sum(axis=0)
     if not grad:
         return loss, None
     w_sum = w.sum(axis=0)
@@ -172,11 +175,14 @@ def _binary_ce(zt, bucket, selected, gamma: float, grad: bool):
     log(1 - p) at every other valid pixel (bucket >= 0). log(1 - p) is
     log1p(-p) where p <= 1/2; where p > 1/2, at most one row per pixel, it
     is the log-sum-exp of the pixel's other rows with their own max, exact
-    as p nears 1."""
+    as p nears 1. An ignored pixel (bucket -1) takes p = 0 in every row, so
+    it scores 0 and adds 0 to the gradient, also where its log(1 - p) would
+    be -inf."""
     top = zt.max(axis=0)
     e = np.exp(zt - top)
     e_sum = e.sum(axis=0)
-    lse = top + np.log(e_sum)
+    valid = bucket >= 0
+    lse = np.where(valid, top + np.log(e_sum), np.inf)
     log_p = zt[selected] - lse
     terms = np.log1p(-np.exp(np.minimum(log_p, -_LN2)))  # log(1 - p), then the positives' terms
     # the pixels j where a row's p exceeds 1/2, and that row s: the pixel's
@@ -190,17 +196,15 @@ def _binary_ce(zt, bucket, selected, gamma: float, grad: bool):
     q = np.exp(others - others_top)
     q_sum = q.sum(axis=0)
     terms[s, j] = others_top + np.log(q_sum) - lse[j]
-    valid = bucket >= 0
     own = np.flatnonzero(valid & (bucket < len(selected)))  # pixels labeled a selected class
     label = bucket[own]
     # a term's gradient is u (e_c - p): u = -p_c / (1 - p_c) on a negative, gamma on a positive
     u = -np.exp(log_p - terms) if grad else None
     terms[label, own] = gamma * log_p[label, own]
-    loss = np.where(valid, -terms.sum(axis=0), 0.0)
+    loss = -terms.sum(axis=0)
     if not grad:
         return loss, None
     u[label, own] = gamma
-    u *= valid
     big = valid[j] & (bucket[j] != s)  # negatives with p > 1/2, where p sum(u) - u would cancel
     s, j, q, q_sum = s[big], j[big], q[:, big], q_sum[big]
     u[s, j] = 0.0
@@ -383,36 +387,6 @@ def probs_bg_absorbing_old(scores: ScoreMatrix, layout: TaskClassLayout) -> np.n
     return _bucket_probs(scores, layout, layout.new_classes, layout.old_classes)
 
 
-def ce_current(scores: ScoreMatrix, labels: LabelGrid, layout: TaskClassLayout) -> float:
-    """Cross-entropy for current-task labels; old-class mass counts as background."""
-    return loss_value("ce_current", LossItem(scores, labels), layout, LossConfig())
-
-
-def ce_memory(scores: ScoreMatrix, labels: LabelGrid, layout: TaskClassLayout) -> float:
-    """Cross-entropy for replayed memory labels; new-class mass counts as background."""
-    return loss_value("ce_memory", LossItem(scores, labels), layout, LossConfig())
-
-
-def kd_old_classes(
-    prev_scores: ScoreMatrix, curr_scores: ScoreMatrix, layout: TaskClassLayout, cfg: LossConfig
-) -> float:
-    return loss_value("kd_old", LossItem(curr_scores, prev_scores=prev_scores), layout, cfg)
-
-
-def bce_new_classes(scores: ScoreMatrix, labels: LabelGrid, layout: TaskClassLayout, cfg: LossConfig) -> float:
-    """Binary cross-entropy summed over the new classes (current-task data)."""
-    return loss_value("bce_new", LossItem(scores, labels), layout, cfg)
-
-
-def bce_old_classes(scores: ScoreMatrix, labels: LabelGrid, layout: TaskClassLayout, cfg: LossConfig) -> float:
-    """Binary cross-entropy summed over the old classes (memory data)."""
-    return loss_value("bce_old", LossItem(scores, labels), layout, cfg)
-
-
-def ce_plain(scores: ScoreMatrix, labels: LabelGrid) -> float:
-    return loss_value("ce_plain", LossItem(scores, labels), None, LossConfig())
-
-
 # --- composite objectives -----------------------------------------------------
 def _mean(values) -> float:
     """statistics.fmean without importing statistics (and with it fractions
@@ -459,15 +433,16 @@ def bce_replay_objective(items: Sequence[LossItem], layout: TaskClassLayout, cfg
     return total
 
 
-def pseudo_replay_objective(items: Sequence[LossItem], cfg: LossConfig) -> float:
+def pseudo_replay_objective(items: Sequence[LossItem], layout: TaskClassLayout, cfg: LossConfig) -> float:
     """Plain cross-entropy against pseudo-labels plus a weighted external
     feature-distillation scalar, averaged over the concatenated batch
-    (current and memory items enter the same mean)."""
+    (current and memory items enter the same mean). ce_plain scores every
+    class of the score matrix, so `layout` goes unused."""
     if not items:
         raise ValidationError("objective requires at least one item")
     if any(it.pod is None for it in items):
         raise ValidationError("every item needs an externally computed pod value")
-    return _mean(loss_value("ce_plain", it, None, cfg) + cfg.kd_weight * it.pod for it in items)
+    return _mean(loss_value("ce_plain", it, layout, cfg) + cfg.kd_weight * it.pod for it in items)
 
 
 # --- loss-case files and finite-difference validation -------------------------

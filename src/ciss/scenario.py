@@ -85,8 +85,23 @@ class SplitManifest:
         return out
 
 
-def _tasks_from_membership(spec: TaskSpec, member: dict[int, list[str]]) -> tuple[TaskSplit, ...]:
-    return tuple(
+def _class_tasks(manifest: DatasetManifest, spec: TaskSpec) -> dict[int, int]:
+    """Each class id of the layout mapped to the task that introduces it; the
+    layout must cover the manifest's classes."""
+    if spec.class_count != manifest.class_count:
+        raise ValidationError(
+            f"task layout covers {spec.class_count} classes, manifest declares {manifest.class_count}"
+        )
+    return {c: task_of_class(spec, c) for c in range(1, spec.class_count + 1)}
+
+
+def _build(scenario: str, manifest: DatasetManifest, spec: TaskSpec, tasks_of, **extra) -> SplitManifest:
+    """The `scenario` split in which each record joins the tasks `tasks_of(record)` picks."""
+    member: dict[int, list[str]] = {}
+    for rec in manifest.records:
+        for t in tasks_of(rec):
+            member.setdefault(t, []).append(rec.image_id)
+    tasks = tuple(
         TaskSplit(
             task_index=t,
             classes=tuple(sorted(task_classes(spec, t))),
@@ -94,30 +109,21 @@ def _tasks_from_membership(spec: TaskSpec, member: dict[int, list[str]]) -> tupl
         )
         for t in range(spec.num_tasks)
     )
+    return SplitManifest(scenario=scenario, spec=spec, tasks=tasks, **extra)
 
 
 def build_overlapped(manifest: DatasetManifest, spec: TaskSpec) -> SplitManifest:
     """An image joins task t iff it contains a class introduced at t."""
-    _check_spec(manifest, spec)
-    member: dict[int, list[str]] = {}
-    class_task = {c: task_of_class(spec, c) for c in range(1, spec.class_count + 1)}
-    for rec in manifest.records:
-        for t in {class_task[c] for c in rec.oracle_classes}:
-            member.setdefault(t, []).append(rec.image_id)
-    return SplitManifest(scenario="overlapped", spec=spec, tasks=_tasks_from_membership(spec, member))
+    class_task = _class_tasks(manifest, spec)
+    return _build("overlapped", manifest, spec, lambda rec: {class_task[c] for c in rec.oracle_classes})
 
 
 def build_disjoint(manifest: DatasetManifest, spec: TaskSpec) -> SplitManifest:
     """Like overlapped, but only once every class of the image has been introduced."""
-    _check_spec(manifest, spec)
-    member: dict[int, list[str]] = {}
-    class_task = {c: task_of_class(spec, c) for c in range(1, spec.class_count + 1)}
-    for rec in manifest.records:
-        tasks_present = {class_task[c] for c in rec.oracle_classes}
-        # membership requires all of the image's classes introduced already,
-        # which leaves exactly the task introducing its latest class
-        member.setdefault(max(tasks_present), []).append(rec.image_id)
-    return SplitManifest(scenario="disjoint", spec=spec, tasks=_tasks_from_membership(spec, member))
+    class_task = _class_tasks(manifest, spec)
+    # membership requires all of the image's classes introduced already,
+    # which leaves exactly the task introducing its latest class
+    return _build("disjoint", manifest, spec, lambda rec: [max(class_task[c] for c in rec.oracle_classes)])
 
 
 def assign_partition_class(seed: int, image_id: str, classes: frozenset[int] | set[int]) -> int:
@@ -146,16 +152,15 @@ def build_partitioned(
     `assignments` optionally pins specific images to a class (validated to be
     one of the image's oracle classes); the rest are drawn from the seed.
     """
-    _check_spec(manifest, spec)
+    class_task = _class_tasks(manifest, spec)
     if not 0 <= seed < 2**64:
         raise ValidationError("seed must be an unsigned 64-bit integer")
     forced = dict(assignments or {})
     for image_id in forced:
         manifest.record(image_id)
-    member: dict[int, list[str]] = {}
     chosen: dict[str, int] = {}
-    class_task = {c: task_of_class(spec, c) for c in range(1, spec.class_count + 1)}
-    for rec in manifest.records:
+
+    def tasks_of(rec):
         if rec.image_id in forced:
             cls = int(forced[rec.image_id])
             if cls not in rec.oracle_classes:
@@ -165,14 +170,9 @@ def build_partitioned(
         else:
             cls = assign_partition_class(seed, rec.image_id, rec.oracle_classes)
         chosen[rec.image_id] = cls
-        member.setdefault(class_task[cls], []).append(rec.image_id)
-    return SplitManifest(
-        scenario="partitioned",
-        spec=spec,
-        tasks=_tasks_from_membership(spec, member),
-        seed=seed,
-        assignments=chosen,
-    )
+        return [class_task[cls]]
+
+    return _build("partitioned", manifest, spec, tasks_of, seed=seed, assignments=chosen)
 
 
 def split_overlapping(
@@ -252,9 +252,3 @@ def load_split(path: str | os.PathLike) -> SplitManifest:
             scenario=scenario, spec=spec, tasks=tasks, seed=seed, assignments=assignments
         )
 
-
-def _check_spec(manifest: DatasetManifest, spec: TaskSpec) -> None:
-    if spec.class_count != manifest.class_count:
-        raise ValidationError(
-            f"task layout covers {spec.class_count} classes, manifest declares {manifest.class_count}"
-        )

@@ -67,12 +67,9 @@ class ScoreMatrix:
 
 
 def softmax_probs(scores: ScoreMatrix) -> np.ndarray:
-    """Row-wise softmax of the logits, stabilized by max subtraction."""
-    return softmax_rows(scores.logits)
-
-
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an N x K array; each row depends on that row alone."""
+    """Row-wise softmax of the logits, stabilized by max subtraction; each
+    row depends on that row alone."""
+    z = scores.logits
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)

@@ -17,6 +17,7 @@ from ciss import (
     BACKGROUND,
     LabelGrid,
     LossConfig,
+    LossItem,
     PseudoConfig,
     ScoreMatrix,
     TaskClassLayout,
@@ -24,13 +25,11 @@ from ciss import (
     build_disjoint,
     build_overlapped,
     build_partitioned,
-    ce_current,
-    ce_memory,
-    bce_new_classes,
     classes_up_to,
     compose_batch,
     grad_check,
     iou_per_class,
+    loss_value,
     make_non_overlapping_variant,
     miou,
     overlap_ratio,
@@ -219,9 +218,10 @@ def test_criterion_09_loss_closed_forms():
     layout = TaskClassLayout(old_classes=frozenset({1}), new_classes=frozenset({2, 3}))
     uniform = ScoreMatrix(class_map=(0, 1, 2, 3), logits=np.zeros((1, 4)))
     bg = LabelGrid(width=1, height=1, data=np.zeros(1, dtype=np.uint8))
-    assert abs(ce_current(uniform, bg, layout) - math.log(2.0)) <= 1e-9
-    assert abs(ce_memory(uniform, bg, layout) - (-math.log(0.75))) <= 1e-9
-    assert abs(bce_new_classes(uniform, bg, layout, LossConfig()) - (-2 * math.log(0.75))) <= 1e-9
+    item = LossItem(uniform, bg)
+    assert abs(loss_value("ce_current", item, layout, LossConfig()) - math.log(2.0)) <= 1e-9
+    assert abs(loss_value("ce_memory", item, layout, LossConfig()) - (-math.log(0.75))) <= 1e-9
+    assert abs(loss_value("bce_new", item, layout, LossConfig()) - (-2 * math.log(0.75))) <= 1e-9
 
 
 def test_criterion_10_gradient_checks():

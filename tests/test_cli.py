@@ -276,6 +276,39 @@ class TestLossCommands:
         code, _, err = run(capsys, ["loss", "value", "--case", str(case_path), "--loss", "bogus"])
         assert code == 2
         assert "error" in json.loads(err)
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)["error"]["message"]
+        assert all(lid in message for lid in losses.ATOMIC_LOSSES + losses.COMPOSITE_LOSSES)
+        code, _, err = run(capsys, ["loss", "gradcheck", "--case", str(case_path), "--loss", "memory_augmented"])
+        assert code == 2
+        assert all(lid in json.loads(err)["error"]["message"] for lid in losses.ATOMIC_LOSSES)
+
+    @pytest.mark.parametrize("loss_id, called", [("ce_current", "loss_value"),
+                                                 *((lid, f"{lid}_objective") for lid in losses.COMPOSITE_LOSSES)])
+    def test_value_reaches_the_loss_through_cli_L(self, capsys, tmp_path, monkeypatch, loss_id, called):
+        """Every loss call goes through the attributes of ciss.cli.L, which a
+        traced benchmark run replaces with a stand-in carrying its spans."""
+        calls = []
+
+        class Recording:
+            def __getattr__(self, name):
+                fn = getattr(losses, name)
+                if name != "loss_value" and not name.endswith("_objective"):
+                    return fn
+
+                def recorded(*args, **kwargs):
+                    calls.append(name)
+                    return fn(*args, **kwargs)
+
+                return recorded
+
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(_case_24(tmp_path)))
+        monkeypatch.setattr("ciss.cli.L", Recording())
+        code, doc, err = run(capsys, ["loss", "value", "--case", str(path), "--loss", loss_id])
+        assert code == 0, err
+        assert calls == [called]
+        assert doc["loss_id"] == loss_id
 
 
 def _case_24(tmp_path) -> dict:

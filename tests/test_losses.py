@@ -18,15 +18,9 @@ from ciss import (
     ScoreMatrix,
     TaskClassLayout,
     ValidationError,
-    bce_new_classes,
-    bce_old_classes,
     bce_replay_objective,
-    ce_current,
-    ce_memory,
-    ce_plain,
     grad_check,
     grad_logits,
-    kd_old_classes,
     load_loss_case,
     loss_value,
     memory_augmented_objective,
@@ -191,25 +185,25 @@ class TestAugmentedProbs:
 
 class TestClosedForms:
     def test_current_ce_uniform(self):
-        value = ce_current(uniform_scores(), labels_of([0]), LAYOUT)
+        value = loss_value("ce_current", LossItem(uniform_scores(), labels_of([0])), LAYOUT, LossConfig())
         assert value == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_memory_ce_uniform(self):
-        value = ce_memory(uniform_scores(), labels_of([0]), LAYOUT)
+        value = loss_value("ce_memory", LossItem(uniform_scores(), labels_of([0])), LAYOUT, LossConfig())
         assert value == pytest.approx(-math.log(0.75), abs=1e-9)
 
     def test_bce_uniform_hand_value(self):
-        value = bce_new_classes(uniform_scores(), labels_of([0]), LAYOUT, LossConfig())
+        value = loss_value("bce_new", LossItem(uniform_scores(), labels_of([0])), LAYOUT, LossConfig())
         assert value == pytest.approx(-2.0 * math.log(0.75), abs=1e-9)
 
     def test_one_hot_limits(self):
         margin = np.zeros((1, 4))
         margin[0, 2] = 60.0  # class 2 column
-        value = ce_current(ScoreMatrix(class_map=(0, 1, 2, 3), logits=margin), labels_of([2]), LAYOUT)
+        item = LossItem(ScoreMatrix(class_map=(0, 1, 2, 3), logits=margin), labels_of([2]))
+        value = loss_value("ce_current", item, LAYOUT, LossConfig())
         assert value < 1e-12
-        value = bce_new_classes(
-            ScoreMatrix(class_map=(0, 1, 2, 3), logits=margin * 1.0), labels_of([2]), LAYOUT, LossConfig()
-        )
+        item = LossItem(ScoreMatrix(class_map=(0, 1, 2, 3), logits=margin * 1.0), labels_of([2]))
+        value = loss_value("bce_new", item, LAYOUT, LossConfig())
         assert value < 1e-10
 
 
@@ -218,14 +212,14 @@ class TestOracleRecomputation:
     def test_current_ce(self, seed):
         scores = rand_scores(12, (0, 3, 1, 2), seed)
         labels = rand_labels(12, {0, 2, 3, 255}, seed)
-        got = ce_current(scores, labels, LAYOUT)
+        got = loss_value("ce_current", LossItem(scores, labels), LAYOUT, LossConfig())
         assert got == pytest.approx(oracle_bucket_ce(scores, labels, LAYOUT.old_classes), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_memory_ce(self, seed):
         scores = rand_scores(12, (0, 3, 1, 2), seed)
         labels = rand_labels(12, {0, 1, 255}, seed)
-        got = ce_memory(scores, labels, LAYOUT)
+        got = loss_value("ce_memory", LossItem(scores, labels), LAYOUT, LossConfig())
         assert got == pytest.approx(oracle_bucket_ce(scores, labels, LAYOUT.new_classes), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -234,7 +228,7 @@ class TestOracleRecomputation:
         prev = rand_scores(10, (0, 1), seed + 50)
         curr = rand_scores(10, (0, 1, 2, 3), seed)
         cfg = LossConfig(kd_includes_bg=include_bg)
-        got = kd_old_classes(prev, curr, LAYOUT, cfg)
+        got = loss_value("kd_old", LossItem(curr, prev_scores=prev), LAYOUT, cfg)
         assert got == pytest.approx(oracle_kd(prev, curr, LAYOUT, include_bg), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -242,17 +236,18 @@ class TestOracleRecomputation:
         cfg = LossConfig(positive_weight=2.0)
         scores = rand_scores(12, (0, 1, 2, 3), seed)
         cur_labels = rand_labels(12, {0, 2, 3, 255}, seed)
-        got = bce_new_classes(scores, cur_labels, LAYOUT, cfg)
+        got = loss_value("bce_new", LossItem(scores, cur_labels), LAYOUT, cfg)
         assert got == pytest.approx(oracle_bce(scores, cur_labels, LAYOUT.new_classes, 2.0), abs=1e-10)
         mem_labels = rand_labels(12, {0, 1, 255}, seed)
-        got = bce_old_classes(scores, mem_labels, LAYOUT, cfg)
+        got = loss_value("bce_old", LossItem(scores, mem_labels), LAYOUT, cfg)
         assert got == pytest.approx(oracle_bce(scores, mem_labels, LAYOUT.old_classes, 2.0), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_plain_ce(self, seed):
         scores = rand_scores(10, (0, 1, 2, 3), seed)
         labels = rand_labels(10, {0, 1, 2, 3, 255}, seed)
-        assert ce_plain(scores, labels) == pytest.approx(oracle_plain_ce(scores, labels), abs=1e-10)
+        got = loss_value("ce_plain", LossItem(scores, labels), None, LossConfig())
+        assert got == pytest.approx(oracle_plain_ce(scores, labels), abs=1e-10)
 
 
 class TestStructure:
@@ -266,7 +261,7 @@ class TestStructure:
         z[:, 0] = zp[:, 0]
         z[:, 1] = zp[:, 1]
         curr = ScoreMatrix(class_map=(0, 1, 2, 3), logits=z)
-        got = kd_old_classes(prev, curr, LAYOUT, LossConfig(kd_includes_bg=True))
+        got = loss_value("kd_old", LossItem(curr, prev_scores=prev), LAYOUT, LossConfig(kd_includes_bg=True))
         a = np.exp(zp - zp.max(axis=1, keepdims=True))
         a /= a.sum(axis=1, keepdims=True)
         entropy = float(-(a * np.log(a)).sum() / 6)
@@ -279,15 +274,17 @@ class TestStructure:
         zc = np.full((1, 4), -60.0)
         zc[0, 1] = 60.0
         curr = ScoreMatrix(class_map=(0, 1, 2, 3), logits=zc)
-        assert kd_old_classes(prev, curr, LAYOUT, LossConfig()) == pytest.approx(0.0, abs=1e-10)
+        got = loss_value("kd_old", LossItem(curr, prev_scores=prev), LAYOUT, LossConfig())
+        assert got == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_memory_ce_is_current_ce_under_role_swap(self, seed):
         scores = rand_scores(9, (0, 1, 2, 3), seed)
         labels = rand_labels(9, {0, 1, 255}, seed)
         swapped = TaskClassLayout(old_classes=LAYOUT.new_classes, new_classes=LAYOUT.old_classes)
-        assert ce_memory(scores, labels, LAYOUT) == pytest.approx(
-            ce_current(scores, labels, swapped), abs=1e-12
+        item = LossItem(scores, labels)
+        assert loss_value("ce_memory", item, LAYOUT, LossConfig()) == pytest.approx(
+            loss_value("ce_current", item, swapped, LossConfig()), abs=1e-12
         )
 
     @pytest.mark.parametrize("loss_id", ATOMIC_LOSSES)
@@ -310,17 +307,17 @@ class TestStructure:
 
     def test_label_contract_enforced(self):
         scores = rand_scores(3, (0, 1, 2, 3), 0)
+        with pytest.raises(ValidationError):  # old class in current data
+            loss_value("ce_current", LossItem(scores, labels_of([1, 0, 0])), LAYOUT, LossConfig())
+        with pytest.raises(ValidationError):  # new class in memory data
+            loss_value("ce_memory", LossItem(scores, labels_of([2, 0, 0])), LAYOUT, LossConfig())
         with pytest.raises(ValidationError):
-            ce_current(scores, labels_of([1, 0, 0]), LAYOUT)  # old class in current data
-        with pytest.raises(ValidationError):
-            ce_memory(scores, labels_of([2, 0, 0]), LAYOUT)  # new class in memory data
-        with pytest.raises(ValidationError):
-            ce_plain(scores, labels_of([9, 0, 0]))
+            loss_value("ce_plain", LossItem(scores, labels_of([9, 0, 0])), None, LossConfig())
 
     def test_all_ignore_rejected(self):
         scores = rand_scores(2, (0, 1, 2, 3), 0)
         with pytest.raises(ValidationError):
-            ce_current(scores, labels_of([255, 255]), LAYOUT)
+            loss_value("ce_current", LossItem(scores, labels_of([255, 255])), LAYOUT, LossConfig())
 
     def test_positive_weight_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -362,21 +359,21 @@ class TestMemoryAugmentedObjective:
         cur, _ = _case_items()
         cfg = LossConfig(kd_weight=0.0)
         got = memory_augmented_objective([cur], LAYOUT, cfg)
-        assert got == pytest.approx(ce_current(cur.scores, cur.labels, LAYOUT), abs=1e-12)
+        assert got == pytest.approx(loss_value("ce_current", cur, LAYOUT, LossConfig()), abs=1e-12)
 
     def test_hand_composed_sum(self):
         cur, mem = _case_items(3)
         cfg = LossConfig(kd_weight=5.0)
         got = memory_augmented_objective([cur, mem], LAYOUT, cfg)
         want = (
-            ce_current(cur.scores, cur.labels, LAYOUT)
+            loss_value("ce_current", cur, LAYOUT, LossConfig())
             + 5.0
             * (
-                kd_old_classes(cur.prev_scores, cur.scores, LAYOUT, cfg)
-                + kd_old_classes(mem.prev_scores, mem.scores, LAYOUT, cfg)
+                loss_value("kd_old", cur, LAYOUT, cfg)
+                + loss_value("kd_old", mem, LAYOUT, cfg)
             )
             / 2.0
-            + ce_memory(mem.scores, mem.labels, LAYOUT)
+            + loss_value("ce_memory", mem, LAYOUT, LossConfig())
         )
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -385,13 +382,13 @@ class TestMemoryAugmentedObjective:
         cur, mem = _case_items(5)
         cfg = LossConfig(kd_weight=1.0)
         with_mem = memory_augmented_objective([cur, mem], LAYOUT, cfg)
-        kd_cur = kd_old_classes(cur.prev_scores, cur.scores, LAYOUT, cfg)
-        kd_mem = kd_old_classes(mem.prev_scores, mem.scores, LAYOUT, cfg)
+        kd_cur = loss_value("kd_old", cur, LAYOUT, cfg)
+        kd_mem = loss_value("kd_old", mem, LAYOUT, cfg)
         expected_kd = (kd_cur + kd_mem) / 2.0
         residual = (
             with_mem
-            - ce_current(cur.scores, cur.labels, LAYOUT)
-            - ce_memory(mem.scores, mem.labels, LAYOUT)
+            - loss_value("ce_current", cur, LAYOUT, LossConfig())
+            - loss_value("ce_memory", mem, LAYOUT, LossConfig())
         )
         assert residual == pytest.approx(expected_kd, abs=1e-12)
 
@@ -414,9 +411,7 @@ class TestBceReplayObjective:
         mem = LossItem(scores=mem.scores, labels=mem.labels, source="memory", kd=0.0, dkd=0.0)
         cfg = LossConfig(kd_alpha=5.0, kd_beta=5.0)
         got = bce_replay_objective([cur, mem], LAYOUT, cfg)
-        want = bce_new_classes(cur.scores, cur.labels, LAYOUT, cfg) + bce_old_classes(
-            mem.scores, mem.labels, LAYOUT, cfg
-        )
+        want = loss_value("bce_new", cur, LAYOUT, cfg) + loss_value("bce_old", mem, LAYOUT, cfg)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_zero_weights_ignore_external_values(self):
@@ -437,9 +432,9 @@ class TestBceReplayObjective:
         got = bce_replay_objective([cur, mem], LAYOUT, cfg)
         want = (
             (5.0 * cur.kd + 2.0 * cur.dkd + 5.0 * mem.kd + 2.0 * mem.dkd) / 2.0
-            + bce_new_classes(cur.scores, cur.labels, LAYOUT, cfg)
+            + loss_value("bce_new", cur, LAYOUT, cfg)
             + cur.ac
-            + bce_old_classes(mem.scores, mem.labels, LAYOUT, cfg)
+            + loss_value("bce_old", mem, LAYOUT, cfg)
         )
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -455,18 +450,20 @@ class TestPseudoReplayObjective:
         cur, mem = _case_items(11)
         cur = LossItem(scores=cur.scores, labels=cur.labels, source="current", pod=0.0)
         mem = LossItem(scores=mem.scores, labels=mem.labels, source="memory", pod=0.0)
-        got = pseudo_replay_objective([cur, mem], LossConfig(kd_weight=3.0))
-        want = (ce_plain(cur.scores, cur.labels) + ce_plain(mem.scores, mem.labels)) / 2.0
+        got = pseudo_replay_objective([cur, mem], LAYOUT, LossConfig(kd_weight=3.0))
+        want = (
+            loss_value("ce_plain", cur, None, LossConfig()) + loss_value("ce_plain", mem, None, LossConfig())
+        ) / 2.0
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_memory_enters_the_same_mean(self):
         cur, mem = _case_items(12)
         cfg = LossConfig(kd_weight=2.0)
-        got = pseudo_replay_objective([cur, mem], cfg)
+        got = pseudo_replay_objective([cur, mem], LAYOUT, cfg)
         want = (
-            ce_plain(cur.scores, cur.labels)
+            loss_value("ce_plain", cur, None, LossConfig())
             + 2.0 * cur.pod
-            + ce_plain(mem.scores, mem.labels)
+            + loss_value("ce_plain", mem, None, LossConfig())
             + 2.0 * mem.pod
         ) / 2.0
         assert got == pytest.approx(want, abs=1e-12)
@@ -477,13 +474,13 @@ class TestPseudoReplayObjective:
         for i, v in enumerate([1, 0, 2]):
             z[i, (0, 1, 2).index(v)] = 40.0
         item = LossItem(scores=ScoreMatrix(class_map=(0, 1, 2), logits=z), labels=labels, pod=0.0)
-        assert pseudo_replay_objective([item], LossConfig()) == pytest.approx(0.0, abs=1e-12)
+        assert pseudo_replay_objective([item], LAYOUT, LossConfig()) == pytest.approx(0.0, abs=1e-12)
 
     def test_missing_pod_rejected(self):
         cur, _ = _case_items(13)
         bare = LossItem(scores=cur.scores, labels=cur.labels)
         with pytest.raises(ValidationError):
-            pseudo_replay_objective([bare], LossConfig())
+            pseudo_replay_objective([bare], LAYOUT, LossConfig())
 
 
 @settings(max_examples=100, deadline=None)
@@ -923,6 +920,62 @@ class TestBinaryCE:
         odds = float((p / np.maximum(1.0 - p, np.finfo(np.float64).tiny)).max())
         assert np.all(np.isfinite(grad))
         assert np.abs(grad - ref_grad).max() / norm <= 1e-15 + 8 * rounding * max(1.0, odds) / norm
+
+
+# --- extreme finite logits ---------------------------------------------------------
+
+EXTREME = (0.0, 700.0, -700.0, 1e5, -1e5, 1e300, -1e300, 1e308, -1e308)
+# the label ids each loss accepts on WIDE, ignore included; kd_old reads none
+LABEL_IDS = {"ce_current": (0, 3, 4, 5, 255), "bce_new": (0, 3, 4, 5, 255), "ce_memory": (0, 1, 2, 255),
+             "bce_old": (0, 1, 2, 255), "ce_plain": (0, 1, 2, 3, 4, 5, 255), "kd_old": None}
+
+
+@pytest.mark.parametrize("loss_id", ATOMIC_LOSSES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_extreme_finite_logits_give_no_nan(loss_id, data):
+    """Logits whose differences overflow: every value is finite or +inf, and
+    a finite value has a finite gradient that grad_check accepts. numpy's
+    warnings are off, as in the CLI."""
+    def logits(k):
+        return data.draw(hnp.arrays(np.float64, (4, k), elements=st.sampled_from(EXTREME)))
+
+    scores, prev = ScoreMatrix((0, 1, 2, 3, 4, 5), logits(6)), ScoreMatrix((0, 1, 2), logits(3))
+    labels = None
+    if LABEL_IDS[loss_id] is not None:
+        labels = labels_of(data.draw(st.lists(st.sampled_from(LABEL_IDS[loss_id]), min_size=4, max_size=4)))
+        assume((labels.data != 255).any())
+    item = LossItem(scores=scores, labels=labels, prev_scores=prev)
+    with np.errstate(all="ignore"):
+        value = loss_value(loss_id, item, WIDE, CFG)
+        assert math.isfinite(value) or value == math.inf
+        if math.isfinite(value):
+            assert np.all(np.isfinite(grad_logits(loss_id, item, WIDE, CFG)))
+            grad_check(loss_id, item, WIDE, CFG)
+
+
+def test_zero_weight_bucket_at_minus_inf_adds_nothing():
+    """A background pixel whose other buckets sit 2e308 below it: their
+    log-probabilities are -inf at weight 0, and the loss is 0, not NaN."""
+    item = LossItem(ScoreMatrix(class_map=(0, 1, 2, 3), logits=np.array([[1e308, -1e308, -1e308, -1e308]])),
+                    labels_of([0]))
+    with np.errstate(all="ignore"):
+        assert loss_value("ce_current", item, LAYOUT, LossConfig()) == 0.0
+        assert np.array_equal(grad_logits("ce_current", item, LAYOUT, LossConfig()), np.zeros((1, 4)))
+
+
+def test_bce_gradient_at_an_ignored_overflowing_pixel():
+    """An ignored pixel where the old class has p near 1 and log(1 - p) is
+    -1e300: it scores 0 and adds 0 to the gradient, so the finite loss of the
+    other pixel keeps its finite gradient and passes grad_check."""
+    logits = np.array([[0.0, 0.0, 0.0, 0.0], [700.0, -1e5, 1e300, -700.0]])
+    item = LossItem(ScoreMatrix(class_map=(0, 2, 1, 3), logits=logits), labels_of([0, 255]))
+    with np.errstate(all="ignore"):
+        assert loss_value("bce_old", item, LAYOUT, LossConfig()) == pytest.approx(-math.log(0.75), abs=1e-12)
+        grad = grad_logits("bce_old", item, LAYOUT, LossConfig())
+        assert np.array_equal(grad[1], np.zeros(4))
+        report = grad_check("bce_old", item, LAYOUT, LossConfig())
+    assert report.passed, f"max relative error {report.max_rel_err}"
 
 
 # --- loss case files -------------------------------------------------------------
