@@ -76,9 +76,10 @@ def write_artifact(path: str | os.PathLike, doc, grids: Iterable[tuple[str, Labe
         Path(f"{path}.tmp").write_text(json_text(doc), encoding="utf-8")
         for final in finals:
             os.replace(f"{final}.tmp", final)
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot write artifact ({exc})") from exc
-    finally:  # the temporary files a failure left behind; none are left after success
-        for final in finals:
+    except BaseException as exc:
+        for final in finals:  # the temporary files the failure left behind
             with suppress(OSError):
                 os.remove(f"{final}.tmp")
+        if isinstance(exc, OSError):
+            raise FormatError(f"{path}: cannot write artifact ({exc})") from exc
+        raise

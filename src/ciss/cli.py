@@ -6,6 +6,13 @@ go to stderr. Exit codes: 0 success, 2 usage or validation failure, 3 failed
 numeric check. All randomness comes from explicit --seed flags. numpy's
 floating-point warnings are off, so they never reach stderr; a NaN or an
 infinity that reaches a document is refused instead.
+
+Library names stay globals of this module. A handler calls `read_pgm`,
+`load_manifest`, `accumulate` and the like through names bound here, and the
+loss functions through `L`, because `bench/tracing.py` times each layer by
+rebinding exactly those globals. Each is a forwarder that imports its module
+when called, and `L` imports `ciss.losses` on first attribute access, so a
+command loads only the modules it calls.
 """
 from __future__ import annotations
 
@@ -18,24 +25,61 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses as L
 from .artifacts import json_text, read_json, reading
 from .errors import CissError, ValidationError
-from .manifest import load_manifest
-from .memory import (
-    compose_batch,
-    load_memory,
-    make_non_overlapping_variant,
-    overlap_ratio,
-    sample_class_balanced,
-    save_memory,
-)
-from .metrics import ConfusionAccumulator, accumulate, evaluation_report, pseudo_label_retrieval_rate
-from .pgm import read_pgm, write_pgm
-from .pseudo import PseudoConfig, pseudo_label
-from .scenario import SCENARIO_KINDS, build_disjoint, build_overlapped, build_partitioned, load_split, save_split
-from .scores import read_scores
-from .tasks import classes_up_to, load_class_order, parse_layout
+from .ids import ATOMIC_LOSSES, COMPOSITE_LOSSES, SCENARIO_KINDS
+
+
+def _load(module: str):
+    """`ciss.<module>`, imported through `__import__` as an import statement
+    would, so that `python -X importtime` reports it."""
+    return __import__(f"{__package__}.{module}", fromlist=["*"])
+
+
+def _forward(module: str, name: str):
+    """A stand-in for `name` of `ciss.<module>`: each call looks the name up
+    in the module, which the first call imports."""
+    def call(*args, **kwargs):
+        return getattr(_load(module), name)(*args, **kwargs)
+
+    return call
+
+
+class _Module:
+    """A stand-in for `ciss.<module>` that imports it on first attribute access."""
+
+    def __init__(self, module: str) -> None:
+        self._module = module
+
+    def __getattr__(self, attr: str):
+        return getattr(_load(self._module), attr)
+
+
+L = _Module("losses")
+load_manifest = _forward("manifest", "load_manifest")
+compose_batch = _forward("memory", "compose_batch")
+load_memory = _forward("memory", "load_memory")
+make_non_overlapping_variant = _forward("memory", "make_non_overlapping_variant")
+overlap_ratio = _forward("memory", "overlap_ratio")
+sample_class_balanced = _forward("memory", "sample_class_balanced")
+save_memory = _forward("memory", "save_memory")
+ConfusionAccumulator = _forward("metrics", "ConfusionAccumulator")
+accumulate = _forward("metrics", "accumulate")
+evaluation_report = _forward("metrics", "evaluation_report")
+pseudo_label_retrieval_rate = _forward("metrics", "pseudo_label_retrieval_rate")
+read_pgm = _forward("pgm", "read_pgm")
+write_pgm = _forward("pgm", "write_pgm")
+PseudoConfig = _forward("pseudo", "PseudoConfig")
+pseudo_label = _forward("pseudo", "pseudo_label")
+build_disjoint = _forward("scenario", "build_disjoint")
+build_overlapped = _forward("scenario", "build_overlapped")
+build_partitioned = _forward("scenario", "build_partitioned")
+load_split = _forward("scenario", "load_split")
+save_split = _forward("scenario", "save_split")
+read_scores = _forward("scores", "read_scores")
+classes_up_to = _forward("tasks", "classes_up_to")
+load_class_order = _forward("tasks", "load_class_order")
+parse_layout = _forward("tasks", "parse_layout")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -176,7 +220,7 @@ def _select_item(case: L.LossCase, index: int) -> L.LossItem:
 
 def cmd_loss_value(args) -> dict:
     case = L.load_loss_case(args.case)
-    if args.loss in L.COMPOSITE_LOSSES:
+    if args.loss in COMPOSITE_LOSSES:
         value = getattr(L, f"{args.loss}_objective")(case.items, case.layout, case.cfg)
     else:
         value = L.loss_value(args.loss, _select_item(case, args.item), case.layout, case.cfg)
@@ -206,7 +250,7 @@ def _command(sub, name: str, help: str, func, *parents) -> argparse.ArgumentPars
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ciss", description=__doc__)
+    parser = _Parser(prog="ciss", description=__doc__.partition("\n\nLibrary names")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     # option groups shared by sibling commands
     audit = argparse.ArgumentParser(add_help=False)
@@ -263,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lsub = sub.add_parser("loss", help="loss kernel").add_subparsers(dest="loss_cmd", required=True)
     p = _command(lsub, "value", "evaluate a loss on a case file", cmd_loss_value, case)
-    p.add_argument("--loss", required=True, choices=L.ATOMIC_LOSSES + L.COMPOSITE_LOSSES)
+    p.add_argument("--loss", required=True, choices=ATOMIC_LOSSES + COMPOSITE_LOSSES)
     g = _command(lsub, "gradcheck", "finite-difference gradient validation", cmd_loss_gradcheck, case)
-    g.add_argument("--loss", required=True, choices=L.ATOMIC_LOSSES, help="composites are affine in these")
+    g.add_argument("--loss", required=True, choices=ATOMIC_LOSSES, help="composites are affine in these")
     g.add_argument("--step", type=float, default=1e-5)
     g.add_argument("--tol", type=float, default=1e-6)
     g.add_argument("--samples", type=int, default=64)

@@ -25,6 +25,7 @@ import numpy as np
 from .artifacts import is_int, read_json, reading
 from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid
+from .ids import ATOMIC_LOSSES, COMPOSITE_LOSSES
 from .pgm import read_pgm
 from .scores import ScoreMatrix, read_scores
 
@@ -36,7 +37,6 @@ _LN2 = math.log(2.0)
 # 35.1k minor page faults and 0.253 s against 30.8k and 0.238 s at 2048
 # (ce_current: 13.6k against 12.7k; 2-core VM, median of 6 alternating runs).
 BLOCK_ROWS = 2048
-COMPOSITE_LOSSES = ("memory_augmented", "bce_replay", "pseudo_replay")
 
 
 def _finite(value, name: str) -> float:
@@ -302,8 +302,9 @@ def _bce(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossCo
     return (lambda zt, rows, grad: _binary_ce(zt, bucket[rows], cols, gamma, grad)), int((bucket >= 0).sum())
 
 
-# loss id -> (preparation, layout side scored class by class, side pooled with
-# background); ce_plain scores every class of the score matrix on its own
+# loss id (the keys are ATOMIC_LOSSES, in order) -> (preparation, layout side
+# scored class by class, side pooled with background); ce_plain scores every
+# class of the score matrix on its own
 _LOSSES = {
     "ce_current": (_ce, "new_classes", "old_classes"),
     "ce_memory": (_ce, "old_classes", "new_classes"),
@@ -312,7 +313,6 @@ _LOSSES = {
     "bce_old": (_bce, "old_classes", "new_classes"),
     "ce_plain": (_ce, None, None),
 }
-ATOMIC_LOSSES = tuple(_LOSSES)
 
 
 def _prepare(loss_id: str, item: LossItem, layout: TaskClassLayout | None, cfg: LossConfig):

@@ -68,7 +68,7 @@ def read_pgm(path: str | os.PathLike) -> LabelGrid:
     else:
         try:
             data = np.array([int(v) for v in blob[pos:].split()], dtype=np.int64)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # a value past int64 overflows
             raise FormatError(f"{path}: bad ASCII raster ({exc})") from exc
         if data.size != n:
             raise FormatError(f"{path}: expected {n} pixel values, found {data.size}")

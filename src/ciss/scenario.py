@@ -14,17 +14,15 @@ Three ways of distributing a dataset over incremental tasks:
 """
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 from dataclasses import dataclass
 
 from .artifacts import is_int, read_json, reading, write_artifact
 from .errors import FormatError, ValidationError
+from .ids import SCENARIO_KINDS
 from .manifest import DatasetManifest
 from .tasks import TaskSpec, task_classes, task_of_class
-
-SCENARIO_KINDS = ("overlapped", "disjoint", "partitioned")
 
 
 @dataclass(frozen=True)
@@ -132,6 +130,8 @@ def assign_partition_class(seed: int, image_id: str, classes: frozenset[int] | s
     Hashing (seed, image id) keeps the choice independent of record order, so
     rebuilding from a shuffled manifest yields the same split.
     """
+    import hashlib  # here, its one use: other commands then skip loading OpenSSL
+
     candidates = sorted(classes)
     if not candidates:
         raise ValidationError(f"image {image_id!r} has no classes to assign")

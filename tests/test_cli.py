@@ -1,4 +1,6 @@
 """End-to-end command-line tests; stdout carries one JSON document per call."""
+import argparse
+import importlib
 import json
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from ciss import (
     write_scores,
 )
 from ciss import losses
-from ciss.cli import main
+from ciss.cli import build_parser, main
 from ciss.pgm import read_pgm, write_pgm
 from conftest import one_hot_scores
 
@@ -779,3 +781,100 @@ class TestDocuments:
         doc, end = json.JSONDecoder().raw_decode(out)
         assert (code, out[end:], err) == (0, "\n", "")
         assert set(doc) == keys
+
+
+# runs ciss.cli as `python -m ciss.cli` does, then lists every loaded module on stderr
+LIST_MODULES = """
+import runpy, sys
+try:
+    runpy.run_module("ciss.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+def _imported(argv: list[str]) -> set[str]:
+    """The modules a CLI child has loaded when it exits."""
+    proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+class TestImports:
+    """A command imports only the modules it calls."""
+
+    NOT_LOADED = {
+        "build": {"losses", "scores", "metrics", "pseudo"},
+        "memory sample": {"losses", "scores", "metrics", "pseudo"},
+        "memory overlap-ratio": {"losses", "scores", "metrics", "pseudo"},
+        "memory variant": {"losses", "scores", "metrics", "pseudo"},
+        "memory batch": {"losses", "scores", "metrics", "pseudo"},
+        "pseudo": {"losses", "memory", "scenario", "manifest", "metrics"},
+        "eval miou": {"losses", "scores", "memory", "scenario", "manifest", "pseudo"},
+        "eval prr": {"losses", "scores", "memory", "scenario", "manifest", "pseudo"},
+        "loss value": {"memory", "scenario", "manifest", "metrics", "pseudo"},
+        "loss gradcheck": {"memory", "scenario", "manifest", "metrics", "pseudo"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(NOT_LOADED))
+    def test_command_loads_only_what_it_calls(self, tmp_path, manifest_path, fig3_spec, command):
+        modules = _imported(_leaf_commands(tmp_path, manifest_path, fig3_spec)[command])
+        assert {"ciss", "ciss.errors"} <= modules  # ciss.cli itself runs as __main__
+        assert not {f"ciss.{name}" for name in self.NOT_LOADED[command]} & modules
+        # partitioned builds hash; so does numpy.random on import (through
+        # secrets), which gradcheck samples its coordinates with
+        assert ("hashlib" in modules) == (command == "loss gradcheck")
+
+    def test_only_partitioned_builds_load_hashlib(self, tmp_path, manifest_path):
+        build = ["build", "--manifest", str(manifest_path), "--task", "1-1"]
+        assert "hashlib" in _imported([*build, "--scenario", "partitioned", "--seed", "0",
+                                       "--out", str(tmp_path / "p.json")])
+        assert "hashlib" not in _imported([*build, "--scenario", "disjoint", "--out", str(tmp_path / "d.json")])
+
+    def test_importtime_lists_the_modules_a_command_loads(self, tmp_path, manifest_path, fig3_spec):
+        argv = _leaf_commands(tmp_path, manifest_path, fig3_spec)["eval miou"]
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ciss.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        listed = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()}
+        assert {"ciss.metrics", "ciss.pgm", "ciss.tasks"} <= listed
+        assert {m for m in listed if m.startswith("ciss.")} == {m for m in _imported(argv) if m.startswith("ciss.")}
+
+    def test_import_ciss_loads_no_submodule(self):
+        code = "import sys, ciss; print(sorted(m for m in sys.modules if m.startswith('ciss.')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_public_names_resolve_to_their_definitions(self):
+        code = "from ciss import *; import ciss; print(sorted(n for n in ciss.__all__ if n not in globals()))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+        import ciss
+
+        for name in ciss.__all__:
+            value = getattr(ciss, name)  # a constant names no module; the table does
+            module = getattr(value, "__module__", None) or f"ciss.{ciss._MODULE_OF[name]}"
+            assert getattr(importlib.import_module(module), name) is value, name
+        assert set(ciss.__all__) <= set(dir(ciss))
+        assert {"cli", "losses", "scenario"} <= set(dir(ciss))
+        assert ciss.losses is importlib.import_module("ciss.losses")
+        with pytest.raises(AttributeError):
+            ciss.no_such_name
+
+    def test_parser_choices_are_the_ids_the_library_dispatches_on(self):
+        import ciss.scenario
+
+        def choices(*path: str, option: str):
+            parser = build_parser()
+            for name in path:
+                parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+            return next(a.choices for a in parser._actions if option in a.option_strings)
+
+        atomic = tuple(losses._LOSSES)
+        composite = tuple(name[: -len("_objective")] for name in dir(losses) if name.endswith("_objective"))
+        assert choices("loss", "value", option="--loss") == atomic + losses.COMPOSITE_LOSSES
+        assert set(losses.COMPOSITE_LOSSES) == set(composite)
+        assert choices("loss", "gradcheck", option="--loss") == atomic == losses.ATOMIC_LOSSES
+        kinds = choices("build", option="--scenario")
+        assert kinds == ciss.scenario.SCENARIO_KINDS
+        assert {name[len("build_"):] for name in dir(ciss.scenario) if name.startswith("build_")} == set(kinds)

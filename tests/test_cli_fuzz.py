@@ -1,0 +1,158 @@
+"""The CLI contract under mutated inputs: valid PGM and score files with
+bytes flipped, cut short, or with header fields edited, fed in-process to
+`ciss.cli.main`. Whatever the input, the command exits 0, 2 or 3 with
+exactly one JSON document on stdout, or one JSON error line on stderr and
+nothing on stdout, and never lets an exception escape."""
+import contextlib
+import io
+import json
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from ciss import LabelGrid, ScoreMatrix, write_scores
+from ciss.cli import main
+from ciss.pgm import write_pgm
+
+LABELS = (0, 1, 2, 3, 255)
+FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# tokens a mutation may put in place of one of a file's own
+TOKENS = (b"99999999999999999999", b"0", b"-1", b"256", b"65535", b"1.5", b"nan", b"inf", b"1e400",
+          b"x", b"\xff", b"#", b"binary", b"P2", b"P5", b"P6")
+
+
+@st.composite
+def grids(draw) -> LabelGrid:
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.sampled_from(LABELS), min_size=w * h, max_size=w * h))
+    return LabelGrid(width=w, height=h, data=np.array(values, dtype=np.uint8))
+
+
+def pgm_bytes(grid: LabelGrid, ascii_raster: bool) -> bytes:
+    """The P5 file `write_pgm` writes, or its P2 twin."""
+    if not ascii_raster:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_pgm(grid, Path(tmp) / "g.pgm")
+            return (Path(tmp) / "g.pgm").read_bytes()
+    raster = "\n".join(" ".join(map(str, row)) for row in grid.as_rows().tolist())
+    return f"P2\n{grid.width} {grid.height}\n255\n{raster}\n".encode()
+
+
+def score_bytes(matrix: ScoreMatrix, binary: bool) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_scores(matrix, Path(tmp) / "s.scores", binary=binary)
+        return (Path(tmp) / "s.scores").read_bytes()
+
+
+@st.composite
+def mutation(draw, blob: bytes) -> bytes:
+    """`blob` with bytes flipped, cut short, a byte inserted, or one token
+    (magic, sizes, maxval, format tag, class ids, a text raster's or
+    payload's values) replaced, dropped or repeated."""
+    kind = draw(st.sampled_from(["token", "flip", "truncate", "insert"]))
+    if kind == "token":
+        tokens = re.split(rb"([ \n])", blob)  # separators kept at odd indices
+        i = 2 * draw(st.integers(0, len(tokens) // 2))
+        edit = draw(st.sampled_from(["replace", "drop", "repeat"]))
+        if edit == "replace":
+            tokens[i] = draw(st.sampled_from(TOKENS) | st.integers().map(lambda v: str(v).encode()))
+        elif edit == "drop":
+            tokens[i] = b""
+        else:
+            tokens[i] += b" " + tokens[i]
+        return b"".join(tokens)
+    if kind == "flip" and blob:
+        out = bytearray(blob)
+        out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if kind == "truncate":
+        return blob[:draw(st.integers(0, max(len(blob) - 1, 0)))]
+    at = draw(st.integers(0, len(blob)))
+    return blob[:at] + draw(st.sampled_from([b" ", b"\n", b"#c\n", b"\r\n", b"0", b"\x00", b"9"])) + blob[at:]
+
+
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    """`blob` after one to three mutations."""
+    for _ in range(draw(st.integers(1, 3))):
+        blob = draw(mutation(blob))
+    return blob
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code: int, out: str, err: str) -> None:
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    else:
+        doc, end = json.JSONDecoder().raw_decode(out)
+        assert isinstance(doc, dict) and out[end:] == "\n" and err == ""
+
+
+@st.composite
+def pseudo_inputs(draw):
+    """A ground-truth PGM and a previous-model score file for it, one of them
+    (or both) mutated."""
+    gt = draw(grids())
+    class_map = draw(st.sampled_from([(0, 1), (0, 1, 2), (2, 0, 3)]))
+    logits = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 7.0, 1e300]),
+                           min_size=gt.n_pixels * len(class_map), max_size=gt.n_pixels * len(class_map)))
+    matrix = ScoreMatrix(class_map=class_map, logits=np.reshape(logits, (gt.n_pixels, len(class_map))))
+    gt_blob = pgm_bytes(gt, draw(st.booleans()))
+    scores_blob = score_bytes(matrix, draw(st.booleans()))
+    target = draw(st.sampled_from(["gt", "scores", "both"]))
+    if target != "scores":
+        gt_blob = draw(mutated(gt_blob))
+    if target != "gt":
+        scores_blob = draw(mutated(scores_blob))
+    return gt_blob, scores_blob
+
+
+@FUZZ
+@given(pseudo_inputs(), st.sampled_from(["1", "3", "1,2"]))
+def test_pseudo_keeps_the_contract(files, current):
+    gt_blob, scores_blob = files
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "gt.pgm").write_bytes(gt_blob)
+        (tmp / "prev.scores").write_bytes(scores_blob)
+        assert_contract(*run(["pseudo", "--gt", str(tmp / "gt.pgm"), "--prev-scores", str(tmp / "prev.scores"),
+                              "--current-classes", current, "--tau", "0.5", "--out", str(tmp / "out.pgm")]))
+
+
+@st.composite
+def miou_inputs(draw):
+    """Prediction and ground-truth PGMs of one grid size, either mutated."""
+    gt = draw(grids())
+    pred_values = draw(st.lists(st.sampled_from(LABELS), min_size=gt.n_pixels, max_size=gt.n_pixels))
+    pred = LabelGrid(width=gt.width, height=gt.height, data=np.array(pred_values, dtype=np.uint8))
+    blobs = [pgm_bytes(g, draw(st.booleans())) for g in (pred, gt)]
+    target = draw(st.sampled_from([0, 1]))
+    blobs[target] = draw(mutated(blobs[target]))
+    return blobs
+
+
+@FUZZ
+@given(miou_inputs())
+@example([b"P2\n2 1\n255\n99999999999999999999 1\n", b"P2\n2 1\n255\n1 1\n"])  # past int64
+def test_eval_miou_keeps_the_contract(blobs):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "pred.pgm").write_bytes(blobs[0])
+        (tmp / "gt.pgm").write_bytes(blobs[1])
+        (tmp / "pairs.json").write_text(json.dumps([{"pred": "pred.pgm", "gt": "gt.pgm"}]))
+        assert_contract(*run(["eval", "miou", "--pairs", str(tmp / "pairs.json"),
+                              "--task", "2-1", "--class-count", "3"]))

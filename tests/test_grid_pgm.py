@@ -217,6 +217,57 @@ def test_foreground_classes_match_unique_rule(g):
     assert g.foreground_classes() == {int(v) for v in np.unique(g.data)} - {BACKGROUND, IGNORE}
 
 
+def _relabel_by_table(oracle: LabelGrid, classes) -> np.ndarray:
+    """The relabel every pixel of which goes through the 256-entry class
+    table, as it was computed before run starts: the reference."""
+    keep = sorted(classes)
+    lut = np.zeros(256, dtype=np.uint8)
+    lut[keep] = keep
+    lut[IGNORE] = IGNORE
+    return lut.take(oracle.data)
+
+
+def _voc_like(width=400, height=300) -> LabelGrid:
+    rows = np.zeros((height, width), dtype=np.uint8)
+    rows[50:200, 100:300] = 5
+    rows[120:180, 20:90] = 9
+    rows[-3:] = IGNORE
+    return LabelGrid.from_rows(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids() | run_grids(), st.sets(st.integers(1, 7), max_size=4) | st.sets(st.integers(1, 254), max_size=40))
+@example(_voc_like(), {5})
+@example(_voc_like(), {9, 12})
+@example(LabelGrid(width=40, height=30, data=np.random.default_rng(0).integers(0, 256, 1200, dtype=np.uint8)),
+         {1, 7, 200})
+def test_relabel_matches_the_table_lookup(g, classes):
+    out = relabel(g, classes)
+    assert out.data.tolist() == _relabel_by_table(g, classes).tolist()
+    assert (out.width, out.height) == (g.width, g.height) and not out.data.flags.writeable
+
+
+def test_relabel_returns_an_unchanged_grid_itself():
+    g = _voc_like()
+    assert relabel(g, {5, 9}) is g
+    assert relabel(g, {5, 9, 12}) is g
+    assert relabel(g, {5}) is not g
+
+
+@pytest.mark.parametrize("classes", [{5}, set()], ids=["one-class", "none"])
+def test_relabel_peak_memory_stays_near_the_raster(classes):
+    g = _voc_like()
+    tracemalloc.start()
+    try:
+        out = relabel(g, classes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.tolist() == _relabel_by_table(g, classes).tolist()
+    # the output raster, plus a run-start index far smaller than the raster
+    assert peak < 1.5 * g.n_pixels
+
+
 @pytest.mark.parametrize("target", [0, -1, 256, 300])
 def test_relabel_rejects_ids_outside_foreground_range(target):
     g = LabelGrid(width=1, height=1, data=np.array([1], dtype=np.uint8))

@@ -272,6 +272,16 @@ class TestPersistence:
         save_memory(memory, run2 / "memory.json")
         assert (run1 / "memory.json").read_bytes() == (run2 / "memory.json").read_bytes()
 
+    def test_successful_save_removes_no_file(self, ample_manifest, ample_split, tmp_path, monkeypatch):
+        memory = sample_class_balanced(ample_split, ample_manifest, upto_task=1, capacity=16, seed=4)
+        removed = []
+        monkeypatch.setattr(ciss.artifacts.os, "remove", lambda path: removed.append(path))
+        save_memory(memory, tmp_path / "memory.json")
+        save_memory(memory, tmp_path / "memory.json")  # replacing the files of the first save
+        assert removed == []
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert load_memory(tmp_path / "memory.json") == memory
+
     def test_failed_grid_write_leaves_previous_memory(self, ample_manifest, ample_split, tmp_path, monkeypatch):
         path = tmp_path / "memory.json"
         old = sample_class_balanced(ample_split, ample_manifest, upto_task=1, capacity=16, seed=4)
