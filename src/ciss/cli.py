@@ -6,13 +6,6 @@ go to stderr. Exit codes: 0 success, 2 usage or validation failure, 3 failed
 numeric check. All randomness comes from explicit --seed flags. numpy's
 floating-point warnings are off, so they never reach stderr; a NaN or an
 infinity that reaches a document is refused instead.
-
-Library names stay globals of this module. A handler calls `read_pgm`,
-`load_manifest`, `accumulate` and the like through names bound here, and the
-loss functions through `L`, because `bench/tracing.py` times each layer by
-rebinding exactly those globals. Each is a forwarder that imports its module
-when called, and `L` imports `ciss.losses` on first attribute access, so a
-command loads only the modules it calls.
 """
 from __future__ import annotations
 
@@ -55,6 +48,15 @@ class _Module:
         return getattr(_load(self._module), attr)
 
 
+# Library names stay globals of this module. A handler calls `read_pgm`,
+# `load_manifest`, `accumulate` and the like through names bound here, and
+# the loss functions through `L`, because `bench/tracing.py` times each layer
+# by rebinding exactly those globals. Each is a forwarder that imports its
+# module when called, and `L` imports `ciss.losses` on first attribute
+# access, so a command loads only the modules it calls. `accumulate` forwards
+# to `metrics._accumulate`, not to `metrics.accumulate`: the tracer also wraps
+# the latter, to count the calls made inside `metrics`, and a handler's call
+# must pass one wrapper, not two.
 L = _Module("losses")
 load_manifest = _forward("manifest", "load_manifest")
 compose_batch = _forward("memory", "compose_batch")
@@ -64,7 +66,7 @@ overlap_ratio = _forward("memory", "overlap_ratio")
 sample_class_balanced = _forward("memory", "sample_class_balanced")
 save_memory = _forward("memory", "save_memory")
 ConfusionAccumulator = _forward("metrics", "ConfusionAccumulator")
-accumulate = _forward("metrics", "accumulate")
+accumulate = _forward("metrics", "_accumulate")
 evaluation_report = _forward("metrics", "evaluation_report")
 pseudo_label_retrieval_rate = _forward("metrics", "pseudo_label_retrieval_rate")
 read_pgm = _forward("pgm", "read_pgm")
@@ -250,7 +252,7 @@ def _command(sub, name: str, help: str, func, *parents) -> argparse.ArgumentPars
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ciss", description=__doc__.partition("\n\nLibrary names")[0])
+    parser = _Parser(prog="ciss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # option groups shared by sibling commands
     audit = argparse.ArgumentParser(add_help=False)

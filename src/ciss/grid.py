@@ -98,13 +98,12 @@ def class_ids(classes: Iterable[int]) -> list[int]:
     return keep
 
 
-def _run_starts(data: np.ndarray, limit: int) -> np.ndarray | None:
-    """Indices of the pixels that start a run (pixel 0 and every pixel unlike
-    its predecessor), or None when there are more than `limit` of them."""
+def _run_starts(data: np.ndarray) -> np.ndarray:
+    """Indices of the pixels that start a run: pixel 0 and every pixel unlike its predecessor."""
     is_start = np.empty(data.size, dtype=bool)
     is_start[0] = True
     np.not_equal(data[1:], data[:-1], out=is_start[1:])
-    return np.flatnonzero(is_start) if np.count_nonzero(is_start) <= limit else None
+    return np.flatnonzero(is_start)
 
 
 def relabel(oracle: LabelGrid, classes: Iterable[int]) -> LabelGrid:
@@ -113,32 +112,25 @@ def relabel(oracle: LabelGrid, classes: Iterable[int]) -> LabelGrid:
     Total on valid grids: any pixel value outside ``classes`` and the ignore
     index becomes background, so applying the same class set twice is a no-op.
 
-    A grid no pixel of which changes is returned as it is, grids being
-    immutable. Where at most one pixel in 20 starts a run, only the run
-    starts go through the class table and each mapped value is repeated over
-    its run: a VOC-like 500x375 grid has about 2,150 run starts and takes
-    about 0.17 ms, against 0.39 ms for a table lookup of every pixel through
-    `take`, whose uint8 index numpy widens to an 8-byte copy of the raster
-    (2-core VM, numpy 2.4). Denser grids index the table pixel by pixel,
-    which widens the index in buffered chunks only: on uniform noise that
-    takes 0.80 ms against 0.33 ms for `take`, at a peak of 2x the raster
-    against 9x.
+    Only the run starts go through the class table, and each mapped value is
+    repeated over its run; a grid no pixel of which changes is returned as it
+    is, grids being immutable. The cost scales with the run starts: a
+    VOC-like 500x375 grid, with a few thousand, takes about 0.07 ms at a
+    peak of 1.1x the raster, against 0.15 ms and 9x for a table lookup of every
+    pixel through `take`, whose uint8 index numpy widens to an 8-byte copy of
+    the raster. On uniform noise every pixel starts a run, and it takes
+    2.1 ms at 26x against 0.15 ms at 9x (2-core VM, numpy 2.4).
     """
     keep = class_ids(classes)
     lut = np.zeros(256, dtype=np.uint8)
     lut[keep] = keep
     lut[IGNORE] = IGNORE
     data = oracle.data
-    starts = _run_starts(data, data.size // 20)
-    if starts is None:
-        out = lut[data]
-        if np.array_equal(out, data):
-            return oracle
-    else:
-        values = data[starts]
-        mapped = lut[values]
-        if np.array_equal(mapped, values):
-            return oracle
-        out = np.repeat(mapped, np.diff(starts, append=data.size))
+    starts = _run_starts(data)
+    values = data[starts]
+    mapped = lut[values]
+    if np.array_equal(mapped, values):
+        return oracle
+    out = np.repeat(mapped, np.diff(starts, append=data.size))
     out.setflags(write=False)
     return LabelGrid(width=oracle.width, height=oracle.height, data=out)

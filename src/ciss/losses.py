@@ -302,17 +302,17 @@ def _bce(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossCo
     return (lambda zt, rows, grad: _binary_ce(zt, bucket[rows], cols, gamma, grad)), int((bucket >= 0).sum())
 
 
-# loss id (the keys are ATOMIC_LOSSES, in order) -> (preparation, layout side
-# scored class by class, side pooled with background); ce_plain scores every
+# loss id -> (preparation, layout side scored class by class, side pooled
+# with background), a row per id of ATOMIC_LOSSES; ce_plain scores every
 # class of the score matrix on its own
-_LOSSES = {
-    "ce_current": (_ce, "new_classes", "old_classes"),
-    "ce_memory": (_ce, "old_classes", "new_classes"),
-    "kd_old": (_kd, "old_classes", "new_classes"),
-    "bce_new": (_bce, "new_classes", "old_classes"),
-    "bce_old": (_bce, "old_classes", "new_classes"),
-    "ce_plain": (_ce, None, None),
-}
+_LOSSES = dict(zip(ATOMIC_LOSSES, (
+    (_ce, "new_classes", "old_classes"),
+    (_ce, "old_classes", "new_classes"),
+    (_kd, "old_classes", "new_classes"),
+    (_bce, "new_classes", "old_classes"),
+    (_bce, "old_classes", "new_classes"),
+    (_ce, None, None),
+), strict=True))
 
 
 def _prepare(loss_id: str, item: LossItem, layout: TaskClassLayout | None, cfg: LossConfig):

@@ -180,6 +180,30 @@ class TestEvalCommands:
         assert doc["miou_groups"]["all"] == 100.0
         assert doc["miou_groups_display"]["all"] == "100.00"
 
+    def test_miou_pair_passes_one_accumulate_wrapper(self, capsys, tmp_path, monkeypatch):
+        """With both `ciss.cli.accumulate` and `ciss.metrics.accumulate`
+        wrapped, as bench/tracing.py wraps them to count calls, each pair
+        `eval miou` scores is counted once."""
+        import ciss.cli
+        import ciss.metrics
+
+        write_pgm(LabelGrid(width=4, height=1, data=np.array([1, 2, 3, 0], dtype=np.uint8)), tmp_path / "a.pgm")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([{"pred": "a.pgm", "gt": "a.pgm"}] * 3))
+        events = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(ciss.cli, "accumulate", counted("cli", ciss.cli.accumulate))
+        monkeypatch.setattr(ciss.metrics, "accumulate", counted("metrics", ciss.metrics.accumulate))
+        code, doc, _ = run(capsys, ["eval", "miou", "--pairs", str(pairs), "--task", "2-1", "--class-count", "3"])
+        assert code == 0 and doc["miou_groups"]["all"] == 100.0
+        assert events == ["cli"] * 3
+
     def test_prr_perfect(self, capsys, tmp_path):
         grid = LabelGrid(width=4, height=1, data=np.array([1, 2, 0, 0], dtype=np.uint8))
         write_pgm(grid, tmp_path / "o.pgm")
