@@ -42,6 +42,7 @@ _EXPORTS = {
         "resolve_batch_labels",
         "sample_class_balanced",
         "save_memory",
+        "stored_labels",
     ),
     "metrics": (
         "ConfusionAccumulator",

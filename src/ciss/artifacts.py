@@ -63,12 +63,15 @@ def write_artifact(path: str | os.PathLike, doc, grids: Iterable[tuple[str, Labe
     """Write `grids`, (relative name, grid) pairs taken one at a time and each
     written by `write_grid(grid, file)`, then `doc` as JSON at `path`. Every
     file is written under a `.tmp` name and the final files are replaced only
-    after every write succeeded; a failure removes the temporary files."""
+    after every write succeeded; a failure removes the temporary files, and
+    the grid directory too when this call made it."""
     path = Path(path)
+    grid_dir, made_dir = path.parent / f"{path.stem}_grids", False
     finals: list[Path] = []
     try:
         if grids is not None:
-            (path.parent / f"{path.stem}_grids").mkdir(parents=True, exist_ok=True)
+            made_dir = not grid_dir.exists()
+            grid_dir.mkdir(parents=True, exist_ok=True)
             for name, grid in grids:
                 finals.append(path.parent / name)
                 write_grid(grid, f"{finals[-1]}.tmp")
@@ -80,6 +83,9 @@ def write_artifact(path: str | os.PathLike, doc, grids: Iterable[tuple[str, Labe
         for final in finals:  # the temporary files the failure left behind
             with suppress(OSError):
                 os.remove(f"{final}.tmp")
+        if made_dir:
+            with suppress(OSError):
+                grid_dir.rmdir()
         if isinstance(exc, OSError):
             raise FormatError(f"{path}: cannot write artifact ({exc})") from exc
         raise

@@ -132,7 +132,7 @@ def cmd_memory_sample(args) -> dict:
     split = load_split(args.split)
     manifest = load_manifest(args.manifest)
     memory = sample_class_balanced(split, manifest, args.upto_task, args.size, args.seed)
-    save_memory(memory, args.out)
+    save_memory(memory, args.out, manifest, split.spec)
     return {"out": str(args.out), "stored": len(memory), "capacity": memory.capacity,
             "warnings": list(memory.warnings)}
 
@@ -146,7 +146,7 @@ def cmd_memory_variant(args) -> dict:
     memory, split = load_memory(args.memory), load_split(args.split)
     manifest = load_manifest(args.manifest)
     variant = make_non_overlapping_variant(memory, split, manifest, args.task, args.seed)
-    save_memory(variant, args.out)
+    save_memory(variant, args.out, manifest, split.spec)
     return {"out": str(args.out), **_displayed("overlap_ratio", overlap_ratio(variant, split, args.task)),
             "warnings": list(variant.warnings)}
 

@@ -1,10 +1,12 @@
 """Fixed-capacity exemplar memory with correct saved-at-task labels.
 
-Every stored grid is the oracle grid relabeled with the classes visible at
-the task the image was saved, so a replayed image keeps ground-truth labels
-for the classes known back then instead of being re-annotated with only the
-current task's classes. Batches replayed from memory therefore train against
-the stored grids, never against a current-task relabeling.
+An entry holds an image id, the task it was saved at and its anchor class;
+no pixels. Its replay grid, from `stored_labels`, is the oracle grid
+relabeled with the classes visible at the task the image was saved, so a
+replayed image keeps ground-truth labels for the classes known back then
+instead of being re-annotated with only the current task's classes.
+`save_memory` writes each such grid next to the memory file, deriving them
+one at a time; `load_memory` reads the JSON only.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .artifacts import grid_name, is_int, read_json, reading, write_artifact
 from .errors import FormatError, ValidationError
 from .grid import LabelGrid, relabel
 from .manifest import DatasetManifest
+# read_pgm is unused here; it stays bound because bench/tracing.py patches ciss.memory.read_pgm
 from .pgm import read_pgm, write_pgm
 from .scenario import SplitManifest
 from .tasks import TaskSpec, classes_up_to, task_classes, task_of_class
@@ -28,9 +31,14 @@ from .tasks import TaskSpec, classes_up_to, task_classes, task_of_class
 @dataclass(frozen=True)
 class ExemplarEntry:
     image_id: str
-    stored_labels: LabelGrid
     saved_at: int
     anchor_class: int
+
+
+def stored_labels(entry: ExemplarEntry, manifest: DatasetManifest, spec: TaskSpec) -> LabelGrid:
+    """The grid a stored image replays against: its oracle grid relabeled
+    with the classes visible at the task it was saved at."""
+    return relabel(manifest.record(entry.image_id).oracle_labels, classes_up_to(spec, entry.saved_at))
 
 
 @dataclass(frozen=True)
@@ -134,16 +142,6 @@ class _Untaken:
             insort(self.pools[key], full[bisect_left(full, (image_id,))])
 
 
-def _make_entry(
-    manifest: DatasetManifest, spec: TaskSpec, image_id: str, saved_at: int, anchor: int
-) -> ExemplarEntry:
-    oracle = manifest.record(image_id).oracle_labels
-    stored = relabel(oracle, classes_up_to(spec, saved_at))
-    return ExemplarEntry(
-        image_id=image_id, stored_labels=stored, saved_at=saved_at, anchor_class=anchor
-    )
-
-
 def sample_class_balanced(
     split: SplitManifest,
     manifest: DatasetManifest,
@@ -178,7 +176,7 @@ def sample_class_balanced(
                 continue
             image_id, saved_at = pool[rng.randrange(len(pool))]
             untaken.take(image_id)
-            entries.append(_make_entry(manifest, spec, image_id, saved_at, cls))
+            entries.append(ExemplarEntry(image_id, saved_at, cls))
             progress = True
         if not progress:
             warnings.append(
@@ -229,7 +227,7 @@ def extend_class_balanced(
             untaken.take(image_id)
             if evicted is not None:  # drawable again, from the next draw on
                 untaken.release(evicted.image_id)
-            entries.append(_make_entry(manifest, spec, image_id, saved_at, cls))
+            entries.append(ExemplarEntry(image_id, saved_at, cls))
             counts[cls] += 1
     return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 
@@ -297,7 +295,7 @@ def make_non_overlapping_variant(
             warnings.append(f"{entry.image_id}: non-overlapping supply exhausted, kept")
             continue
         untaken.take(image_id)
-        entries.append(_make_entry(manifest, spec, image_id, saved_at, anchor))
+        entries.append(ExemplarEntry(image_id, saved_at, anchor))
     return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 
 
@@ -354,14 +352,17 @@ def resolve_batch_labels(
     current_classes = task_classes(spec, current_task)
     for item in batch.items:
         if item.source == "memory":
-            out.append(memory.entry(item.image_id).stored_labels)
+            out.append(stored_labels(memory.entry(item.image_id), manifest, spec))
         else:
             out.append(relabel(manifest.record(item.image_id).oracle_labels, current_classes))
     return out
 
 
-def save_memory(memory: ExemplarMemory, path: str | os.PathLike) -> None:
-    """Write the memory JSON plus one P5 grid per entry in a sibling directory."""
+def save_memory(
+    memory: ExemplarMemory, path: str | os.PathLike, manifest: DatasetManifest, spec: TaskSpec
+) -> None:
+    """Write the memory JSON plus, in a sibling directory, one P5 grid per
+    entry: its `stored_labels`, derived from `manifest` as it is written."""
     path = Path(path)
     entries = [
         {
@@ -375,28 +376,24 @@ def save_memory(memory: ExemplarMemory, path: str | os.PathLike) -> None:
     doc: dict = {"capacity": memory.capacity, "entries": entries}
     if memory.warnings:
         doc["warnings"] = list(memory.warnings)
-    grids = ((e["labels_path"], entry.stored_labels) for e, entry in zip(entries, memory.entries))
+    grids = ((e["labels_path"], stored_labels(entry, manifest, spec)) for e, entry in zip(entries, memory.entries))
     write_artifact(path, doc, grids, write_pgm)
 
 
 def load_memory(path: str | os.PathLike) -> ExemplarMemory:
+    """Read a memory file's JSON; its stored grids are not opened."""
     path = Path(path)
     doc = read_json(path, "memory file")
     with reading(path, "memory file"):
-        numbers = [doc["capacity"], *(e[k] for e in doc["entries"] for k in ("saved_at", "anchor_class"))]
+        entries, warnings = doc["entries"], doc.get("warnings", [])
+        numbers = [doc["capacity"], *(e[k] for e in entries for k in ("saved_at", "anchor_class"))]
         if not all(map(is_int, numbers)):
             raise FormatError(f"{path}: capacity, saved_at and anchor_class must be integers")
-        entries = tuple(
-            ExemplarEntry(
-                image_id=str(e["image_id"]),
-                stored_labels=read_pgm(path.parent / e["labels_path"]),
-                saved_at=e["saved_at"],
-                anchor_class=e["anchor_class"],
-            )
-            for e in doc["entries"]
-        )
+        strings = [e[k] for e in entries for k in ("image_id", "labels_path")]
+        if not isinstance(warnings, list) or not all(isinstance(v, str) for v in strings + warnings):
+            raise FormatError(f"{path}: image_id and labels_path must be strings, warnings a list of strings")
         return ExemplarMemory(
             capacity=doc["capacity"],
-            entries=entries,
-            warnings=tuple(doc.get("warnings", ())),
+            entries=tuple(ExemplarEntry(e["image_id"], e["saved_at"], e["anchor_class"]) for e in entries),
+            warnings=tuple(warnings),
         )

@@ -59,7 +59,10 @@ def accumulate(
     if acc is None:
         acc = ConfusionAccumulator()
     # joint[g, p]: pixels with ground truth g predicted as p
-    joint = np.bincount((gt.data.astype(np.uint16) << 8) | pred.data, minlength=_N_IDS * _N_IDS)
+    index = gt.data.astype(np.uint16)
+    index <<= 8
+    index |= pred.data
+    joint = np.bincount(index, minlength=_N_IDS * _N_IDS)
     joint = joint.reshape(_N_IDS, _N_IDS)
     joint[IGNORE] = 0
     hits = joint.diagonal()

@@ -218,6 +218,9 @@ def load_split(path: str | os.PathLike) -> SplitManifest:
         layout += [v for entry in doc["tasks"] for v in (entry["t"], *entry["classes"])]
         if not all(map(is_int, layout)):
             raise FormatError(f"{path}: base_count, step, class_order, t and classes must be integers")
+        if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                   for ids in (entry["image_ids"] for entry in doc["tasks"])):
+            raise FormatError(f"{path}: image_ids must be lists of strings")
         spec = TaskSpec(
             base_count=doc["base_count"],
             step=doc["step"],

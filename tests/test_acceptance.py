@@ -247,7 +247,7 @@ def _criterion_11_artifacts(base):
     over = build_overlapped(manifest, spec)
     save_split(over, base / "over.json")
     memory = sample_class_balanced(over, manifest, upto_task=0, capacity=40, seed=99)
-    save_memory(memory, base / "memory.json")
+    save_memory(memory, base / "memory.json", manifest, spec)
     batch = compose_batch(list(over.task_ids(1)), memory, batch_size=24, seed=7)
     listing = json.dumps(
         [{"image_id": it.image_id, "source": it.source} for it in batch.items], indent=2

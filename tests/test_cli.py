@@ -2,6 +2,7 @@
 import argparse
 import importlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -133,6 +134,32 @@ class TestMemoryCommands:
         )
         assert code == 0
         assert doc["n_current"] == 2 and doc["n_memory"] == 2
+
+    def test_commands_read_no_stored_grid(self, capsys, manifest_path, split_path, tmp_path):
+        """With the memory's grid directory deleted, overlap-ratio and batch
+        print the same documents, and variant the same document and grids,
+        as from the intact memory."""
+        mem = tmp_path / "memory.json"
+        code, _, _ = run(
+            capsys,
+            ["memory", "sample", "--manifest", str(manifest_path), "--split", str(split_path),
+             "--upto-task", "0", "--size", "3", "--seed", "1", "--out", str(mem)],
+        )
+        assert code == 0
+        audit = ["--memory", str(mem), "--split", str(split_path), "--task", "1"]
+
+        def outputs(variant):
+            ratio = run(capsys, ["memory", "overlap-ratio", *audit])
+            batch = run(capsys, ["memory", "batch", *audit, "--size", "4", "--seed", "3"])
+            code, doc, err = run(capsys, ["memory", "variant", *audit, "--manifest", str(manifest_path),
+                                          "--seed", "2", "--out", str(tmp_path / f"{variant}.json")])
+            grids = {p.name: p.read_bytes() for p in (tmp_path / f"{variant}_grids").iterdir()}
+            return ratio, batch, (code, {**doc, "out": None}, err), grids
+
+        intact = outputs("intact")
+        assert [out[0] for out in intact[:3]] == [0, 0, 0] and intact[3]
+        shutil.rmtree(tmp_path / "memory_grids")
+        assert outputs("deleted") == intact
 
     def test_batch_listing_deterministic(self, capsys, manifest_path, split_path, tmp_path):
         mem = tmp_path / "memory.json"
@@ -583,7 +610,8 @@ def _artifacts(tmp, manifest, spec):
     split, memory = tmp / "split.json", tmp / "memory.json"
     loaded = load_manifest(manifest)
     save_split(build_overlapped(loaded, spec), split)
-    save_memory(sample_class_balanced(load_split(split), loaded, 0, 2, 0), memory)
+    over = load_split(split)
+    save_memory(sample_class_balanced(over, loaded, 0, 2, 0), memory, loaded, over.spec)
     return split, memory
 
 
@@ -631,6 +659,15 @@ def _split_field(edit):
                 "--upto-task", "0", "--size", "2", "--seed", "0", "--out", str(tmp / "m.json")]
     return argv
 
+
+# non-strings in string fields; tuple() and str() would turn all but the labels path into ids
+_NON_STRING_FIELDS = {
+    "split-image-ids-string": _split_field(lambda doc: doc["tasks"][0].update(image_ids="img00")),
+    "split-image-ids-int": _split_field(lambda doc: doc["tasks"][0].update(image_ids=[1, 2])),
+    "memory-image-id-int": _memory_field(lambda doc: doc["entries"][0].update(image_id=12345)),
+    "memory-labels-path-int": _memory_field(lambda doc: doc["entries"][0].update(labels_path=5)),
+    "memory-warnings-string": _memory_field(lambda doc: doc.update(warnings="supply exhausted")),
+}
 
 # non-integers in integer fields; all but the string would pass through int() as valid values
 _NON_INTEGER_FIELDS = {
@@ -703,6 +740,7 @@ class TestLoaderContract:
          *(_bad_file(kind, UNDECODABLE) for kind in ("manifest", "split", "memory", "pairs")),
          *(_bad_file(kind, DEEP) for kind in ("manifest", "split", "memory", "pairs", "case")),
          _class_order_missing, _bad_file("class-order", b"\xff\n"), *_NON_INTEGER_FIELDS.values(),
+         *_NON_STRING_FIELDS.values(),
          _pseudo_scores_missing, _pseudo_scores(b"-1 0\n\n"), _pseudo_scores(b"2 2\n0 3\n0.9 0.1 0.2 0.8\n"),
          _pseudo_scores(b"2 2\n0 300\n0.0 5.0\n0.0 5.0\n"), _pseudo_scores(b"2 2\n0 255\n0.0 5.0\n0.0 5.0\n"),
          _case_scores_missing, _build_flags_missing,
@@ -711,7 +749,7 @@ class TestLoaderContract:
              "assignment-string", "current-classes-300", "current-classes-255", "current-classes-negative",
              "manifest-undecodable", "split-undecodable", "memory-undecodable", "pairs-undecodable",
              "manifest-deep", "split-deep", "memory-deep", "pairs-deep", "case-deep",
-             "class-order-missing", "class-order-undecodable", *_NON_INTEGER_FIELDS,
+             "class-order-missing", "class-order-undecodable", *_NON_INTEGER_FIELDS, *_NON_STRING_FIELDS,
              "pseudo-scores-missing", "scores-negative-rows", "scores-one-line",
              "scores-class-300", "scores-class-255", "case-scores-missing",
              "build-flags-missing", "build-out-unwritable", "memory-out-unwritable",

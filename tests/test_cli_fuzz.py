@@ -1,9 +1,11 @@
-"""The CLI contract under mutated inputs: valid PGM and score files with
-bytes flipped, cut short, or with header fields edited, fed in-process to
-`ciss.cli.main`. Whatever the input, the command exits 0, 2 or 3 with
+"""The CLI contract under mutated inputs: valid PGM, score, split and
+memory files with bytes flipped, cut short, or with header fields or JSON
+values edited, fed in-process to `ciss.cli.main`. Whatever the input, the command exits 0, 2 or 3 with
 exactly one JSON document on stdout, or one JSON error line on stderr and
 nothing on stdout, and never lets an exception escape."""
 import contextlib
+import copy
+import functools
 import io
 import json
 import re
@@ -14,9 +16,20 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ciss import LabelGrid, ScoreMatrix, write_scores
+from ciss import (
+    DatasetManifest,
+    LabelGrid,
+    ScoreMatrix,
+    build_overlapped,
+    parse_layout,
+    sample_class_balanced,
+    save_memory,
+    save_split,
+    write_scores,
+)
 from ciss.cli import main
 from ciss.pgm import write_pgm
+from conftest import make_record
 
 LABELS = (0, 1, 2, 3, 255)
 FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -156,3 +169,66 @@ def test_eval_miou_keeps_the_contract(blobs):
         (tmp / "pairs.json").write_text(json.dumps([{"pred": "pred.pgm", "gt": "gt.pgm"}]))
         assert_contract(*run(["eval", "miou", "--pairs", str(tmp / "pairs.json"),
                               "--task", "2-1", "--class-count", "3"]))
+
+
+# values a JSON type swap may put in place of any value of a split or memory file
+JSON_VALUES = (None, True, False, 0, -1, 2, 2**70, 1.5, float("inf"), "", "x", "img00", [], ["x"], [1, 2],
+               [[]], {}, {"t": 0})
+
+
+@functools.cache
+def artifact_docs() -> dict[str, dict]:
+    """A valid overlapped split (layout 1-1, three tasks) and a memory of two
+    entries sampled from it, as their parsed JSON, by file stem."""
+    manifest = DatasetManifest(class_count=3, records=(
+        make_record("Img1", {1, 2, 3}), make_record("Img2", {1, 2}), make_record("Img3", {3}),
+        make_record("Img4", {1, 3}), make_record("Img5", {1})))
+    split = build_overlapped(manifest, parse_layout("1-1", 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_split(split, Path(tmp) / "split.json")
+        save_memory(sample_class_balanced(split, manifest, 0, 2, 0), Path(tmp) / "memory.json", manifest, split.spec)
+        return {name: json.loads((Path(tmp) / f"{name}.json").read_text()) for name in ("split", "memory")}
+
+
+def json_paths(doc, prefix=()):
+    """The key path of every value in `doc`, the root's included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, (*prefix, key))
+
+
+@st.composite
+def swapped(draw, doc) -> bytes:
+    """`doc` with one value, the root's included, replaced by one of
+    `JSON_VALUES`: null, a boolean, a number, a string, a list or an object."""
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    value = draw(st.sampled_from(JSON_VALUES))
+    if not path:
+        return json.dumps(value).encode()
+    doc = copy.deepcopy(doc)
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    parent[path[-1]] = value
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def artifact_inputs(draw):
+    """A split and a memory file, one of them with a value swapped or with
+    bytes flipped, cut short or edited."""
+    blobs = {name: json.dumps(doc, indent=2).encode() for name, doc in artifact_docs().items()}
+    target = draw(st.sampled_from(sorted(blobs)))
+    blobs[target] = draw(swapped(artifact_docs()[target]) | mutated(blobs[target]))
+    return blobs
+
+
+@FUZZ
+@given(artifact_inputs())
+def test_memory_audits_keep_the_contract(blobs):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, blob in blobs.items():
+            (tmp / f"{name}.json").write_bytes(blob)
+        audit = ["--memory", str(tmp / "memory.json"), "--split", str(tmp / "split.json"), "--task", "1"]
+        assert_contract(*run(["memory", "overlap-ratio", *audit]))
+        assert_contract(*run(["memory", "batch", *audit, "--size", "4", "--seed", "0"]))

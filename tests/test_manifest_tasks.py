@@ -17,6 +17,7 @@ from ciss import (
     parse_layout,
     sample_class_balanced,
     save_manifest,
+    save_memory,
     task_classes,
     task_of_class,
 )
@@ -202,8 +203,12 @@ def test_deleted_grid_fails_only_the_draw_that_reads_it(tmp_path, fig3_manifest,
     manifest.record("Img3").labels_path.unlink()
     split = build_overlapped(manifest, fig3_spec)
     assert split.task_ids(2) == ("Img1", "Img3", "Img4")
+    memory = sample_class_balanced(split, manifest, upto_task=2, capacity=5, seed=0)
+    assert "Img3" in memory.ids()  # sampling reads class sets only; the grid is read at save
     with pytest.raises(FormatError):
-        sample_class_balanced(split, manifest, upto_task=2, capacity=5, seed=0)
+        save_memory(memory, tmp_path / "memory.json", manifest, fig3_spec)
+    assert not (tmp_path / "memory.json").exists()
+    assert not (tmp_path / "memory_grids").exists()
 
 
 @pytest.mark.parametrize("bad", [0, 255, 256])

@@ -1,27 +1,39 @@
 """Exemplar memory: balanced sampling, overlap auditing, replay batches."""
 import collections
+import dataclasses
 import errno
+import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from ciss import (
+    DatasetManifest,
+    ExemplarEntry,
     ExemplarMemory,
     FormatError,
+    LabelGrid,
+    OracleRecord,
     ValidationError,
     build_overlapped,
     build_partitioned,
     classes_up_to,
     compose_batch,
     extend_class_balanced,
+    load_manifest,
     load_memory,
     make_non_overlapping_variant,
     overlap_ratio,
     parse_layout,
+    read_pgm,
     relabel,
     resolve_batch_labels,
     sample_class_balanced,
+    save_manifest,
     save_memory,
+    stored_labels,
     task_classes,
 )
 from conftest import synthetic_manifest
@@ -80,12 +92,16 @@ class TestSampling:
         c = sample_class_balanced(ample_split, ample_manifest, upto_task=3, capacity=40, seed=8)
         assert [e.image_id for e in a.entries] != [e.image_id for e in c.entries]
 
-    def test_stored_labels_use_saved_at_visible_classes(self, ample_manifest, ample_split):
+    def test_stored_labels_use_saved_at_visible_classes(self, ample_manifest, ample_split, tmp_path):
         spec = ample_split.spec
         memory = sample_class_balanced(ample_split, ample_manifest, upto_task=4, capacity=60, seed=2)
-        for entry in memory.entries:
+        save_memory(memory, tmp_path / "memory.json", ample_manifest, spec)
+        written = json.loads((tmp_path / "memory.json").read_text())["entries"]
+        for entry, doc in zip(memory.entries, written, strict=True):
             oracle = ample_manifest.record(entry.image_id).oracle_labels
-            assert entry.stored_labels == relabel(oracle, classes_up_to(spec, entry.saved_at))
+            saved_view = relabel(oracle, classes_up_to(spec, entry.saved_at))
+            assert stored_labels(entry, ample_manifest, spec) == saved_view
+            assert read_pgm(tmp_path / doc["labels_path"]) == saved_view
             assert entry.anchor_class in classes_up_to(spec, entry.saved_at)
             assert entry.saved_at in ample_split.membership()[entry.image_id]
 
@@ -260,7 +276,7 @@ class TestPersistence:
     def test_memory_roundtrip(self, ample_manifest, ample_split, tmp_path):
         memory = sample_class_balanced(ample_split, ample_manifest, upto_task=2, capacity=25, seed=4)
         path = tmp_path / "memory.json"
-        save_memory(memory, path)
+        save_memory(memory, path, ample_manifest, ample_split.spec)
         back = load_memory(path)
         assert back == memory
 
@@ -268,16 +284,17 @@ class TestPersistence:
         memory = sample_class_balanced(ample_split, ample_manifest, upto_task=1, capacity=16, seed=4)
         run1, run2 = tmp_path / "run1", tmp_path / "run2"
         run1.mkdir(), run2.mkdir()
-        save_memory(memory, run1 / "memory.json")
-        save_memory(memory, run2 / "memory.json")
+        save_memory(memory, run1 / "memory.json", ample_manifest, ample_split.spec)
+        save_memory(memory, run2 / "memory.json", ample_manifest, ample_split.spec)
         assert (run1 / "memory.json").read_bytes() == (run2 / "memory.json").read_bytes()
 
     def test_successful_save_removes_no_file(self, ample_manifest, ample_split, tmp_path, monkeypatch):
         memory = sample_class_balanced(ample_split, ample_manifest, upto_task=1, capacity=16, seed=4)
         removed = []
         monkeypatch.setattr(ciss.artifacts.os, "remove", lambda path: removed.append(path))
-        save_memory(memory, tmp_path / "memory.json")
-        save_memory(memory, tmp_path / "memory.json")  # replacing the files of the first save
+        save_memory(memory, tmp_path / "memory.json", ample_manifest, ample_split.spec)
+        # replacing the files of the first save
+        save_memory(memory, tmp_path / "memory.json", ample_manifest, ample_split.spec)
         assert removed == []
         assert not list(tmp_path.rglob("*.tmp"))
         assert load_memory(tmp_path / "memory.json") == memory
@@ -287,7 +304,7 @@ class TestPersistence:
         old = sample_class_balanced(ample_split, ample_manifest, upto_task=1, capacity=16, seed=4)
         new = sample_class_balanced(ample_split, ample_manifest, upto_task=1, capacity=16, seed=5)
         assert new != old
-        save_memory(old, path)
+        save_memory(old, path, ample_manifest, ample_split.spec)
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         written = []
 
@@ -301,10 +318,43 @@ class TestPersistence:
 
         monkeypatch.setattr(ciss.memory, "write_pgm", fail_fourth)
         with pytest.raises(FormatError):
-            save_memory(new, path)
+            save_memory(new, path, ample_manifest, ample_split.spec)
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert not list(tmp_path.rglob("*.tmp"))
         assert load_memory(path) == old
+
+
+class TestGridFree:
+    def test_entry_holds_no_grid(self):
+        assert [f.name for f in dataclasses.fields(ExemplarEntry)] == ["image_id", "saved_at", "anchor_class"]
+        assert "stored_labels" in ciss.__all__
+        assert ciss.stored_labels is ciss.memory.stored_labels
+
+    def test_save_peak_memory_is_flat_in_capacity(self, tmp_path):
+        """Sampling and saving hold one stored grid at a time: on a manifest
+        of 200×150 grids loaded from disk, capacity 40 peaks under twice
+        capacity 4."""
+        rng = np.random.default_rng(3)
+        records = []
+        for i in range(60):
+            data = np.zeros(200 * 150, dtype=np.uint8)
+            for band, cls in enumerate(rng.choice(np.arange(1, 21), size=3, replace=False)):
+                data[band * 9000 : band * 9000 + 6000] = cls
+            records.append(OracleRecord.from_grid(f"img{i:03d}", LabelGrid(width=200, height=150, data=data)))
+        save_manifest(DatasetManifest(class_count=20, records=tuple(records)), tmp_path / "m.json")
+        manifest = load_manifest(tmp_path / "m.json")
+        split = build_overlapped(manifest, parse_layout("15-1", 20))
+        peaks = {}
+        for capacity in (4, 40):
+            tracemalloc.start()
+            try:
+                memory = sample_class_balanced(split, manifest, upto_task=5, capacity=capacity, seed=0)
+                save_memory(memory, tmp_path / f"memory_{capacity}.json", manifest, split.spec)
+                peaks[capacity] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(memory) == capacity
+        assert peaks[40] < 2 * peaks[4], peaks
 
 
 class TestExtend:
@@ -343,7 +393,7 @@ def _reference_sample(split, manifest, upto_task, capacity, seed):
                 continue
             image_id, saved_at = pool[rng.randrange(len(pool))]
             taken.add(image_id)
-            entries.append(ciss.memory._make_entry(manifest, spec, image_id, saved_at, cls))
+            entries.append(ExemplarEntry(image_id, saved_at, cls))
             progress = True
         if not progress:
             warnings.append(f"supply exhausted: stored {len(entries)} of {capacity} requested entries")
@@ -375,7 +425,7 @@ def _reference_extend(memory, split, manifest, new_task, seed):
                 victims = [i for i, e in enumerate(entries) if counts[e.anchor_class] == top]
                 entries.pop(victims[rng.randrange(len(victims))])
             image_id, saved_at = pool[rng.randrange(len(pool))]
-            entries.append(ciss.memory._make_entry(manifest, spec, image_id, saved_at, cls))
+            entries.append(ExemplarEntry(image_id, saved_at, cls))
             stored += 1
     return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 
@@ -408,14 +458,15 @@ def _reference_variant(memory, split, manifest, t, seed):
             warnings.append(f"{entry.image_id}: non-overlapping supply exhausted, kept")
             continue
         used.add(image_id)
-        entries.append(ciss.memory._make_entry(manifest, spec, image_id, saved_at, anchor))
+        entries.append(ExemplarEntry(image_id, saved_at, anchor))
     return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 
 
-def _as_tuples(memory):
+def _as_tuples(memory, manifest, spec):
     return (
         memory.capacity,
-        [(e.image_id, e.saved_at, e.anchor_class, e.stored_labels.data.tobytes()) for e in memory.entries],
+        [(e.image_id, e.saved_at, e.anchor_class, stored_labels(e, manifest, spec).data.tobytes())
+         for e in memory.entries],
         memory.warnings,
     )
 
@@ -429,10 +480,14 @@ def test_draws_match_the_filtering_loops(layout, capacity):
     for seed in range(12):
         manifest = synthetic_manifest(90, 20, seed=100 + seed, min_classes=1, max_classes=4)
         split = build_overlapped(manifest, parse_layout(layout, 20))
+        spec = split.spec
         for upto in (0, 1):
             memory = sample_class_balanced(split, manifest, upto, capacity, seed)
-            assert _as_tuples(memory) == _as_tuples(_reference_sample(split, manifest, upto, capacity, seed))
+            reference = _reference_sample(split, manifest, upto, capacity, seed)
+            assert _as_tuples(memory, manifest, spec) == _as_tuples(reference, manifest, spec)
             extended = extend_class_balanced(memory, split, manifest, upto + 1, seed)
-            assert _as_tuples(extended) == _as_tuples(_reference_extend(memory, split, manifest, upto + 1, seed))
+            reference = _reference_extend(memory, split, manifest, upto + 1, seed)
+            assert _as_tuples(extended, manifest, spec) == _as_tuples(reference, manifest, spec)
             variant = make_non_overlapping_variant(memory, split, manifest, upto + 1, seed)
-            assert _as_tuples(variant) == _as_tuples(_reference_variant(memory, split, manifest, upto + 1, seed))
+            reference = _reference_variant(memory, split, manifest, upto + 1, seed)
+            assert _as_tuples(variant, manifest, spec) == _as_tuples(reference, manifest, spec)
