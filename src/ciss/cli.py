@@ -94,12 +94,13 @@ def _displayed(key: str, value: float) -> dict:
 
 
 def _load_spec(args, class_count: int | None = None):
-    """--task over --class-order, else over 1..`class_count` (a manifest's) or 1..--class-count."""
+    """--task over --class-order, else over 1..`class_count` (a manifest's) or 1..--class-count.
+    A --class-count given with --class-order must be the order's length."""
     order = load_class_order(args.class_order) if args.class_order else None
     if class_count is None:
-        if order is None and not args.class_count:
+        if order is None and args.class_count is None:
             raise ValidationError(f"eval {args.eval_cmd} needs --class-order or --class-count")
-        class_count = len(order) if order is not None else args.class_count
+        class_count = len(order) if args.class_count is None else args.class_count
     return parse_layout(args.task, class_count, order)
 
 

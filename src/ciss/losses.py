@@ -97,29 +97,39 @@ class TaskClassLayout:
             raise ValidationError("layout needs at least one new class")
 
 
-def _checked_source(source):
-    if source not in ("current", "memory"):
-        raise ValidationError(f"unknown item source {source!r}")
-    return source
+def _on_first_use(value, read):
+    """`value`, or what `read` makes of it when it is the path of a file."""
+    return read(value) if isinstance(value, (str, os.PathLike)) else value
 
 
-@dataclass(frozen=True)
 class LossItem:
     """One batch element: scores, labels, which side of the batch it came
     from, and optional previous-model scores and externally computed
-    kd/dkd/ac/pod scalars."""
+    kd/dkd/ac/pod scalars. `scores`, `labels` and `prev_scores` each take the
+    object or the path of its file; a file is read on first use and kept, so
+    a loss reads only the files that it scores."""
 
-    scores: ScoreMatrix
-    labels: LabelGrid | None = None
-    source: str = "current"
-    prev_scores: ScoreMatrix | None = None
-    kd: float | None = None
-    dkd: float | None = None
-    ac: float | None = None
-    pod: float | None = None
+    def __init__(
+        self, scores: ScoreMatrix | str | os.PathLike, labels: LabelGrid | str | os.PathLike | None = None,
+        source: str = "current", prev_scores: ScoreMatrix | str | os.PathLike | None = None,
+        kd: float | None = None, dkd: float | None = None, ac: float | None = None, pod: float | None = None,
+    ) -> None:
+        if source not in ("current", "memory"):
+            raise ValidationError(f"unknown item source {source!r}")
+        self._scores, self._labels, self._prev = scores, labels, prev_scores
+        self.source, self.kd, self.dkd, self.ac, self.pod = source, kd, dkd, ac, pod
 
-    def __post_init__(self) -> None:
-        _checked_source(self.source)
+    @cached_property
+    def scores(self) -> ScoreMatrix:
+        return _on_first_use(self._scores, read_scores)
+
+    @cached_property
+    def labels(self) -> LabelGrid | None:
+        return _on_first_use(self._labels, read_pgm)
+
+    @cached_property
+    def prev_scores(self) -> ScoreMatrix | None:
+        return _on_first_use(self._prev, read_scores)
 
 
 # --- the two per-pixel kernels ------------------------------------------------
@@ -446,39 +456,21 @@ def pseudo_replay_objective(items: Sequence[LossItem], layout: TaskClassLayout, 
 
 
 # --- loss-case files and finite-difference validation -------------------------
-class _CaseItem:
-    """A loss-case item with LossItem's fields. Its source and scalars are
-    checked at load; each of its files is read on first use, so a command
-    reads only the files that its loss scores."""
-
-    def __init__(self, root: Path, entry) -> None:
-        if not isinstance(entry, dict):
-            raise ValidationError(f"loss case item must be an object, got {entry!r}")
-        self._scores = root / entry["scores"]
-        self._labels = root / entry["labels"] if "labels" in entry else None
-        self._prev = root / entry["prev_scores"] if "prev_scores" in entry else None
-        self.source = _checked_source(entry.get("source", "current"))
-        for key in ("kd", "dkd", "ac", "pod"):
-            setattr(self, key, None if entry.get(key) is None else _finite(entry[key], key))
-
-    @cached_property
-    def scores(self) -> ScoreMatrix:
-        return read_scores(self._scores)
-
-    @cached_property
-    def labels(self) -> LabelGrid | None:
-        return None if self._labels is None else read_pgm(self._labels)
-
-    @cached_property
-    def prev_scores(self) -> ScoreMatrix | None:
-        return None if self._prev is None else read_scores(self._prev)
+def _case_item(root: Path, entry) -> LossItem:
+    """A loss-case item, its files named relative to `root` and its scalars checked."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"loss case item must be an object, got {entry!r}")
+    scores = root / entry["scores"]
+    paths = {key: root / entry[key] for key in ("labels", "prev_scores") if key in entry}
+    scalars = {key: _finite(entry[key], key) for key in ("kd", "dkd", "ac", "pod") if entry.get(key) is not None}
+    return LossItem(scores, source=entry.get("source", "current"), **paths, **scalars)
 
 
 @dataclass(frozen=True)
 class LossCase:
     layout: TaskClassLayout
     cfg: LossConfig
-    items: tuple[_CaseItem, ...]
+    items: tuple[LossItem, ...]
 
 
 def load_loss_case(path: str | os.PathLike) -> LossCase:
@@ -495,7 +487,7 @@ def load_loss_case(path: str | os.PathLike) -> LossCase:
             raise ValidationError(f"layout class ids must be integers, got {doc['layout']!r}")
         layout = TaskClassLayout(old_classes=frozenset(old), new_classes=frozenset(new))
         cfg = LossConfig.from_mapping(doc.get("config", {}))
-        items = tuple(_CaseItem(path.parent, entry) for entry in doc["items"])
+        items = tuple(_case_item(path.parent, entry) for entry in doc["items"])
     if not items:
         raise FormatError(f"{path}: loss case has no items")
     return LossCase(layout=layout, cfg=cfg, items=items)

@@ -18,61 +18,44 @@ from .grid import IGNORE, LabelGrid
 from .pgm import read_pgm, write_pgm
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class OracleRecord:
-    """One image's identity, foreground class set and all-classes-annotated grid.
-
-    A record built from a grid holds it. A record loaded from a manifest file
-    keeps only the grid's path and pixel count and reads the grid again each
-    time `oracle_labels` is asked for, so a loaded manifest holds no pixels.
-    """
+    """One image's identity, foreground class set and all-classes-annotated
+    grid: the grid itself, which must hold the declared classes, or the path
+    of its file, read again each time `oracle_labels` is asked for, so that a
+    loaded manifest holds no pixels."""
 
     image_id: str
     oracle_classes: frozenset[int]
-    labels_path: Path | None
     n_pixels: int
-    _grid: LabelGrid | None = field(repr=False)
+    labels_path: Path | None = None
+    grid: LabelGrid | None = field(default=None, repr=False)
 
-    def __init__(self, image_id: str, oracle_labels: LabelGrid, oracle_classes: frozenset[int]) -> None:
-        derived = frozenset(oracle_labels.foreground_classes())
-        if derived and derived != oracle_classes:
+    def __post_init__(self) -> None:
+        if not self.oracle_classes:
+            raise ValidationError(f"image {self.image_id!r} has no foreground pixels")
+        if (self.grid is None) == (self.labels_path is None):
+            raise ValidationError(f"image {self.image_id!r} needs a grid or the path of one, not both")
+        if self.grid is not None and self.grid.foreground_classes() != self.oracle_classes:
             raise ValidationError(
-                f"image {image_id!r}: declared classes {sorted(oracle_classes)} "
-                f"do not match grid contents {sorted(derived)}"
+                f"image {self.image_id!r}: declared classes {sorted(self.oracle_classes)} "
+                f"do not match grid contents {sorted(self.grid.foreground_classes())}"
             )
-        self._fill(image_id, derived, None, oracle_labels)
-
-    def _fill(self, image_id: str, classes: frozenset[int], path: Path | None, grid: LabelGrid) -> None:
-        if not classes:
-            raise ValidationError(f"image {image_id!r} has no foreground pixels")
-        for name, value in (
-            ("image_id", image_id),
-            ("oracle_classes", classes),
-            ("labels_path", path),
-            ("n_pixels", grid.n_pixels),
-            ("_grid", grid if path is None else None),
-        ):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _derive(cls, image_id: str, grid: LabelGrid, path: Path | None) -> "OracleRecord":
-        record = cls.__new__(cls)
-        record._fill(image_id, frozenset(grid.foreground_classes()), path, grid)
-        return record
 
     @classmethod
     def from_grid(cls, image_id: str, grid: LabelGrid) -> "OracleRecord":
-        return cls._derive(image_id, grid, None)
+        return cls(image_id, frozenset(grid.foreground_classes()), grid.n_pixels, grid=grid)
 
     @classmethod
     def from_file(cls, image_id: str, path: Path) -> "OracleRecord":
         """Read the grid once for its class set and pixel count, and keep neither."""
-        return cls._derive(image_id, read_pgm(path), path)
+        grid = read_pgm(path)
+        return cls(image_id, frozenset(grid.foreground_classes()), grid.n_pixels, path)
 
     @property
     def oracle_labels(self) -> LabelGrid:
-        if self._grid is not None:
-            return self._grid
+        if self.grid is not None:
+            return self.grid
         grid = read_pgm(self.labels_path)
         if grid.n_pixels != self.n_pixels:
             raise FormatError(

@@ -286,6 +286,8 @@ def make_non_overlapping_variant(
                 manifest.record(image_id).oracle_classes & classes_up_to(spec, 0),
                 key=spec.class_order.index,
             )
+            if not stored_visible:
+                raise ValidationError(f"image {image_id!r} holds no task-0 class in the manifest (--manifest)")
             anchor = stored_visible[0]
             warnings.append(
                 f"{entry.image_id}: no replacement with anchor class {entry.anchor_class}, reassigned"

@@ -5,11 +5,13 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ciss import (
+    DatasetManifest,
     LabelGrid,
     ScoreMatrix,
     build_overlapped,
@@ -25,7 +27,7 @@ from ciss import (
 from ciss import losses
 from ciss.cli import build_parser, main
 from ciss.pgm import read_pgm, write_pgm
-from conftest import one_hot_scores
+from conftest import make_record, one_hot_scores
 
 
 @pytest.fixture
@@ -161,6 +163,35 @@ class TestMemoryCommands:
         shutil.rmtree(tmp_path / "memory_grids")
         assert outputs("deleted") == intact
 
+    def test_variant_refuses_a_manifest_without_task_0_classes(self, capsys, fig3_manifest, manifest_path,
+                                                              split_path, tmp_path):
+        """A --manifest with the split's ids but no class 1 leaves a fallback
+        replacement without a task-0 anchor: exit 2, one JSON error line
+        naming the image, and no file written."""
+        mem = tmp_path / "memory.json"
+        code, _, _ = run(
+            capsys,
+            ["memory", "sample", "--manifest", str(manifest_path), "--split", str(split_path),
+             "--upto-task", "1", "--size", "3", "--seed", "0", "--out", str(mem)],
+        )
+        assert code == 0
+        other = tmp_path / "other" / "manifest.json"
+        other.parent.mkdir()
+        records = tuple(make_record(r.image_id, r.oracle_classes - {1} or {2}) for r in fig3_manifest.records)
+        save_manifest(DatasetManifest(class_count=3, records=records), other)
+        out = tmp_path / "variant.json"
+        code, doc, err = run(
+            capsys,
+            ["memory", "variant", "--memory", str(mem), "--split", str(split_path), "--manifest", str(other),
+             "--task", "1", "--seed", "0", "--out", str(out)],
+        )
+        assert code == 2 and doc is None
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"] == "image 'Img4' holds no task-0 class in the manifest (--manifest)"
+        assert not out.exists() and not (tmp_path / "variant_grids").exists()
+
     def test_batch_listing_deterministic(self, capsys, manifest_path, split_path, tmp_path):
         mem = tmp_path / "memory.json"
         run(
@@ -206,6 +237,22 @@ class TestEvalCommands:
         assert code == 0
         assert doc["miou_groups"]["all"] == 100.0
         assert doc["miou_groups_display"]["all"] == "100.00"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--class-count", "0"], "class count must lie in 1..254, got 0"),
+         (["--class-count", "20", "--class-order", "order.txt"],
+          "class order length 3 does not match class count 20")],
+        ids=["count-0", "count-not-order-length"],
+    )
+    def test_class_count_is_used_whenever_given(self, capsys, tmp_path, monkeypatch, flags, message):
+        monkeypatch.chdir(tmp_path)
+        write_pgm(LabelGrid(width=4, height=1, data=np.array([1, 2, 3, 0], dtype=np.uint8)), "a.pgm")
+        Path("pairs.json").write_text(json.dumps([{"pred": "a.pgm", "gt": "a.pgm"}]))
+        Path("order.txt").write_text("1\n2\n3\n")
+        code, doc, err = run(capsys, ["eval", "miou", "--pairs", "pairs.json", "--task", "2-1", *flags])
+        assert code == 2 and doc is None
+        assert json.loads(err)["error"]["message"] == message
 
     def test_miou_pair_passes_one_accumulate_wrapper(self, capsys, tmp_path, monkeypatch):
         """With both `ciss.cli.accumulate` and `ciss.metrics.accumulate`

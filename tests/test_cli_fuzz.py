@@ -1,6 +1,6 @@
-"""The CLI contract under mutated inputs: valid PGM, score, split and
-memory files with bytes flipped, cut short, or with header fields or JSON
-values edited, fed in-process to `ciss.cli.main`. Whatever the input, the command exits 0, 2 or 3 with
+"""The CLI contract under mutated inputs: valid PGM, score, split, memory
+and loss-case files with bytes flipped, cut short, or with header fields or
+JSON values edited, fed in-process to `ciss.cli.main`. Whatever the input, the command exits 0, 2 or 3 with
 exactly one JSON document on stdout, or one JSON error line on stderr and
 nothing on stdout, and never lets an exception escape."""
 import contextlib
@@ -28,6 +28,7 @@ from ciss import (
     write_scores,
 )
 from ciss.cli import main
+from ciss.ids import COMPOSITE_LOSSES
 from ciss.pgm import write_pgm
 from conftest import make_record
 
@@ -232,3 +233,53 @@ def test_memory_audits_keep_the_contract(blobs):
         audit = ["--memory", str(tmp / "memory.json"), "--split", str(tmp / "split.json"), "--task", "1"]
         assert_contract(*run(["memory", "overlap-ratio", *audit]))
         assert_contract(*run(["memory", "batch", *audit, "--size", "4", "--seed", "0"]))
+
+
+@functools.cache
+def loss_case() -> tuple[dict, dict[str, bytes]]:
+    """A valid two-item loss case (layout old {1}, new {2, 3}): the parsed
+    JSON, whose current and memory items each name scores, labels and
+    previous scores and carry every external scalar, and its files' bytes by
+    name."""
+    rng = np.random.default_rng(0)
+    items, files = [], {}
+    for i, (source, ids) in enumerate((("current", (0, 2, 3, 255)), ("memory", (0, 1, 255)))):
+        scores = ScoreMatrix(class_map=(0, 1, 2, 3), logits=rng.normal(size=(6, 4)))
+        files[f"s{i}.scores"] = score_bytes(scores, bool(i))  # one text, one binary
+        files[f"p{i}.scores"] = score_bytes(ScoreMatrix(class_map=(0, 1), logits=rng.normal(size=(6, 2))), False)
+        labels = np.array([ids[j % len(ids)] for j in range(6)], dtype=np.uint8)
+        files[f"l{i}.pgm"] = pgm_bytes(LabelGrid(width=3, height=2, data=labels), bool(i))  # P5, then P2
+        items.append({"source": source, "scores": f"s{i}.scores", "labels": f"l{i}.pgm",
+                      "prev_scores": f"p{i}.scores", "kd": 0.3, "dkd": 0.4, "ac": 0.2, "pod": 0.1})
+    doc = {"layout": {"old": [1], "new": [2, 3]},
+           "config": {"lambda": 5.0, "gamma": 1.0, "alpha": 0.5, "beta": 0.5, "kd_includes_bg": True},
+           "items": items}
+    return doc, files
+
+
+# `loss value` with one atomic id and with each composite, and `loss gradcheck`
+LOSS_COMMANDS = (["value", "--loss", "ce_current"], *(["value", "--loss", lid] for lid in COMPOSITE_LOSSES),
+                 ["gradcheck", "--loss", "bce_old", "--item", "1"])
+
+
+def run_loss_commands(case: bytes) -> list[tuple[int, str, str]]:
+    """Each of LOSS_COMMANDS on the loss case `case`, next to the valid case's files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, blob in loss_case()[1].items():
+            (tmp / name).write_bytes(blob)
+        (tmp / "case.json").write_bytes(case)
+        return [run(["loss", *argv, "--case", str(tmp / "case.json")]) for argv in LOSS_COMMANDS]
+
+
+def test_loss_case_runs_every_command():
+    for code, out, err in run_loss_commands(json.dumps(loss_case()[0]).encode()):
+        assert code == 0, err
+        assert_contract(code, out, err)
+
+
+@FUZZ
+@given(st.deferred(lambda: swapped(loss_case()[0])))
+def test_loss_commands_keep_the_contract(case):
+    for result in run_loss_commands(case):
+        assert_contract(*result)

@@ -1035,3 +1035,31 @@ class TestLossCaseFiles:
         path.write_text("not json")
         with pytest.raises(FormatError):
             load_loss_case(path)
+
+    def test_path_given_fields_read_once_on_first_use(self, tmp_path, monkeypatch):
+        """An item given the paths of its files scores as the item given the
+        objects, and reads each file once, when a loss first uses it."""
+        _, cur, _ = self._write_case(tmp_path)
+        reads = []
+
+        def counted(read):
+            def wrapper(path):
+                reads.append(path.name)
+                return read(path)
+            return wrapper
+
+        monkeypatch.setattr(losses_module, "read_scores", counted(losses_module.read_scores))
+        monkeypatch.setattr(losses_module, "read_pgm", counted(losses_module.read_pgm))
+        item = LossItem(tmp_path / "cur.scores", tmp_path / "cur.pgm", prev_scores=tmp_path / "cur_prev.scores")
+        assert reads == []
+        assert loss_value("ce_current", item, LAYOUT, CFG) == loss_value("ce_current", cur, LAYOUT, CFG)
+        assert reads == ["cur.scores", "cur.pgm"]
+        assert loss_value("kd_old", item, LAYOUT, CFG) == loss_value("kd_old", cur, LAYOUT, CFG)
+        assert loss_value("ce_current", item, LAYOUT, CFG) == loss_value("ce_current", cur, LAYOUT, CFG)
+        assert reads == ["cur.scores", "cur.pgm", "cur_prev.scores"]
+
+    def test_bad_source_rejected_at_construction(self, tmp_path):
+        _, cur, _ = self._write_case(tmp_path)
+        for scores in (cur.scores, tmp_path / "cur.scores"):
+            with pytest.raises(ValidationError, match="unknown item source 'past'"):
+                LossItem(scores, source="past")

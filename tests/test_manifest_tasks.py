@@ -110,7 +110,14 @@ def test_record_requires_foreground():
 def test_record_rejects_class_drift():
     grid = make_record("x", {1, 2}).oracle_labels
     with pytest.raises(ValidationError):
-        OracleRecord(image_id="x", oracle_labels=grid, oracle_classes=frozenset({1}))
+        OracleRecord(image_id="x", oracle_classes=frozenset({1}), n_pixels=grid.n_pixels, grid=grid)
+
+
+def test_record_needs_a_grid_or_its_path(tmp_path):
+    grid = make_record("x", {1}).oracle_labels
+    for source in ({}, {"grid": grid, "labels_path": tmp_path / "x.pgm"}):
+        with pytest.raises(ValidationError, match="grid or the path"):
+            OracleRecord(image_id="x", oracle_classes=frozenset({1}), n_pixels=grid.n_pixels, **source)
 
 
 def test_task_classes_15_1_layout():
