@@ -57,7 +57,6 @@ _EXPORTS = {
     "scenario": (
         "SCENARIO_KINDS",
         "SplitManifest",
-        "TaskSplit",
         "assign_partition_class",
         "build_disjoint",
         "build_overlapped",

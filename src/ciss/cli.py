@@ -120,10 +120,10 @@ def cmd_build(args) -> dict:
     doc: dict = {
         "scenario": split.scenario,
         "out": str(args.out),
-        "task_counts": [len(task.image_ids) for task in split.tasks],
+        "task_counts": [len(ids) for ids in split.tasks],
     }
     if split.scenario == "overlapped":
-        sets = [set(task.image_ids) for task in split.tasks]
+        sets = [set(ids) for ids in split.tasks]
         doc["pairwise_overlaps"] = [{"a": i, "b": j, "size": len(sets[i] & sets[j])}
                                     for i, j in itertools.combinations(range(len(sets)), 2)]
     return doc
@@ -191,6 +191,12 @@ def cmd_eval_miou(args) -> dict:
     acc = ConfusionAccumulator()
     for pred_path, gt_path in _read_pairs(args.pairs, "pred", "gt"):
         accumulate(read_pgm(pred_path), read_pgm(gt_path), acc)
+        # the pixels of a ground-truth id are its hits and misses; past the
+        # layout's classes the id would be in no mean (the ignore id has neither)
+        beyond = np.flatnonzero((acc.tp + acc.fn)[spec.class_count + 1:])
+        if beyond.size:
+            raise ValidationError(f"pair {pred_path}, {gt_path}: ground truth holds class id "
+                                  f"{spec.class_count + 1 + beyond[0]}, outside the layout's 1..{spec.class_count}")
     report = evaluation_report(acc, spec)
     report["miou_groups_display"] = {
         k: (None if v is None else f"{v:.2f}") for k, v in report["miou_groups"].items()
@@ -200,8 +206,9 @@ def cmd_eval_miou(args) -> dict:
 
 def cmd_eval_prr(args) -> dict:
     spec = _load_spec(args)
-    if args.current_task < 1:
-        raise ValidationError("--current-task must be >= 1 (there must be old classes)")
+    if not 1 <= args.current_task <= spec.task_count:
+        raise ValidationError(f"--current-task {args.current_task} outside 1..{spec.task_count}, "
+                              f"the tasks of layout {args.task} that have old classes")
     old = classes_up_to(spec, args.current_task - 1)
     pairs = ((read_pgm(oracle), read_pgm(pseudo))
              for oracle, pseudo in _read_pairs(args.pairs, "oracle", "pseudo"))

@@ -63,16 +63,13 @@ class LabelGrid:
     def foreground_classes(self) -> set[int]:
         """Distinct class ids present, excluding background and ignore.
 
-        Every id present starts a run, so only pixel 0 and the pixels that
-        differ from their predecessor are counted. The cost scales with the
-        run starts: a VOC-like 500x375 grid has about 2,150 of its 187,500
-        pixels (1.1%) and takes about 0.11 ms, against 0.72 ms for a
-        bincount of every pixel (2-core VM, numpy 2.4). On uniform noise
-        every pixel starts a run, and it takes 0.47 ms against 0.40 ms.
+        Every id present starts a run, so only the run starts are counted.
+        The cost scales with them: a VOC-like 500x375 grid has about 2,200 of
+        its 187,500 pixels (1.2%) and takes about 0.16 ms, against 0.83 ms
+        for a bincount of every pixel (2-core VM, numpy 2.4). On uniform
+        noise every pixel starts a run, and it takes 1.1 ms against 0.53 ms.
         """
-        data = self.data
-        counts = np.bincount(data[1:][data[1:] != data[:-1]], minlength=256)
-        counts[data[0]] += 1
+        counts = np.bincount(self.data[_run_starts(self.data)], minlength=256)
         counts[[BACKGROUND, IGNORE]] = 0
         return set(np.flatnonzero(counts).tolist())
 

@@ -26,60 +26,60 @@ from .tasks import TaskSpec, task_classes, task_of_class
 
 
 @dataclass(frozen=True)
-class TaskSplit:
-    task_index: int
-    classes: tuple[int, ...]
-    image_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class SplitManifest:
+    """A scenario's split of a dataset: `tasks[t]` holds the sorted ids of
+    task t's images, whose classes the layout `spec` gives."""
+
     scenario: str
     spec: TaskSpec
-    tasks: tuple[TaskSplit, ...]
+    tasks: tuple[tuple[str, ...], ...]
     seed: int | None = None
     assignments: dict[str, int] | None = None
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIO_KINDS:
             raise ValidationError(f"unknown scenario kind {self.scenario!r}")
+        if len(self.tasks) != self.spec.num_tasks:
+            raise ValidationError(
+                f"split holds {len(self.tasks)} task lists for layout tasks 0..{self.spec.task_count}"
+            )
         if self.scenario == "partitioned":
             if self.assignments is None:
                 raise ValidationError("partitioned split requires assignments")
             seen: set[str] = set()
-            for task in self.tasks:
-                overlap = seen.intersection(task.image_ids)
+            for t, ids in enumerate(self.tasks):
+                overlap = seen.intersection(ids)
                 if overlap:
                     raise ValidationError(
                         f"partitioned task lists overlap on {sorted(overlap)[:3]}"
                     )
-                seen.update(task.image_ids)
-                block = set(task.classes)
-                for image_id in task.image_ids:
+                seen.update(ids)
+                block = task_classes(self.spec, t)
+                for image_id in ids:
                     assigned = self.assignments.get(image_id)
                     if assigned not in block:
                         raise ValidationError(
-                            f"image {image_id!r} sits in task {task.task_index} but is "
+                            f"image {image_id!r} sits in task {t} but is "
                             f"assigned class {assigned}"
                         )
+            stray = sorted(set(self.assignments) - seen)
+            if stray:
+                raise ValidationError(f"assignments name images in no task: {stray[:3]}")
         elif self.seed is not None or self.assignments is not None:
             raise ValidationError(f"{self.scenario} split carries no seed or assignments")
 
-    def task(self, t: int) -> TaskSplit:
+    def task_ids(self, t: int) -> tuple[str, ...]:
         if not 0 <= t < len(self.tasks):
             raise ValidationError(f"task index {t} outside 0..{len(self.tasks) - 1}")
         return self.tasks[t]
-
-    def task_ids(self, t: int) -> tuple[str, ...]:
-        return self.task(t).image_ids
 
     def membership(self, upto_task: int | None = None) -> dict[str, list[int]]:
         """Map image id to the sorted task indices containing it, counting
         only tasks 0..upto_task when a bound is given."""
         out: dict[str, list[int]] = {}
-        for task in self.tasks[: None if upto_task is None else upto_task + 1]:
-            for image_id in task.image_ids:
-                out.setdefault(image_id, []).append(task.task_index)
+        for t, ids in enumerate(self.tasks[: None if upto_task is None else upto_task + 1]):
+            for image_id in ids:
+                out.setdefault(image_id, []).append(t)
         return out
 
 
@@ -99,14 +99,7 @@ def _build(scenario: str, manifest: DatasetManifest, spec: TaskSpec, tasks_of, *
     for rec in manifest.records:
         for t in tasks_of(rec):
             member.setdefault(t, []).append(rec.image_id)
-    tasks = tuple(
-        TaskSplit(
-            task_index=t,
-            classes=tuple(sorted(task_classes(spec, t))),
-            image_ids=tuple(sorted(member.get(t, []))),
-        )
-        for t in range(spec.num_tasks)
-    )
+    tasks = tuple(tuple(sorted(member.get(t, []))) for t in range(spec.num_tasks))
     return SplitManifest(scenario=scenario, spec=spec, tasks=tasks, **extra)
 
 
@@ -200,8 +193,8 @@ def save_split(split: SplitManifest, path: str | os.PathLike) -> None:
         "step": split.spec.step,
         "class_order": list(split.spec.class_order),
         "tasks": [
-            {"t": task.task_index, "classes": list(task.classes), "image_ids": list(task.image_ids)}
-            for task in split.tasks
+            {"t": t, "classes": sorted(task_classes(split.spec, t)), "image_ids": list(ids)}
+            for t, ids in enumerate(split.tasks)
         ],
     }
     if split.scenario == "partitioned":
@@ -211,9 +204,11 @@ def save_split(split: SplitManifest, path: str | os.PathLike) -> None:
 
 
 def load_split(path: str | os.PathLike) -> SplitManifest:
+    """Parse a split file and check its own fields: JSON types, and each task
+    entry's `t` and `classes` against its position and the layout. The split's
+    invariants are `SplitManifest`'s; a breach is a `FormatError` naming the file."""
     doc = read_json(path, "split manifest")
     with reading(path, "split manifest"):
-        scenario = doc["scenario"]
         layout = [doc["base_count"], doc["step"], *doc["class_order"]]
         layout += [v for entry in doc["tasks"] for v in (entry["t"], *entry["classes"])]
         if not all(map(is_int, layout)):
@@ -226,32 +221,18 @@ def load_split(path: str | os.PathLike) -> SplitManifest:
             step=doc["step"],
             class_order=tuple(doc["class_order"]),
         )
-        tasks = tuple(
-            TaskSplit(
-                task_index=entry["t"],
-                classes=tuple(entry["classes"]),
-                image_ids=tuple(entry["image_ids"]),
-            )
-            for entry in doc["tasks"]
-        )
-        if scenario not in SCENARIO_KINDS:
-            raise FormatError(f"{path}: unknown scenario kind {scenario!r}")
-        if len(tasks) != spec.num_tasks or [task.task_index for task in tasks] != list(range(spec.num_tasks)):
-            raise FormatError(f"{path}: task list does not cover tasks 0..{spec.task_count}")
-        for task in tasks:
-            if set(task.classes) != task_classes(spec, task.task_index):
-                raise FormatError(
-                    f"{path}: task {task.task_index} class set does not match the layout"
-                )
+        for t, entry in enumerate(doc["tasks"]):
+            if entry["t"] != t:
+                raise FormatError(f"{path}: task entry {t} holds t={entry['t']}")
+            if set(entry["classes"]) != task_classes(spec, t):
+                raise FormatError(f"{path}: task {t} class set does not match the layout")
         seed = doc.get("seed")
         assignments = doc.get("assignments")
-        if scenario == "partitioned":
+        if doc["scenario"] == "partitioned":
             if not is_int(seed) or not isinstance(assignments, dict):
                 raise FormatError(f"{path}: partitioned split requires an integer seed and assignments")
             bad = sorted(k for k, v in assignments.items() if not is_int(v))
             if bad:
                 raise FormatError(f"{path}: assignments of {bad[:3]} are not integer class ids")
-        return SplitManifest(
-            scenario=scenario, spec=spec, tasks=tasks, seed=seed, assignments=assignments
-        )
-
+        tasks = tuple(tuple(entry["image_ids"]) for entry in doc["tasks"])
+        return SplitManifest(scenario=doc["scenario"], spec=spec, tasks=tasks, seed=seed, assignments=assignments)

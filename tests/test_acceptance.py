@@ -58,13 +58,13 @@ def test_criterion_01_scenario_memberships(fig3):
     manifest, spec = fig3
     started = time.monotonic()
     over = build_overlapped(manifest, spec)
-    assert [set(t.image_ids) for t in over.tasks] == [
+    assert [set(t) for t in over.tasks] == [
         {"Img1", "Img2", "Img4", "Img5"},
         {"Img1", "Img2"},
         {"Img1", "Img3", "Img4"},
     ]
     disj = build_disjoint(manifest, spec)
-    assert [set(t.image_ids) for t in disj.tasks] == [
+    assert [set(t) for t in disj.tasks] == [
         {"Img5"},
         {"Img2"},
         {"Img1", "Img3", "Img4"},
@@ -72,7 +72,7 @@ def test_criterion_01_scenario_memberships(fig3):
     part = build_partitioned(
         manifest, spec, seed=0, assignments={"Img1": 2, "Img2": 2, "Img4": 1}
     )
-    assert [set(t.image_ids) for t in part.tasks] == [
+    assert [set(t) for t in part.tasks] == [
         {"Img4", "Img5"},
         {"Img1", "Img2"},
         {"Img3"},

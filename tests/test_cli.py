@@ -254,6 +254,28 @@ class TestEvalCommands:
         assert code == 2 and doc is None
         assert json.loads(err)["error"]["message"] == message
 
+    def test_miou_refuses_ground_truth_ids_outside_the_layout(self, capsys, tmp_path):
+        # pair 0 is in the layout; pair 1's ground truth holds class 3 of a
+        # two-class layout, which no mean would count
+        (tmp_path / "in.pgm").write_text("P2\n3 1\n255\n1 2 255\n")
+        (tmp_path / "out.pgm").write_text("P2\n3 1\n255\n1 2 3\n")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([{"pred": "in.pgm", "gt": "in.pgm"}, {"pred": "out.pgm", "gt": "out.pgm"}]))
+        code, doc, err = run(capsys, ["eval", "miou", "--pairs", str(pairs), "--task", "1-1", "--class-count", "2"])
+        assert code == 2 and doc is None
+        out = tmp_path / "out.pgm"
+        assert json.loads(err)["error"]["message"] == (
+            f"pair {out}, {out}: ground truth holds class id 3, outside the layout's 1..2")
+
+    def test_miou_scores_a_predicted_id_outside_the_layout_as_a_miss(self, capsys, tmp_path):
+        (tmp_path / "pred.pgm").write_text("P2\n2 1\n255\n1 3\n")
+        (tmp_path / "gt.pgm").write_text("P2\n2 1\n255\n1 2\n")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([{"pred": "pred.pgm", "gt": "gt.pgm"}]))
+        code, doc, _ = run(capsys, ["eval", "miou", "--pairs", str(pairs), "--task", "1-1", "--class-count", "2"])
+        assert code == 0
+        assert doc["per_class_iou"] == {"0": None, "1": 100.0, "2": 0.0}
+
     def test_miou_pair_passes_one_accumulate_wrapper(self, capsys, tmp_path, monkeypatch):
         """With both `ciss.cli.accumulate` and `ciss.metrics.accumulate`
         wrapped, as bench/tracing.py wraps them to count calls, each pair
@@ -291,6 +313,17 @@ class TestEvalCommands:
         assert code == 0
         assert doc["prr"] == 100.0
         assert doc["prr_display"] == "100.00"
+
+    @pytest.mark.parametrize("current", [0, 2])
+    def test_prr_current_task_error_names_the_given_task(self, capsys, tmp_path, current):
+        write_pgm(LabelGrid(width=4, height=1, data=np.array([1, 2, 0, 0], dtype=np.uint8)), tmp_path / "o.pgm")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([{"oracle": "o.pgm", "pseudo": "o.pgm"}]))
+        code, doc, err = run(capsys, ["eval", "prr", "--pairs", str(pairs), "--task", "2-1", "--class-count", "3",
+                                      "--current-task", str(current)])
+        assert code == 2 and doc is None
+        assert json.loads(err)["error"]["message"] == (
+            f"--current-task {current} outside 1..1, the tasks of layout 2-1 that have old classes")
 
     def test_prr_reads_and_scores_one_pair_at_a_time(self, capsys, tmp_path, monkeypatch):
         import ciss.cli

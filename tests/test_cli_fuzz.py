@@ -1,5 +1,5 @@
-"""The CLI contract under mutated inputs: valid PGM, score, split, memory
-and loss-case files with bytes flipped, cut short, or with header fields or
+"""The CLI contract under mutated inputs: valid PGM, score, manifest, split,
+memory and loss-case files with bytes flipped, cut short, or with header fields or
 JSON values edited, fed in-process to `ciss.cli.main`. Whatever the input, the command exits 0, 2 or 3 with
 exactly one JSON document on stdout, or one JSON error line on stderr and
 nothing on stdout, and never lets an exception escape."""
@@ -21,8 +21,10 @@ from ciss import (
     LabelGrid,
     ScoreMatrix,
     build_overlapped,
+    build_partitioned,
     parse_layout,
     sample_class_balanced,
+    save_manifest,
     save_memory,
     save_split,
     write_scores,
@@ -177,13 +179,18 @@ JSON_VALUES = (None, True, False, 0, -1, 2, 2**70, 1.5, float("inf"), "", "x", "
                [[]], {}, {"t": 0})
 
 
+def small_manifest() -> DatasetManifest:
+    """Five images over classes 1..3, each class in two or more of them."""
+    return DatasetManifest(class_count=3, records=(
+        make_record("Img1", {1, 2, 3}), make_record("Img2", {1, 2}), make_record("Img3", {3}),
+        make_record("Img4", {1, 3}), make_record("Img5", {1})))
+
+
 @functools.cache
 def artifact_docs() -> dict[str, dict]:
     """A valid overlapped split (layout 1-1, three tasks) and a memory of two
     entries sampled from it, as their parsed JSON, by file stem."""
-    manifest = DatasetManifest(class_count=3, records=(
-        make_record("Img1", {1, 2, 3}), make_record("Img2", {1, 2}), make_record("Img3", {3}),
-        make_record("Img4", {1, 3}), make_record("Img5", {1})))
+    manifest = small_manifest()
     split = build_overlapped(manifest, parse_layout("1-1", 3))
     with tempfile.TemporaryDirectory() as tmp:
         save_split(split, Path(tmp) / "split.json")
@@ -233,6 +240,50 @@ def test_memory_audits_keep_the_contract(blobs):
         audit = ["--memory", str(tmp / "memory.json"), "--split", str(tmp / "split.json"), "--task", "1"]
         assert_contract(*run(["memory", "overlap-ratio", *audit]))
         assert_contract(*run(["memory", "batch", *audit, "--size", "4", "--seed", "0"]))
+
+
+@functools.cache
+def manifest_files() -> tuple[dict, dict[str, bytes]]:
+    """`small_manifest` as saved: the parsed manifest JSON and the bytes of
+    every file under its directory, the manifest's own, its P5 grids and a
+    partitioned split (layout 1-1, seed 0) built from it, by relative name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_manifest(small_manifest(), tmp / "manifest.json")
+        save_split(build_partitioned(small_manifest(), parse_layout("1-1", 3), 0), tmp / "split.json")
+        files = {str(p.relative_to(tmp)): p.read_bytes() for p in tmp.rglob("*") if p.is_file()}
+    return json.loads(files["manifest.json"]), files
+
+
+@st.composite
+def manifest_inputs(draw) -> dict[str, bytes]:
+    """`manifest_files`, with one value of the manifest JSON swapped or one
+    of the grids it names mutated."""
+    doc, files = manifest_files()
+    files = dict(files)
+    if draw(st.booleans()):
+        files["manifest.json"] = draw(swapped(doc))
+    else:
+        grid = draw(st.sampled_from(sorted(image["labels"] for image in doc["images"])))
+        files[grid] = draw(mutated(files[grid]))
+    return files
+
+
+# four commands an example: as many commands as the memory audits' 200 examples run
+@settings(FUZZ, max_examples=100)
+@given(manifest_inputs())
+def test_manifest_commands_keep_the_contract(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, blob in files.items():
+            (tmp / name).parent.mkdir(exist_ok=True)
+            (tmp / name).write_bytes(blob)
+        manifest = ["--manifest", str(tmp / "manifest.json")]
+        for scenario, seed in (("overlapped", []), ("disjoint", []), ("partitioned", ["--seed", "0"])):
+            assert_contract(*run(["build", *manifest, "--scenario", scenario, "--task", "1-1", *seed,
+                                  "--out", str(tmp / f"{scenario}.json")]))
+        assert_contract(*run(["memory", "sample", *manifest, "--split", str(tmp / "split.json"),
+                              "--upto-task", "1", "--size", "3", "--seed", "0", "--out", str(tmp / "memory.json")]))
 
 
 @functools.cache

@@ -1,4 +1,6 @@
 """Scenario builders, the seen/unseen overlap split, and persistence."""
+import json
+
 import pytest
 
 from ciss import (
@@ -194,6 +196,38 @@ class TestPersistence:
         path.write_text(path.read_text().replace("overlapped", "sideways"))
         with pytest.raises(FormatError):
             load_split(path)
+
+    def test_load_rejects_assignments_outside_the_split(self, tmp_path):
+        manifest = synthetic_manifest(20, 6, seed=2)
+        path = tmp_path / "split.json"
+        save_split(build_partitioned(manifest, parse_layout("2-2", 6), seed=7), path)
+        doc = json.loads(path.read_text())
+        doc["assignments"]["Ghost"] = 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="assignments name images in no task: \\['Ghost'\\]"):
+            load_split(path)
+
+    @pytest.mark.parametrize("edit", [lambda doc: doc["tasks"].pop(),
+                                      lambda doc: doc["tasks"].append({"t": 3, "classes": [], "image_ids": []}),
+                                      lambda doc: doc["tasks"][1].update(t=2),
+                                      lambda doc: doc["tasks"][1].update(classes=[3])],
+                             ids=["task-missing", "task-extra", "t-off-position", "classes-off-layout"])
+    def test_load_rejects_task_entries_off_the_layout(self, fig3_manifest, fig3_spec, tmp_path, edit):
+        path = tmp_path / "split.json"
+        save_split(build_overlapped(fig3_manifest, fig3_spec), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_split(path)
+
+    def test_split_holds_one_id_list_per_layout_task(self, fig3_manifest, fig3_spec):
+        split = build_overlapped(fig3_manifest, fig3_spec)
+        assert split.tasks == (("Img1", "Img2", "Img4", "Img5"), ("Img1", "Img2"), ("Img1", "Img3", "Img4"))
+        with pytest.raises(ValidationError, match="split holds 2 task lists for layout tasks 0..2"):
+            ciss.SplitManifest(scenario="overlapped", spec=fig3_spec, tasks=split.tasks[:2])
+        with pytest.raises(ValidationError, match="task index 3 outside 0..2"):
+            split.task_ids(3)
 
 
 class TestBackgroundShift:
