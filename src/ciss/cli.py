@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import math
 import sys
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import json_text, read_json, reading
-from .errors import CissError, ValidationError
+from .artifacts import json_text, read_json
+from .errors import CissError, FormatError, ValidationError
 from .ids import ATOMIC_LOSSES, COMPOSITE_LOSSES, SCENARIO_KINDS
 
 
@@ -179,11 +180,14 @@ def cmd_pseudo(args) -> dict:
 
 def _read_pairs(path: str, first: str, second: str) -> list[tuple]:
     doc = read_json(path, "pairs file")
-    with reading(path, "pairs file"):
-        pairs = [(Path(path).parent / e[first], Path(path).parent / e[second]) for e in doc]
-    if not pairs:
+    if not isinstance(doc, list):
+        raise FormatError(f"{path}: pairs file must hold a JSON list of objects")
+    for i, e in enumerate(doc):
+        if not (isinstance(e, dict) and all(isinstance(e.get(k), str) and e[k] for k in (first, second))):
+            raise FormatError(f"{path}: pairs entry {i} needs the keys {first!r} and {second!r}, each a path")
+    if not doc:
         raise ValidationError(f"{path}: pairs file is empty")
-    return pairs
+    return [(Path(path).parent / e[first], Path(path).parent / e[second]) for e in doc]
 
 
 def cmd_eval_miou(args) -> dict:
@@ -259,7 +263,10 @@ def _command(sub, name: str, help: str, func, *parents) -> argparse.ArgumentPars
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every `main` call shares it."""
     parser = _Parser(prog="ciss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # option groups shared by sibling commands

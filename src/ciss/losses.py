@@ -27,16 +27,9 @@ from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid
 from .ids import ATOMIC_LOSSES, COMPOSITE_LOSSES
 from .pgm import read_pgm
-from .scores import ScoreMatrix, read_scores
+from .scores import ScoreMatrix, read_scores, row_blocks
 
 _LN2 = math.log(2.0)
-# rows per kernel call, so that a call's K x b temporaries stay in cache. Larger
-# blocks run faster in a warm process but not in a fresh CLI child, whose
-# allocator maps and faults in each larger temporary anew: at 8192 rows a
-# `loss value --loss memory_augmented` child on a 500 x 375, K = 17 batch took
-# 35.1k minor page faults and 0.253 s against 30.8k and 0.238 s at 2048
-# (ce_current: 13.6k against 12.7k; 2-core VM, median of 6 alternating runs).
-BLOCK_ROWS = 2048
 
 
 def _finite(value, name: str) -> float:
@@ -337,17 +330,6 @@ def _prepare(loss_id: str, item: LossItem, layout: TaskClassLayout | None, cfg: 
     return prepare(item, sorted(getattr(layout, own)), getattr(layout, pooled), cfg)
 
 
-def _blocks(z: np.ndarray):
-    """(block, zt) for BLOCK_ROWS-row blocks of the N x K logits z, zt the
-    block's rows class-major (K x b). A last block of one row joins the block
-    before it: numpy sums a lone column pairwise and wider blocks row by row,
-    so only then does a row's result not depend on the blocks."""
-    start = 0
-    for stop in [*range(BLOCK_ROWS, len(z) - 1, BLOCK_ROWS), len(z)]:
-        yield slice(start, stop), np.ascontiguousarray(z[start:stop].T)
-        start = stop
-
-
 def _blocked(kernel, z: np.ndarray, grad: bool, rows: np.ndarray | None = None):
     """Run `kernel` over the blocks of the logits z, which hold the item's
     pixels `rows` (all of them, in order, when None); return the loss per row
@@ -355,7 +337,7 @@ def _blocked(kernel, z: np.ndarray, grad: bool, rows: np.ndarray | None = None):
     blocks change no bit of either."""
     loss = np.empty(len(z))
     g = np.empty(z.shape) if grad else None
-    for block, zt in _blocks(z):
+    for block, zt in row_blocks(z):
         loss[block], block_grad = kernel(zt, block if rows is None else rows[block], grad)
         if grad:
             g[block] = block_grad.T
@@ -381,7 +363,7 @@ def _bucket_probs(scores: ScoreMatrix, layout: TaskClassLayout, singles, pooled)
     _check_classes(scores, layout.old_classes | layout.new_classes, "score")
     buckets = _bucket_rows(scores, sorted(singles), pooled)
     probs = np.empty((scores.n_pixels, len(singles) + 1))
-    for block, zt in _blocks(scores.logits):
+    for block, zt in row_blocks(scores.logits):
         probs[block] = np.exp(_bucket_log_probs(zt, *buckets)[0]).T
     return probs
 
@@ -528,7 +510,7 @@ def grad_check(
     rows, cols = np.divmod(picks, z.shape[1])
     # the gradient's scale and its values at the picks, block by block
     loss, grad, top = np.empty(len(z)), np.empty(len(picks)), 0.0
-    for block, zt in _blocks(z):
+    for block, zt in row_blocks(z):
         loss[block], block_grad = kernel(zt, block, True)
         block_top = float(np.abs(block_grad).max())
         if not math.isfinite(block_top):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid, class_ids
-from .scores import ScoreMatrix, softmax_probs, top_class
+from .scores import ScoreMatrix, top_probs
 
 
 @dataclass(frozen=True)
@@ -32,19 +32,20 @@ def pseudo_label(
     cfg: PseudoConfig,
 ) -> LabelGrid:
     keep = class_ids(current_classes)
+    if not keep:
+        raise ValidationError("at least one current class is needed: with none, every "
+                              "current-task label would be lost")
     if gt.n_pixels != prev_scores.n_pixels:
         raise ValidationError(
             f"grid has {gt.n_pixels} pixels, scores have {prev_scores.n_pixels}"
         )
-    probs = softmax_probs(prev_scores)
-    best_class = top_class(prev_scores, probs)
-    confidence = probs.max(axis=1)
+    best_class, confidence = top_probs(prev_scores)
 
     current = np.isin(gt.data, np.asarray(keep, dtype=np.uint8))
     out = np.full(gt.n_pixels, BACKGROUND, dtype=np.uint8)
     out[current] = gt.data[current]
     fill = (gt.data == BACKGROUND) & (confidence > cfg.tau)
-    out[fill] = best_class[fill].astype(np.uint8)
+    out[fill] = best_class[fill]
     keep_ignore = gt.data == IGNORE
     out[keep_ignore] = IGNORE
     out.setflags(write=False)

@@ -18,6 +18,15 @@ from .artifacts import read_bytes, reading
 from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid
 
+# Rows per block of a pass over a score matrix, so that a block's K x b
+# temporaries stay in cache. Larger blocks run faster in a warm process but
+# not in a fresh CLI child, whose allocator maps and faults in each larger
+# temporary anew: at 8192 rows a `loss value --loss memory_augmented` child on
+# a 500 x 375, K = 17 batch took 35.1k minor page faults and 0.253 s against
+# 30.8k and 0.238 s at 2048 (ce_current: 13.6k against 12.7k; 2-core VM,
+# median of 6 alternating runs).
+BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
@@ -66,13 +75,46 @@ class ScoreMatrix:
             raise ValidationError(f"class {class_id} not in score matrix") from None
 
 
+def row_blocks(z: np.ndarray):
+    """(block, zt) for BLOCK_ROWS-row blocks of the N x K logits z, zt the
+    block's rows class-major (K x b): a copy, or a view of z when one row or
+    one class makes that contiguous already. A last block of one row joins
+    the block before it: numpy sums a lone column pairwise and wider blocks
+    row by row, so only then does a row's result not depend on the blocks."""
+    start = 0
+    for stop in [*range(BLOCK_ROWS, len(z) - 1, BLOCK_ROWS), len(z)]:
+        yield slice(start, stop), np.ascontiguousarray(z[start:stop].T)
+        start = stop
+
+
+def _softmax_columns(zt: np.ndarray) -> np.ndarray:
+    """The softmax of each column of the class-major logits zt (K x b),
+    stabilized by max subtraction: bit for bit the row-wise softmax of zt.T.
+    The max is exact in any order, and exp and division act elementwise, so
+    only the sums depend on the layout: they are taken row-major, adding
+    each pixel's classes in the order a row-wise sum does."""
+    e = zt - zt.max(axis=0)
+    np.exp(e, out=e)
+    e /= np.ascontiguousarray(e.T).sum(axis=1)
+    return e
+
+
 def softmax_probs(scores: ScoreMatrix) -> np.ndarray:
-    """Row-wise softmax of the logits, stabilized by max subtraction; each
-    row depends on that row alone."""
-    z = scores.logits
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax of the logits (N x K)."""
+    return _softmax_columns(scores.logits.T).T
+
+
+def top_probs(scores: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the class id of the largest softmax probability (ties go to
+    the lowest id) and that probability, equal bit for bit to those of
+    `softmax_probs`. The rows are taken BLOCK_ROWS at a time, so no N x K
+    temporary is built."""
+    best, confidence = np.empty(scores.n_pixels, dtype=np.uint8), np.empty(scores.n_pixels)
+    for block, zt in row_blocks(scores.logits):
+        probs = _softmax_columns(zt)
+        best[block] = top_class(scores, probs)
+        confidence[block] = probs.max(axis=0)
+    return best, confidence
 
 
 def predict_labels(scores: ScoreMatrix, *, width: int | None = None, height: int | None = None) -> LabelGrid:
@@ -86,16 +128,17 @@ def predict_labels(scores: ScoreMatrix, *, width: int | None = None, height: int
         width, height = n, 1
     if width is None or height is None or width * height != n:
         raise ValidationError(f"shape {width}x{height} does not cover {n} pixels")
-    data = top_class(scores, scores.logits).astype(np.uint8)
+    data = top_class(scores, scores.logits.T)
     data.setflags(write=False)
     return LabelGrid(width=width, height=height, data=data)
 
 
-def top_class(scores: ScoreMatrix, values: np.ndarray) -> np.ndarray:
-    """Per row of `values` (N x K, columns in `scores.class_map` order), the class id of the largest
-    value: argmax takes the first maximum of the columns sorted by id, so ties go to the lowest id."""
-    order = np.argsort(scores.class_map, kind="stable")
-    return np.asarray(scores.class_map, dtype=np.int64)[order][np.argmax(values[:, order], axis=1)]
+def top_class(scores: ScoreMatrix, values_t: np.ndarray) -> np.ndarray:
+    """Per column of `values_t` (K x N, rows in `scores.class_map` order), the class id (uint8) of its
+    largest value. Ties go to the lowest id: of the tied classes, the one whose IGNORE - id is largest."""
+    is_top = values_t == values_t.max(axis=0)
+    below_ignore = (IGNORE - np.asarray(scores.class_map)).astype(np.uint8)
+    return IGNORE - (is_top * below_ignore[:, None]).max(axis=0)
 
 
 def write_scores(scores: ScoreMatrix, path: str | os.PathLike, *, binary: bool = False) -> None:

@@ -325,6 +325,33 @@ class TestEvalCommands:
         assert json.loads(err)["error"]["message"] == (
             f"--current-task {current} outside 1..1, the tasks of layout 2-1 that have old classes")
 
+    @pytest.mark.parametrize("command, entry, keys", [
+        ("prr", {"pseudo": "o.pgm"}, "'oracle' and 'pseudo'"),
+        ("miou", {"pred": "o.pgm", "oracle": "o.pgm"}, "'pred' and 'gt'"),
+        ("prr", "o.pgm", "'oracle' and 'pseudo'"),
+        ("miou", {"pred": 5, "gt": "o.pgm"}, "'pred' and 'gt'"),
+        ("miou", {"pred": "o.pgm", "gt": ""}, "'pred' and 'gt'"),
+    ], ids=["prr-no-oracle", "miou-no-gt", "prr-string", "miou-number", "miou-empty-path"])
+    def test_pairs_entry_error_names_the_entry_and_its_keys(self, capsys, tmp_path, command, entry, keys):
+        write_pgm(LabelGrid(width=4, height=1, data=np.array([1, 2, 0, 0], dtype=np.uint8)), tmp_path / "o.pgm")
+        pairs = tmp_path / "pairs.json"
+        both = {"prr": {"oracle": "o.pgm", "pseudo": "o.pgm"}, "miou": {"pred": "o.pgm", "gt": "o.pgm"}}[command]
+        pairs.write_text(json.dumps([both, entry]))
+        extra = ["--current-task", "1"] if command == "prr" else []
+        code, doc, err = run(capsys, ["eval", command, "--pairs", str(pairs), "--task", "2-1",
+                                      "--class-count", "3", *extra])
+        assert code == 2 and doc is None
+        assert json.loads(err)["error"] == {"type": "FormatError",
+                                            "message": f"{pairs}: pairs entry 1 needs the keys {keys}, each a path"}
+
+    def test_pairs_file_must_be_a_list(self, capsys, tmp_path):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"oracle": "o.pgm", "pseudo": "o.pgm"}))
+        code, doc, err = run(capsys, ["eval", "prr", "--pairs", str(pairs), "--task", "2-1",
+                                      "--class-count", "3", "--current-task", "1"])
+        assert code == 2 and doc is None
+        assert json.loads(err)["error"]["message"] == f"{pairs}: pairs file must hold a JSON list of objects"
+
     def test_prr_reads_and_scores_one_pair_at_a_time(self, capsys, tmp_path, monkeypatch):
         import ciss.cli
         import ciss.metrics
@@ -816,7 +843,7 @@ class TestLoaderContract:
         "make_argv",
         [_manifest_labels_int, _manifest_id_int, _manifest_class_count_255, _manifest_grid_missing,
          _eval_class_count_255, _split_assignment_string, _pseudo_classes("300"),
-         _pseudo_classes("3,255"), _pseudo_classes("-1"),
+         _pseudo_classes("3,255"), _pseudo_classes("-1"), _pseudo_classes(""), _pseudo_classes(","),
          *(_bad_file(kind, UNDECODABLE) for kind in ("manifest", "split", "memory", "pairs")),
          *(_bad_file(kind, DEEP) for kind in ("manifest", "split", "memory", "pairs", "case")),
          _class_order_missing, _bad_file("class-order", b"\xff\n"), *_NON_INTEGER_FIELDS.values(),
@@ -827,6 +854,7 @@ class TestLoaderContract:
          _build_out_unwritable, _memory_out_unwritable, _pseudo_out_unwritable],
         ids=["labels-int", "id-int", "class-count-255", "grid-missing", "eval-class-count-255",
              "assignment-string", "current-classes-300", "current-classes-255", "current-classes-negative",
+             "current-classes-empty", "current-classes-comma",
              "manifest-undecodable", "split-undecodable", "memory-undecodable", "pairs-undecodable",
              "manifest-deep", "split-deep", "memory-deep", "pairs-deep", "case-deep",
              "class-order-missing", "class-order-undecodable", *_NON_INTEGER_FIELDS, *_NON_STRING_FIELDS,
@@ -852,6 +880,26 @@ class TestProcessLevel:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_calls_in_one_process_share_one_parser(self, capsys, tmp_path, manifest_path):
+        """Commands run one after another in a process, a usage error between
+        them, each dispatch to their own handler on the one cached parser."""
+        assert build_parser() is build_parser()
+        write_pgm(LabelGrid(width=4, height=1, data=np.array([1, 2, 0, 0], dtype=np.uint8)), tmp_path / "o.pgm")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([{"oracle": "o.pgm", "pseudo": "o.pgm"}]))
+        prr = ["eval", "prr", "--pairs", str(pairs), "--task", "2-1", "--class-count", "3", "--current-task", "1"]
+        build = ["build", "--manifest", str(manifest_path), "--scenario", "overlapped", "--task", "1-1",
+                 "--out", str(tmp_path / "split.json")]
+        code, doc, err = run(capsys, prr)
+        assert (code, doc["prr"], err) == (0, 100.0, "")
+        code, doc, err = run(capsys, ["eval", "prr", "--task", "2-1"])
+        assert (code, doc) == (2, None)
+        assert json.loads(err)["error"]["message"].startswith("ciss eval prr: the following arguments are required")
+        code, doc, err = run(capsys, build)
+        assert (code, doc["task_counts"], err) == (0, [4, 2, 3], "")
+        code, doc, err = run(capsys, prr)
+        assert (code, doc["prr"], err) == (0, 100.0, "")
 
     def test_help_exits_0(self):
         proc = subprocess.run([sys.executable, "-m", "ciss.cli", "--help"], capture_output=True, text=True)

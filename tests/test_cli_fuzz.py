@@ -1,6 +1,7 @@
 """The CLI contract under mutated inputs: valid PGM, score, manifest, split,
-memory and loss-case files with bytes flipped, cut short, or with header fields or
-JSON values edited, fed in-process to `ciss.cli.main`. Whatever the input, the command exits 0, 2 or 3 with
+memory, pairs, class order and loss-case files with bytes flipped, cut short, or
+with header fields or JSON values edited, and any text as a `pseudo` option,
+fed in-process to `ciss.cli.main`. Whatever the input, the command exits 0, 2 or 3 with
 exactly one JSON document on stdout, or one JSON error line on stderr and
 nothing on stdout, and never lets an exception escape."""
 import contextlib
@@ -149,6 +150,34 @@ def test_pseudo_keeps_the_contract(files, current):
                               "--current-classes", current, "--tau", "0.5", "--out", str(tmp / "out.pgm")]))
 
 
+@functools.cache
+def pseudo_files() -> dict[str, bytes]:
+    """A valid ground-truth PGM holding classes 0, 1, 3 and 255, and a
+    previous-model score file for it over classes 0..2."""
+    gt = LabelGrid(width=3, height=2, data=np.array([0, 3, 1, 0, 255, 0], dtype=np.uint8))
+    logits = np.random.default_rng(0).normal(scale=3.0, size=(6, 3))
+    return {"gt.pgm": pgm_bytes(gt, False), "prev.scores": score_bytes(ScoreMatrix((0, 1, 2), logits), False)}
+
+
+# class lists and thresholds, well-formed or not, and any text at all
+CLASS_LISTS = st.lists(st.integers(-2, 300).map(str) | st.sampled_from(["", " ", "x", "1.0", "3 "]),
+                       max_size=4).map(",".join) | st.text()
+THRESHOLDS = st.floats().map(repr) | st.sampled_from(["0", "1", "0.5", "-0", "1e-400", " 0.5", ".5"]) | st.text()
+
+
+@FUZZ
+@given(CLASS_LISTS, THRESHOLDS)
+@example("", "0.5")
+@example(",", "0.5")
+def test_pseudo_options_keep_the_contract(current, tau):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, blob in pseudo_files().items():
+            (tmp / name).write_bytes(blob)
+        assert_contract(*run(["pseudo", "--gt", str(tmp / "gt.pgm"), "--prev-scores", str(tmp / "prev.scores"),
+                              "--current-classes", current, "--tau", tau, "--out", str(tmp / "out.pgm")]))
+
+
 @st.composite
 def miou_inputs(draw):
     """Prediction and ground-truth PGMs of one grid size, either mutated."""
@@ -172,6 +201,42 @@ def test_eval_miou_keeps_the_contract(blobs):
         (tmp / "pairs.json").write_text(json.dumps([{"pred": "pred.pgm", "gt": "gt.pgm"}]))
         assert_contract(*run(["eval", "miou", "--pairs", str(tmp / "pairs.json"),
                               "--task", "2-1", "--class-count", "3"]))
+
+
+@functools.cache
+def eval_files() -> dict[str, bytes]:
+    """Two PGMs, a class order file over classes 1..3, and the pairs files
+    of `eval miou` and `eval prr` over them."""
+    a = LabelGrid(width=3, height=1, data=np.array([1, 2, 0], dtype=np.uint8))
+    b = LabelGrid(width=3, height=1, data=np.array([1, 3, 255], dtype=np.uint8))
+    return {"a.pgm": pgm_bytes(a, False), "b.pgm": pgm_bytes(b, True), "order.txt": b"3\n1\n2\n",
+            "miou.json": json.dumps([{"pred": "a.pgm", "gt": "b.pgm"}, {"pred": "b.pgm", "gt": "b.pgm"}]).encode(),
+            "prr.json": json.dumps([{"oracle": "b.pgm", "pseudo": "a.pgm"}]).encode()}
+
+
+@st.composite
+def eval_inputs(draw) -> dict[str, bytes]:
+    """`eval_files` with one of its pairs files given a swapped value or
+    mutated bytes, or its class order file mutated."""
+    files = dict(eval_files())
+    target = draw(st.sampled_from(["miou.json", "prr.json", "order.txt"]))
+    if target == "order.txt":
+        files[target] = draw(mutated(files[target]))
+    else:
+        files[target] = draw(swapped(json.loads(files[target])) | mutated(files[target]))
+    return files
+
+
+@FUZZ
+@given(eval_inputs())
+def test_eval_files_keep_the_contract(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, blob in files.items():
+            (tmp / name).write_bytes(blob)
+        layout = ["--task", "2-1", "--class-order", str(tmp / "order.txt")]
+        assert_contract(*run(["eval", "miou", "--pairs", str(tmp / "miou.json"), *layout]))
+        assert_contract(*run(["eval", "prr", "--pairs", str(tmp / "prr.json"), *layout, "--current-task", "1"]))
 
 
 # values a JSON type swap may put in place of any value of a split or memory file

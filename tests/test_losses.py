@@ -32,6 +32,7 @@ from ciss import (
 from ciss import losses as losses_module
 from ciss.losses import GradCheckReport
 from ciss.pgm import write_pgm
+from ciss.scores import BLOCK_ROWS
 
 LAYOUT = TaskClassLayout(old_classes=frozenset({1}), new_classes=frozenset({2, 3}))
 WIDE = TaskClassLayout(old_classes=frozenset({1, 2}), new_classes=frozenset({3, 4, 5}))
@@ -567,7 +568,7 @@ class TestGradients:
         assert report.max_rel_err > 1e-4
 
 
-B = losses_module.BLOCK_ROWS
+B = BLOCK_ROWS
 
 
 @pytest.mark.parametrize("loss_id, cfg", [*((lid, CFG) for lid in ATOMIC_LOSSES),

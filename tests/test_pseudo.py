@@ -1,4 +1,6 @@
 """Pseudo-labeling rules and threshold behavior."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ciss import (
     pseudo_label,
     relabel,
 )
+from ciss.scores import BLOCK_ROWS, softmax_probs, top_probs
 from conftest import grid_with, one_hot_scores, random_scores
 
 
@@ -103,3 +106,81 @@ def test_misaligned_sizes_rejected():
 def test_threshold_range_validated():
     with pytest.raises(ValidationError):
         PseudoConfig(tau=1.5)
+
+
+@pytest.mark.parametrize("current", [set(), ()])
+def test_empty_current_class_set_rejected(current):
+    gt = LabelGrid(width=2, height=1, data=np.array([3, 0], dtype=np.uint8))
+    with pytest.raises(ValidationError, match="at least one current class"):
+        pseudo_label(gt, random_scores(2, (0, 1), seed=0), current, PseudoConfig(tau=0.5))
+
+
+def full_matrix_softmax(scores: ScoreMatrix) -> np.ndarray:
+    """The row-wise softmax of the whole N x K matrix in one pass: the
+    reference the class-major blocks must match bit for bit."""
+    z = scores.logits
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def assert_same_top(scores: ScoreMatrix) -> None:
+    probs = full_matrix_softmax(scores)
+    order = np.argsort(scores.class_map, kind="stable")
+    want_best = np.asarray(scores.class_map, dtype=np.int64)[order][np.argmax(probs[:, order], axis=1)]
+    best, confidence = top_probs(scores)
+    assert np.array_equal(best, want_best)
+    assert np.array_equal(confidence, probs.max(axis=1))
+    assert np.array_equal(softmax_probs(scores), probs)
+
+
+@pytest.mark.parametrize("class_map", [tuple(range(16)), (7, 0, 15, 3, 9, 1, 12, 5, 2, 14, 4, 11, 6, 13, 8, 10)],
+                         ids=["sorted", "unsorted"])
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17])
+def test_blocked_top_is_bit_identical_to_the_full_matrix(class_map, n):
+    rng = np.random.default_rng(n)
+    assert_same_top(ScoreMatrix(class_map=class_map, logits=rng.normal(scale=4.0, size=(n, 16))))
+
+
+@pytest.mark.parametrize("class_map", [(0, 1, 2, 3), (3, 1, 0, 2)], ids=["sorted", "unsorted"])
+def test_blocked_top_breaks_exact_ties_to_the_lowest_id(class_map):
+    """Logits drawn from three values, so most rows tie two or more classes."""
+    logits = np.random.default_rng(0).choice([0.0, 1.0, 2.0], size=(BLOCK_ROWS + 1, 4))
+    scores = ScoreMatrix(class_map=class_map, logits=logits)
+    assert_same_top(scores)
+    best, _ = top_probs(scores)
+    top = logits == logits.max(axis=1, keepdims=True)
+    assert best.tolist() == [min(c for c, t in zip(class_map, row) if t) for row in top]
+
+
+def test_confidence_equal_to_tau_is_not_filled():
+    """Classes 1 and 2 tie and background's probability is exactly 0, so
+    every row's top probability is exactly 0.5; the fill needs a confidence
+    strictly above tau."""
+    n = BLOCK_ROWS + 1
+    logits = np.zeros((n, 3))
+    logits[:, 0] = -1e300
+    scores = ScoreMatrix(class_map=(0, 2, 1), logits=logits)
+    assert_same_top(scores)
+    best, confidence = top_probs(scores)
+    assert np.all(confidence == 0.5) and np.all(best == 1)
+    gt = LabelGrid(width=n, height=1, data=np.zeros(n, dtype=np.uint8))
+    assert pseudo_label(gt, scores, {3}, PseudoConfig(tau=0.5)) == gt
+    below = pseudo_label(gt, scores, {3}, PseudoConfig(tau=float(np.nextafter(0.5, 0.0))))
+    assert np.all(below.data == 1)
+
+
+def test_full_size_image_takes_a_few_mb():
+    """One 500 x 375 image over 16 classes: the row blocks keep pseudo_label's
+    temporaries far below one N x K float64 matrix (24 MB)."""
+    n = 187_500
+    rng = np.random.default_rng(0)
+    scores = ScoreMatrix(class_map=tuple(range(16)), logits=rng.normal(size=(n, 16)))
+    gt = LabelGrid(width=500, height=375, data=rng.choice(np.array([0, 16, 255], dtype=np.uint8), n))
+    tracemalloc.start()
+    try:
+        pseudo_label(gt, scores, {16}, PseudoConfig(tau=0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
