@@ -24,7 +24,7 @@ import numpy as np
 
 from .artifacts import is_int, read_json, reading
 from .errors import FormatError, ValidationError
-from .grid import BACKGROUND, IGNORE, LabelGrid
+from .grid import BACKGROUND, IGNORE, LabelGrid, class_ids
 from .ids import ATOMIC_LOSSES, COMPOSITE_LOSSES
 from .pgm import read_pgm
 from .scores import ScoreMatrix, read_scores, row_blocks
@@ -77,15 +77,12 @@ class TaskClassLayout:
     new_classes: frozenset[int]
 
     def __post_init__(self) -> None:
-        old = frozenset(int(c) for c in self.old_classes)
-        new = frozenset(int(c) for c in self.new_classes)
+        old = frozenset(class_ids(self.old_classes))
+        new = frozenset(class_ids(self.new_classes))
         object.__setattr__(self, "old_classes", old)
         object.__setattr__(self, "new_classes", new)
         if old & new:
             raise ValidationError(f"old and new classes overlap: {sorted(old & new)}")
-        reserved = (old | new) & {BACKGROUND, IGNORE}
-        if reserved:
-            raise ValidationError(f"reserved class ids {sorted(reserved)} cannot be old or new")
         if not new:
             raise ValidationError("layout needs at least one new class")
 

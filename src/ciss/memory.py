@@ -141,6 +141,15 @@ class _Untaken:
             full = self._full[key]
             insort(self.pools[key], full[bisect_left(full, (image_id,))])
 
+    def draw(self, key, rng: random.Random) -> tuple[str, int] | None:
+        """A seeded pick from the key's pool, already taken; None when the pool is empty."""
+        pool = self.pools[key]
+        if not pool:
+            return None
+        pick = pool[rng.randrange(len(pool))]
+        self.take(pick[0])
+        return pick
+
 
 def sample_class_balanced(
     split: SplitManifest,
@@ -155,12 +164,8 @@ def sample_class_balanced(
     supply allows; a class with no remaining images is skipped and the budget
     flows to the others.
     """
-    spec = split.spec
-    if capacity < 1:
-        raise ValidationError("memory capacity must be >= 1")
-    if not 0 <= upto_task <= spec.task_count:
-        raise ValidationError(f"task index {upto_task} outside 0..{spec.task_count}")
-    order = spec.class_order[: spec.base_count + upto_task * spec.step]
+    visible = classes_up_to(split.spec, upto_task)
+    order = [c for c in split.spec.class_order if c in visible]
     untaken = _Untaken(_class_pools(split, manifest, order, upto_task))
 
     rng = random.Random(seed)
@@ -171,12 +176,9 @@ def sample_class_balanced(
         for cls in order:
             if len(entries) >= capacity:
                 break
-            pool = untaken.pools[cls]
-            if not pool:
+            if (pick := untaken.draw(cls, rng)) is None:
                 continue
-            image_id, saved_at = pool[rng.randrange(len(pool))]
-            untaken.take(image_id)
-            entries.append(ExemplarEntry(image_id, saved_at, cls))
+            entries.append(ExemplarEntry(*pick, cls))
             progress = True
         if not progress:
             warnings.append(
@@ -199,20 +201,19 @@ def extend_class_balanced(
     Each new class targets an equal share of the capacity, supply permitting.
     """
     spec = split.spec
-    new_classes = [c for c in spec.class_order if c in task_classes(spec, new_task)]
+    introduced = task_classes(spec, new_task)
+    new_classes = [c for c in spec.class_order if c in introduced]
     untaken = _Untaken(_class_pools(split, manifest, new_classes, new_task), memory.ids())
     rng = random.Random(seed)
 
     entries = list(memory.entries)
     warnings = list(memory.warnings)
-    visible = spec.base_count + new_task * spec.step
-    target = max(1, memory.capacity // visible)
+    target = max(1, memory.capacity // len(classes_up_to(spec, new_task)))
     counts = Counter(e.anchor_class for e in entries)
 
     for cls in new_classes:
         while counts[cls] < target:
-            pool = untaken.pools[cls]
-            if not pool:
+            if not untaken.pools[cls]:
                 warnings.append(f"class {cls}: no unsampled images left")
                 break
             evicted = None
@@ -223,11 +224,10 @@ def extend_class_balanced(
                 victims = [i for i, e in enumerate(entries) if counts[e.anchor_class] == top]
                 evicted = entries.pop(victims[rng.randrange(len(victims))])
                 counts[evicted.anchor_class] -= 1
-            image_id, saved_at = pool[rng.randrange(len(pool))]
-            untaken.take(image_id)
+            pick = untaken.draw(cls, rng)
             if evicted is not None:  # drawable again, from the next draw on
                 untaken.release(evicted.image_id)
-            entries.append(ExemplarEntry(image_id, saved_at, cls))
+            entries.append(ExemplarEntry(*pick, cls))
             counts[cls] += 1
     return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 
@@ -277,11 +277,10 @@ def make_non_overlapping_variant(
         if entry.image_id not in current:
             entries.append(entry)
             continue
-        if preferred := untaken.pools[entry.anchor_class]:
-            image_id, saved_at = preferred[rng.randrange(len(preferred))]
+        if (pick := untaken.draw(entry.anchor_class, rng)) is not None:
             anchor = entry.anchor_class
-        elif remaining := untaken.pools[None]:
-            image_id, saved_at = remaining[rng.randrange(len(remaining))]
+        elif (pick := untaken.draw(None, rng)) is not None:
+            image_id = pick[0]
             stored_visible = sorted(
                 manifest.record(image_id).oracle_classes & classes_up_to(spec, 0),
                 key=spec.class_order.index,
@@ -296,8 +295,7 @@ def make_non_overlapping_variant(
             entries.append(entry)
             warnings.append(f"{entry.image_id}: non-overlapping supply exhausted, kept")
             continue
-        untaken.take(image_id)
-        entries.append(ExemplarEntry(image_id, saved_at, anchor))
+        entries.append(ExemplarEntry(*pick, anchor))
     return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 
 
@@ -324,20 +322,17 @@ def compose_batch(
     if not pool:
         raise ValidationError("no current-task images to sample")
     rng = random.Random(seed)
-    if len(pool) >= n_current:
-        chosen = rng.sample(pool, n_current)
-    else:
-        warnings.append("current supply below half batch; sampling with replacement")
-        chosen = [pool[rng.randrange(len(pool))] for _ in range(n_current)]
-    items = [BatchItem(image_id=i, source="current") for i in chosen]
-    if n_memory:
-        mem_ids = [e.image_id for e in memory.entries]
-        if len(mem_ids) >= n_memory:
-            picks = rng.sample(mem_ids, n_memory)
-        else:
-            warnings.append("memory below half batch; sampling with replacement")
-            picks = [mem_ids[rng.randrange(len(mem_ids))] for _ in range(n_memory)]
-        items.extend(BatchItem(image_id=i, source="memory") for i in picks)
+
+    def picks(ids: list[str], n: int, short: str) -> list[str]:
+        if len(ids) >= n:
+            return rng.sample(ids, n)
+        warnings.append(f"{short}; sampling with replacement")
+        return [ids[rng.randrange(len(ids))] for _ in range(n)]
+
+    items = [BatchItem(image_id=i, source="current")
+             for i in picks(pool, n_current, "current supply below half batch")]
+    items.extend(BatchItem(image_id=i, source="memory")
+                 for i in picks([e.image_id for e in memory.entries], n_memory, "memory below half batch"))
     return ReplayBatch(items=tuple(items), warnings=tuple(warnings))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import BACKGROUND, IGNORE, LabelGrid, class_ids
+from .grid import BACKGROUND, LabelGrid, class_ids, relabel
 from .scores import ScoreMatrix, top_probs
 
 
@@ -40,13 +40,7 @@ def pseudo_label(
             f"grid has {gt.n_pixels} pixels, scores have {prev_scores.n_pixels}"
         )
     best_class, confidence = top_probs(prev_scores)
-
-    current = np.isin(gt.data, np.asarray(keep, dtype=np.uint8))
-    out = np.full(gt.n_pixels, BACKGROUND, dtype=np.uint8)
-    out[current] = gt.data[current]
     fill = (gt.data == BACKGROUND) & (confidence > cfg.tau)
-    out[fill] = best_class[fill]
-    keep_ignore = gt.data == IGNORE
-    out[keep_ignore] = IGNORE
+    out = np.where(fill, best_class, relabel(gt, keep).data)
     out.setflags(write=False)
     return LabelGrid(width=gt.width, height=gt.height, data=out)

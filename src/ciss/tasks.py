@@ -54,14 +54,8 @@ class TaskSpec:
 
 def task_classes(spec: TaskSpec, t: int) -> set[int]:
     """Class ids introduced at task t."""
-    if not 0 <= t <= spec.task_count:
-        raise ValidationError(f"task index {t} outside 0..{spec.task_count}")
-    if t == 0:
-        block = spec.class_order[: spec.base_count]
-    else:
-        start = spec.base_count + (t - 1) * spec.step
-        block = spec.class_order[start : start + spec.step]
-    return set(block)
+    visible = classes_up_to(spec, t)
+    return visible - classes_up_to(spec, t - 1) if t else visible
 
 
 def classes_up_to(spec: TaskSpec, t: int) -> set[int]:

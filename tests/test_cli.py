@@ -547,6 +547,17 @@ class TestLossCaseContract:
         path.write_text(json.dumps(doc))
         _assert_one_json_error([*argv, "--case", str(path)])
 
+    @pytest.mark.parametrize("side", ["old", "new"])
+    @pytest.mark.parametrize("class_id", [0, 255, 300, -1])
+    def test_layout_id_outside_1_to_254_exits_2(self, tmp_path, side, class_id):
+        """pseudo_replay scores its items without the layout's class check,
+        so a layout id no score map could hold is refused when the case loads."""
+        doc = _case_24(tmp_path)
+        doc["layout"][side].append(class_id)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        _assert_one_json_error(["loss", "value", "--loss", "pseudo_replay", "--case", str(path)])
+
     def test_non_finite_loss_exits_2(self, tmp_path):
         """A loss that overflows, in a composite's weights or in an atomic
         loss's logits, is an error, not `Infinity` or `NaN` on stdout."""

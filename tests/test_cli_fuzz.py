@@ -351,6 +351,38 @@ def test_manifest_commands_keep_the_contract(files):
                               "--upto-task", "1", "--size", "3", "--seed", "0", "--out", str(tmp / "memory.json")]))
 
 
+def run_variant(files: dict[str, bytes]) -> tuple[int, str, str]:
+    """`memory variant` for task 1 on the overlapped split and memory of
+    `artifact_docs`, both built from `small_manifest`, with `files` as the
+    manifest's directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, blob in files.items():
+            (tmp / name).parent.mkdir(exist_ok=True)
+            (tmp / name).write_bytes(blob)
+        for name, doc in artifact_docs().items():
+            (tmp / f"overlapped_{name}.json").write_text(json.dumps(doc))
+        return run(["memory", "variant", "--memory", str(tmp / "overlapped_memory.json"),
+                    "--split", str(tmp / "overlapped_split.json"), "--task", "1",
+                    "--manifest", str(tmp / "manifest.json"), "--seed", "0", "--out", str(tmp / "variant.json")])
+
+
+def test_variant_replaces_an_entry_on_the_valid_manifest():
+    """Memory entry Img2 reappears in task 1; the variant replaces it."""
+    assert {e["image_id"] for e in artifact_docs()["memory"]["entries"]} == {"Img2", "Img5"}
+    code, out, err = run_variant(manifest_files()[1])
+    assert code == 0, err
+    assert json.loads(out)["overlap_ratio"] == 0.0 and json.loads(out)["warnings"] == []
+
+
+# a manifest that disagrees with the split and memory it is given: one of
+# its values swapped or one of its grids mutated
+@FUZZ
+@given(manifest_inputs())
+def test_memory_variant_keeps_the_contract(files):
+    assert_contract(*run_variant(files))
+
+
 @functools.cache
 def loss_case() -> tuple[dict, dict[str, bytes]]:
     """A valid two-item loss case (layout old {1}, new {2, 3}): the parsed

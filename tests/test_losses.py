@@ -180,6 +180,14 @@ class TestAugmentedProbs:
         with pytest.raises(ValidationError):
             probs_bg_absorbing_new(m, LAYOUT)
 
+    @pytest.mark.parametrize("side", ["old_classes", "new_classes"])
+    @pytest.mark.parametrize("class_id", [0, 255, 300, -1])
+    def test_layout_ids_must_lie_in_1_to_254(self, side, class_id):
+        classes = {"old_classes": {1}, "new_classes": {2, 3}}
+        classes[side] = classes[side] | {class_id}
+        with pytest.raises(ValidationError, match=rf"^class id {class_id} is reserved or outside 1\.\.254$"):
+            TaskClassLayout(**classes)
+
 
 # --- closed forms and oracles -------------------------------------------------
 

@@ -151,6 +151,21 @@ def test_task_classes_out_of_range():
         task_classes(spec, 6)
 
 
+@pytest.mark.parametrize("layout", ["1-1", "4-4", "10-2", "15-1"])
+def test_task_classes_are_the_class_order_blocks(layout):
+    """Over 20 shuffled classes, task t's classes are the t-th block of the
+    class order, the blocks partition 1..20, and t outside 0..T is refused."""
+    order = tuple(int(c) for c in np.random.default_rng(20).permutation(20) + 1)
+    spec = parse_layout(layout, 20, order)
+    starts = [0, *range(spec.base_count, 21, spec.step)]
+    blocks = [task_classes(spec, t) for t in range(spec.num_tasks)]
+    assert blocks == [set(order[a:b]) for a, b in zip(starts, starts[1:])]
+    assert sum(map(len, blocks)) == 20 and set().union(*blocks) == set(range(1, 21))
+    for t in (-1, spec.num_tasks):
+        with pytest.raises(ValidationError, match=rf"task index {t} outside 0\.\.{spec.task_count}$"):
+            task_classes(spec, t)
+
+
 def test_single_task_layout_is_allowed():
     spec = parse_layout("1-1", 3)
     assert spec.task_count == 2

@@ -184,3 +184,34 @@ def test_full_size_image_takes_a_few_mb():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def mask_rule(gt: LabelGrid, prev: ScoreMatrix, current: set[int], tau: float) -> np.ndarray:
+    """The pixel rule written out as masks: current-class ground truth kept,
+    confident background filled with the top class, ignore restored, the
+    rest background."""
+    best, confidence = top_probs(prev)
+    out = np.full(gt.n_pixels, BACKGROUND, dtype=np.uint8)
+    current_pixels = np.isin(gt.data, np.asarray(sorted(current), dtype=np.uint8))
+    out[current_pixels] = gt.data[current_pixels]
+    fill = (gt.data == BACKGROUND) & (confidence > tau)
+    out[fill] = best[fill]
+    out[gt.data == IGNORE] = IGNORE
+    return out
+
+
+@pytest.mark.parametrize("class_map", [(0, 1, 2, 3, 4), (3, 0, 4, 1, 2)], ids=["sorted", "unsorted"])
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+def test_pseudo_label_matches_the_mask_rule(class_map, tau):
+    """Random grids over background, ignore and ids 1..8, against scores over
+    0..4: current sets mix ids the score map holds with ids it lacks (5..8),
+    and the grid holds ids outside the current set."""
+    rng = np.random.default_rng([int(tau * 10), class_map[0]])
+    values = np.array([BACKGROUND, IGNORE, *range(1, 9)], dtype=np.uint8)
+    for _ in range(50):
+        n = int(rng.integers(1, 60))
+        gt = LabelGrid(width=n, height=1, data=rng.choice(values, n))
+        prev = ScoreMatrix(class_map=class_map, logits=rng.normal(scale=2.0, size=(n, len(class_map))))
+        current = {int(c) for c in rng.choice(np.arange(1, 9), int(rng.integers(1, 5)), replace=False)}
+        out = pseudo_label(gt, prev, current, PseudoConfig(tau=tau))
+        assert np.array_equal(out.data, mask_rule(gt, prev, current, tau))
