@@ -6,6 +6,7 @@ always writes P5. Pixel values are class ids, 255 is the ignore index.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -14,28 +15,11 @@ from .errors import FormatError
 from .grid import LabelGrid
 
 _WHITESPACE = b" \t\r\n\v\f"
-
-
-def _tokenize_header(blob: bytes, count: int, start: int) -> tuple[list[bytes], int]:
-    """Extract `count` whitespace-separated tokens, skipping '#' comments."""
-    tokens: list[bytes] = []
-    i = start
-    n = len(blob)
-    while len(tokens) < count:
-        while i < n and (blob[i] in _WHITESPACE or blob[i] == ord("#")):
-            if blob[i] == ord("#"):
-                j = blob.find(b"\n", i)
-                i = n if j < 0 else j + 1
-            else:
-                i += 1
-        if i >= n:
-            raise FormatError("truncated PGM header")
-        j = i
-        while j < n and blob[j] not in _WHITESPACE and blob[j] != ord("#"):
-            j += 1
-        tokens.append(blob[i:j])
-        i = j
-    return tokens, i
+# After the magic: width, height and maxval, each a maximal run of bytes that
+# are neither whitespace nor '#', each after any whitespace bytes and '#'
+# comments. A comment runs to '\n'; one that reaches the end of the file
+# leaves no room for a token, so it needs no rule of its own.
+_HEADER = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*\n)*([^ \t\r\n\v\f#]+)(?![^ \t\r\n\v\f#])" * 3)
 
 
 def read_pgm(path: str | os.PathLike) -> LabelGrid:
@@ -45,11 +29,14 @@ def read_pgm(path: str | os.PathLike) -> LabelGrid:
     magic = blob[:2]
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"{path}: unsupported NetPBM magic {magic!r}")
+    header = _HEADER.match(blob, 2)
+    if header is None:
+        raise FormatError(f"{path}: bad PGM header (truncated PGM header)")
     try:
-        tokens, pos = _tokenize_header(blob, 3, 2)
-        width, height, maxval = (int(t) for t in tokens)
-    except (ValueError, FormatError) as exc:
+        width, height, maxval = map(int, header.groups())
+    except ValueError as exc:
         raise FormatError(f"{path}: bad PGM header ({exc})") from exc
+    pos = header.end()
     if width <= 0 or height <= 0:
         raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
     if not 0 < maxval <= 255:

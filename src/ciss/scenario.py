@@ -27,8 +27,9 @@ from .tasks import TaskSpec, task_classes, task_of_class
 
 @dataclass(frozen=True)
 class SplitManifest:
-    """A scenario's split of a dataset: `tasks[t]` holds the sorted ids of
-    task t's images, whose classes the layout `spec` gives."""
+    """A scenario's split of a dataset: `tasks[t]` holds the ids of task t's
+    images, strictly increasing, whose classes the layout `spec` gives. The
+    task lists of a disjoint or partitioned split do not overlap."""
 
     scenario: str
     spec: TaskSpec
@@ -43,17 +44,18 @@ class SplitManifest:
             raise ValidationError(
                 f"split holds {len(self.tasks)} task lists for layout tasks 0..{self.spec.task_count}"
             )
+        seen: set[str] = set()
+        for t, ids in enumerate(self.tasks):
+            if any(a >= b for a, b in zip(ids, ids[1:])):
+                raise ValidationError(f"task {t} image ids are not strictly increasing")
+            overlap = seen.intersection(ids) if self.scenario != "overlapped" else ()
+            if overlap:
+                raise ValidationError(f"{self.scenario} task lists overlap on {sorted(overlap)[:3]}")
+            seen.update(ids)
         if self.scenario == "partitioned":
             if self.assignments is None:
                 raise ValidationError("partitioned split requires assignments")
-            seen: set[str] = set()
             for t, ids in enumerate(self.tasks):
-                overlap = seen.intersection(ids)
-                if overlap:
-                    raise ValidationError(
-                        f"partitioned task lists overlap on {sorted(overlap)[:3]}"
-                    )
-                seen.update(ids)
                 block = task_classes(self.spec, t)
                 for image_id in ids:
                     assigned = self.assignments.get(image_id)

@@ -149,8 +149,7 @@ def write_scores(scores: ScoreMatrix, path: str | os.PathLike, *, binary: bool =
         if binary:
             fh.write(scores.logits.astype("<f8").tobytes())
         else:
-            for row in scores.logits:
-                fh.write((" ".join(format(v, ".17g") for v in row) + "\n").encode("ascii"))
+            np.savetxt(fh, scores.logits, fmt="%.17g")
 
 
 _NON_SPACE = re.compile(rb"[^ \t\n\r\x0b\x0c\x1c-\x1f]")  # str.isspace() on ASCII

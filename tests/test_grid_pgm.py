@@ -1,4 +1,5 @@
 """Label grids, relabeling, and the PGM reader/writer."""
+import time
 import tracemalloc
 
 import numpy as np
@@ -308,3 +309,91 @@ def test_pgm_p5_reads_a_read_only_view_and_writes_it_back_unchanged(tmp_path):
 def test_pgm_missing_file_is_a_format_error(tmp_path):
     with pytest.raises(FormatError):
         read_pgm(tmp_path / "absent.pgm")
+
+
+_SPACE = [bytes([c]) for c in b" \t\r\n\v\f"]
+# a '#' comment: any bytes but '\n', ended by LF or CRLF
+_COMMENTS = st.builds(lambda text, end: b"#" + text.replace(b"\n", b"") + end,
+                      st.binary(max_size=6), st.sampled_from([b"\n", b"\r\n"]))
+
+
+def _gap(min_size: int):
+    """Whitespace bytes and comments before a header token."""
+    return st.lists(st.sampled_from(_SPACE) | _COMMENTS, min_size=min_size, max_size=4).map(b"".join)
+
+
+@st.composite
+def pgm_headers(draw):
+    """A P2 or P5 header, ended by its one separator byte, the width, height
+    and maxval it holds, and a raster for it. The header puts any whitespace
+    and comments before each token, the width's gap possibly empty, and a
+    token may carry a sign or leading zeros."""
+    width, height, maxval = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 255))
+    header = draw(st.sampled_from([b"P2", b"P5"]))
+    for min_gap, value in ((0, width), (1, height), (1, maxval)):
+        header += draw(_gap(min_gap)) + draw(st.sampled_from(["", "+", "0", "00"])).encode() + str(value).encode()
+    raster = draw(st.lists(st.integers(0, maxval), min_size=width * height, max_size=width * height))
+    return header + draw(st.sampled_from(_SPACE)), width, height, maxval, raster
+
+
+def _raster(header: bytes, values) -> bytes:
+    return bytes(values) if header.startswith(b"P5") else " ".join(map(str, values)).encode() + b"\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(pgm_headers())
+@example((b"P53 1\n255\n", 3, 1, 255, [0, 9, 255]))  # no gap after the magic
+@example((b"P2#c\r\n2#\n1\t#\n#\r\n7\n", 2, 1, 7, [7, 0]))  # comments right after tokens
+def test_pgm_header_grammar_reads_back(tmp_path_factory, case):
+    header, width, height, maxval, raster = case
+    path = tmp_path_factory.mktemp("pgm") / "g.pgm"
+    path.write_bytes(header + _raster(header, raster))
+    grid = read_pgm(path)
+    assert (grid.width, grid.height, grid.data.tolist()) == (width, height, raster)
+    if maxval < 255:  # the maxval read is the one written
+        path.write_bytes(header + _raster(header, [maxval + 1] + raster[1:]))
+        with pytest.raises(FormatError, match=f"pixel value {maxval + 1} exceeds maxval {maxval}$"):
+            read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"P", "not a PGM file"),
+        (b"P4 1 1 1\n", "unsupported NetPBM magic b'P4'"),
+        (b"P5", "bad PGM header (truncated PGM header)"),
+        (b"P2 2 2\n", "bad PGM header (truncated PGM header)"),  # no maxval
+        (b"P2 12 3\n", "bad PGM header (truncated PGM header)"),  # no maxval, never split out of "12"
+        (b"P2555\n", "bad PGM header (truncated PGM header)"),  # one token, never three
+        (b"P2 2 2 #c\n", "bad PGM header (truncated PGM header)"),  # no maxval after a comment
+        (b"P2 2 2 # no newline at the end", "bad PGM header (truncated PGM header)"),
+        (b"P2 2 x 255\n0 0 0 0\n", "bad PGM header (invalid literal for int() with base 10: b'x')"),
+        (b"P2 2 2 2.5\n", "bad PGM header (invalid literal for int() with base 10: b'2.5')"),
+        (b"P5 2 1 255#c\n\x00\x00", "missing raster separator"),  # maxval right before '#'
+        (b"P5 2 1 255", "missing raster separator"),
+        (b"P5 2 1 255\n", "expected 2 raster bytes, found 0"),
+        (b"P2 0 2 255\n", "non-positive dimensions 0x2"),
+        (b"P2 2 -1 255\n", "non-positive dimensions 2x-1"),
+        (b"P2 1 1 0\n0", "maxval 0 outside 1..255"),
+        (b"P2 1 1 256\n0", "maxval 256 outside 1..255"),
+        (b"P2 1 1 255\n256\n", "ASCII pixel value outside 0..255"),
+        (b"P2 1 1 255\n1 #\n", "bad ASCII raster (invalid literal for int() with base 10: b'#')"),
+        (b"P5 1 1 1\n\x02", "pixel value 2 exceeds maxval 1"),
+    ],
+)
+def test_pgm_errors_keep_their_messages(tmp_path, blob, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        read_pgm(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("unit", [b"#", b" ", b"#a", b"\n#"], ids=["hashes", "spaces", "hash-a", "newline-hash"])
+def test_pgm_pathological_headers_fail_fast(tmp_path, unit):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5" + unit * (200_000 // len(unit)))
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="truncated PGM header"):
+        read_pgm(path)
+    assert time.perf_counter() - start < 1.0

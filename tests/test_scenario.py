@@ -221,6 +221,40 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_split(path)
 
+    @pytest.mark.parametrize(
+        "build, t, edit, reason",
+        [
+            (build_disjoint, 1, lambda ids: ids + ids, "task 1 image ids are not strictly increasing"),
+            (build_disjoint, 2, lambda ids: ids[::-1], "task 2 image ids are not strictly increasing"),
+            (build_disjoint, 2, lambda ids: ids + ["Img5"], "disjoint task lists overlap on ['Img5']"),
+            (build_overlapped, 0, lambda ids: ids[:1] + ids, "task 0 image ids are not strictly increasing"),
+            (build_partitioned, 0, lambda ids: ids[:1] + ids, "task 0 image ids are not strictly increasing"),
+        ],
+        ids=["disjoint-duplicate", "disjoint-unsorted", "disjoint-shared", "overlapped-duplicate",
+             "partitioned-duplicate"],
+    )
+    def test_load_refuses_task_lists_not_strictly_increasing_or_shared(
+        self, fig3_manifest, fig3_spec, tmp_path, build, t, edit, reason
+    ):
+        extra = {"seed": 1} if build is build_partitioned else {}
+        path = tmp_path / "split.json"
+        save_split(build(fig3_manifest, fig3_spec, **extra), path)
+        doc = json.loads(path.read_text())
+        doc["tasks"][t]["image_ids"] = edit(doc["tasks"][t]["image_ids"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as err:
+            load_split(path)
+        assert str(err.value) == f"{path}: cannot read split manifest ({reason})"
+
+    @pytest.mark.parametrize("layout", ["1-1", "2-2", "3-1", "5-1"])
+    @pytest.mark.parametrize("build", [build_overlapped, build_disjoint, build_partitioned])
+    def test_every_built_split_loads(self, tmp_path, build, layout):
+        manifest = synthetic_manifest(40, 6, seed=4)
+        extra = {"seed": 9} if build is build_partitioned else {}
+        split = build(manifest, parse_layout(layout, 6), **extra)
+        save_split(split, tmp_path / "split.json")
+        assert load_split(tmp_path / "split.json") == split
+
     def test_split_holds_one_id_list_per_layout_task(self, fig3_manifest, fig3_spec):
         split = build_overlapped(fig3_manifest, fig3_spec)
         assert split.tasks == (("Img1", "Img2", "Img4", "Img5"), ("Img1", "Img2"), ("Img1", "Img3", "Img4"))

@@ -148,6 +148,18 @@ def test_internal_arrays_are_kept_uncopied(tmp_path, monkeypatch):
     assert data.base is not None and data.base.flags.owndata
 
 
+def test_text_scores_file_bytes_are_pinned(tmp_path):
+    # negative zero, the smallest subnormal and the largest double, each in
+    # the 17 significant digits that read back to the same value
+    logits = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [0.1, -2.5, -1e22]])
+    write_scores(ScoreMatrix(class_map=(0, 4, 9), logits=logits), tmp_path / "s.scores")
+    assert (tmp_path / "s.scores").read_bytes() == (
+        b"2 3\n0 4 9\n-0 4.9406564584124654e-324 1.7976931348623157e+308\n0.10000000000000001 -2.5 -1e+22\n"
+    )
+    back = read_scores(tmp_path / "s.scores").logits
+    assert back.tobytes() == logits.tobytes()  # -0.0 keeps its sign
+
+
 @pytest.mark.parametrize("binary", [False, True])
 def test_scores_file_roundtrip(tmp_path, binary):
     rng = np.random.default_rng(5)
