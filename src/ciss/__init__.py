@@ -1,18 +1,23 @@
 """Scenario construction, exemplar-memory auditing, and loss/metric kernels
 for class-incremental semantic segmentation datasets.
 
-Public names resolve on first use (PEP 562), so `import ciss` loads no
-submodule and a CLI command loads only the modules it calls.
+The ids the library dispatches on are defined here, so the command-line
+parser offers them as choices without loading `scenario` or `losses`, which
+re-export them. Every other public name is looked up in its module on each
+access (PEP 562), so `import ciss` loads no submodule, a CLI command loads
+only the modules it calls, and a name rebound in its module is seen here.
 """
 
-from importlib import import_module
+SCENARIO_KINDS = ("overlapped", "disjoint", "partitioned")
+# the per-pixel losses `losses.loss_value` scores, and the objectives built from them
+ATOMIC_LOSSES = ("ce_current", "ce_memory", "kd_old", "bce_new", "bce_old", "ce_plain")
+COMPOSITE_LOSSES = ("memory_augmented", "bce_replay", "pseudo_replay")
 
 # submodule -> the public names `ciss` takes from it
 _EXPORTS = {
     "errors": ("CissError", "FormatError", "ValidationError"),
     "grid": ("BACKGROUND", "IGNORE", "LabelGrid", "relabel"),
     "losses": (
-        "ATOMIC_LOSSES",
         "GradCheckReport",
         "LossCase",
         "LossConfig",
@@ -55,7 +60,6 @@ _EXPORTS = {
     "pgm": ("read_pgm", "write_pgm"),
     "pseudo": ("PseudoConfig", "pseudo_label"),
     "scenario": (
-        "SCENARIO_KINDS",
         "SplitManifest",
         "assign_partition_class",
         "build_disjoint",
@@ -69,20 +73,18 @@ _EXPORTS = {
     "tasks": ("TaskSpec", "classes_up_to", "load_class_order", "parse_layout", "task_classes", "task_of_class"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "artifacts", "cli", "ids")
+_SUBMODULES = (*_EXPORTS, "artifacts", "cli")
 
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted([*_MODULE_OF, "ATOMIC_LOSSES", "COMPOSITE_LOSSES", "SCENARIO_KINDS"])
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")
-    if name not in _MODULE_OF:
+    if name not in _SUBMODULES and name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value
-    return value
+    # imported as an import statement would, so that `python -X importtime` lists it
+    module = __import__(f"{__name__}.{_MODULE_OF.get(name, name)}", fromlist=["*"])
+    return module if name in _SUBMODULES else getattr(module, name)
 
 
 def __dir__():

@@ -1,4 +1,4 @@
-"""On-disk artifacts: every file read, every JSON text and every artifact write.
+"""On-disk artifacts: every file read, every JSON text and every staged write.
 
 An artifact is a JSON document, optionally with grids kept next to it as
 `<stem>_grids/<index>.pgm`. Reads that fail and writes that fail are
@@ -58,34 +58,44 @@ def grid_name(path: Path, index: int, digits: int) -> str:
     return f"{path.stem}_grids/{index:0{digits}d}.pgm"
 
 
-def write_artifact(path: str | os.PathLike, doc, grids: Iterable[tuple[str, LabelGrid]] | None = None,
-                   write_grid: Callable[[LabelGrid, str], None] | None = None) -> None:
-    """Write `grids`, (relative name, grid) pairs taken one at a time and each
-    written by `write_grid(grid, file)`, then `doc` as JSON at `path`. Every
-    file is written under a `.tmp` name and the final files are replaced only
-    after every write succeeded; a failure removes the temporary files, and
-    the grid directory too when this call made it."""
-    path = Path(path)
-    grid_dir, made_dir = path.parent / f"{path.stem}_grids", False
-    finals: list[Path] = []
+@contextmanager
+def staging(path: str | os.PathLike, what: str):
+    """Yields `stage(final)`, which returns the `.tmp` name to write `final`
+    under. Once the block returns, each staged file replaces its final in the
+    order staged; a failure removes them, and an `OSError` is a `FormatError`
+    naming `path`, the `what` being written."""
+    finals: list = []
     try:
-        if grids is not None:
-            made_dir = not grid_dir.exists()
-            grid_dir.mkdir(parents=True, exist_ok=True)
-            for name, grid in grids:
-                finals.append(path.parent / name)
-                write_grid(grid, f"{finals[-1]}.tmp")
-        finals.append(path)
-        Path(f"{path}.tmp").write_text(json_text(doc), encoding="utf-8")
+        yield lambda final: finals.append(final) or f"{final}.tmp"
         for final in finals:
             os.replace(f"{final}.tmp", final)
     except BaseException as exc:
         for final in finals:  # the temporary files the failure left behind
             with suppress(OSError):
                 os.remove(f"{final}.tmp")
+        if isinstance(exc, OSError):
+            raise FormatError(f"{path}: cannot write {what} ({exc})") from exc
+        raise
+
+
+def write_artifact(path: str | os.PathLike, doc, grids: Iterable[tuple[str, LabelGrid]] | None = None,
+                   write_grid: Callable[[LabelGrid, str], None] | None = None) -> None:
+    """Write `grids`, (relative name, grid) pairs taken one at a time and each
+    written by `write_grid(grid, file)`, then `doc` as JSON at `path`, in one
+    `staging`: no final file is replaced before every write succeeded. A
+    failure also removes the grid directory when this call made it."""
+    path = Path(path)
+    grid_dir, made_dir = path.parent / f"{path.stem}_grids", False
+    try:
+        with staging(path, "artifact") as stage:
+            if grids is not None:
+                made_dir = not grid_dir.exists()
+                grid_dir.mkdir(parents=True, exist_ok=True)
+                for name, grid in grids:
+                    write_grid(grid, stage(path.parent / name))
+            Path(stage(path)).write_text(json_text(doc), encoding="utf-8")
+    except BaseException:
         if made_dir:
             with suppress(OSError):
                 grid_dir.rmdir()
-        if isinstance(exc, OSError):
-            raise FormatError(f"{path}: cannot write artifact ({exc})") from exc
         raise

@@ -19,70 +19,53 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import json_text, read_json
+import ciss
+
+from . import ATOMIC_LOSSES, COMPOSITE_LOSSES, SCENARIO_KINDS
+from .artifacts import json_text, read_json, staging
 from .errors import CissError, FormatError, ValidationError
-from .ids import ATOMIC_LOSSES, COMPOSITE_LOSSES, SCENARIO_KINDS
 
 
-def _load(module: str):
-    """`ciss.<module>`, imported through `__import__` as an import statement
-    would, so that `python -X importtime` reports it."""
-    return __import__(f"{__package__}.{module}", fromlist=["*"])
-
-
-def _forward(module: str, name: str):
-    """A stand-in for `name` of `ciss.<module>`: each call looks the name up
-    in the module, which the first call imports."""
+def _forward(name: str):
+    """A stand-in for `ciss.<name>`: each call looks the name up through the
+    package, which imports its module on first use."""
     def call(*args, **kwargs):
-        return getattr(_load(module), name)(*args, **kwargs)
+        return getattr(ciss, name)(*args, **kwargs)
 
     return call
 
 
-class _Module:
-    """A stand-in for `ciss.<module>` that imports it on first attribute access."""
+# The stand-ins are exactly the library names `bench/tracing.py` rebinds: it
+# times each layer by replacing these globals, and the loss calls by
+# replacing `L`, the package itself. Each resolves through `ciss` when
+# called, so a command loads only the modules it calls; every other library
+# call is `ciss.<name>`. `accumulate` calls `metrics._accumulate`, not
+# `metrics.accumulate`: the tracer also wraps the latter, to count the calls
+# made inside `metrics`, and a handler's call must pass one wrapper, not two.
+L = ciss
+load_manifest = _forward("load_manifest")
+compose_batch = _forward("compose_batch")
+load_memory = _forward("load_memory")
+make_non_overlapping_variant = _forward("make_non_overlapping_variant")
+overlap_ratio = _forward("overlap_ratio")
+sample_class_balanced = _forward("sample_class_balanced")
+save_memory = _forward("save_memory")
+evaluation_report = _forward("evaluation_report")
+pseudo_label_retrieval_rate = _forward("pseudo_label_retrieval_rate")
+read_pgm = _forward("read_pgm")
+write_pgm = _forward("write_pgm")
+pseudo_label = _forward("pseudo_label")
+build_disjoint = _forward("build_disjoint")
+build_overlapped = _forward("build_overlapped")
+build_partitioned = _forward("build_partitioned")
+load_split = _forward("load_split")
+save_split = _forward("save_split")
+read_scores = _forward("read_scores")
 
-    def __init__(self, module: str) -> None:
-        self._module = module
 
-    def __getattr__(self, attr: str):
-        return getattr(_load(self._module), attr)
+def accumulate(*args):
+    return ciss.metrics._accumulate(*args)
 
-
-# Library names stay globals of this module. A handler calls `read_pgm`,
-# `load_manifest`, `accumulate` and the like through names bound here, and
-# the loss functions through `L`, because `bench/tracing.py` times each layer
-# by rebinding exactly those globals. Each is a forwarder that imports its
-# module when called, and `L` imports `ciss.losses` on first attribute
-# access, so a command loads only the modules it calls. `accumulate` forwards
-# to `metrics._accumulate`, not to `metrics.accumulate`: the tracer also wraps
-# the latter, to count the calls made inside `metrics`, and a handler's call
-# must pass one wrapper, not two.
-L = _Module("losses")
-load_manifest = _forward("manifest", "load_manifest")
-compose_batch = _forward("memory", "compose_batch")
-load_memory = _forward("memory", "load_memory")
-make_non_overlapping_variant = _forward("memory", "make_non_overlapping_variant")
-overlap_ratio = _forward("memory", "overlap_ratio")
-sample_class_balanced = _forward("memory", "sample_class_balanced")
-save_memory = _forward("memory", "save_memory")
-ConfusionAccumulator = _forward("metrics", "ConfusionAccumulator")
-accumulate = _forward("metrics", "_accumulate")
-evaluation_report = _forward("metrics", "evaluation_report")
-pseudo_label_retrieval_rate = _forward("metrics", "pseudo_label_retrieval_rate")
-read_pgm = _forward("pgm", "read_pgm")
-write_pgm = _forward("pgm", "write_pgm")
-PseudoConfig = _forward("pseudo", "PseudoConfig")
-pseudo_label = _forward("pseudo", "pseudo_label")
-build_disjoint = _forward("scenario", "build_disjoint")
-build_overlapped = _forward("scenario", "build_overlapped")
-build_partitioned = _forward("scenario", "build_partitioned")
-load_split = _forward("scenario", "load_split")
-save_split = _forward("scenario", "save_split")
-read_scores = _forward("scores", "read_scores")
-classes_up_to = _forward("tasks", "classes_up_to")
-load_class_order = _forward("tasks", "load_class_order")
-parse_layout = _forward("tasks", "parse_layout")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,12 +80,12 @@ def _displayed(key: str, value: float) -> dict:
 def _load_spec(args, class_count: int | None = None):
     """--task over --class-order, else over 1..`class_count` (a manifest's) or 1..--class-count.
     A --class-count given with --class-order must be the order's length."""
-    order = load_class_order(args.class_order) if args.class_order else None
+    order = ciss.load_class_order(args.class_order) if args.class_order else None
     if class_count is None:
         if order is None and args.class_count is None:
             raise ValidationError(f"eval {args.eval_cmd} needs --class-order or --class-count")
         class_count = len(order) if args.class_count is None else args.class_count
-    return parse_layout(args.task, class_count, order)
+    return ciss.parse_layout(args.task, class_count, order)
 
 
 def cmd_build(args) -> dict:
@@ -173,8 +156,9 @@ def cmd_pseudo(args) -> dict:
         raise ValidationError(
             f"--current-classes must be comma-separated integers, got {args.current_classes!r}"
         ) from None
-    out = pseudo_label(gt, prev, current, PseudoConfig(tau=args.tau))
-    write_pgm(out, args.out)
+    out = pseudo_label(gt, prev, current, ciss.PseudoConfig(tau=args.tau))
+    with staging(args.out, "PGM file") as stage:
+        write_pgm(out, stage(args.out))
     return {"out": str(args.out), "tau": args.tau, "relabeled_pixels": int((out.data != gt.data).sum())}
 
 
@@ -192,7 +176,7 @@ def _read_pairs(path: str, first: str, second: str) -> list[tuple]:
 
 def cmd_eval_miou(args) -> dict:
     spec = _load_spec(args)
-    acc = ConfusionAccumulator()
+    acc = ciss.ConfusionAccumulator()
     for pred_path, gt_path in _read_pairs(args.pairs, "pred", "gt"):
         accumulate(read_pgm(pred_path), read_pgm(gt_path), acc)
         # the pixels of a ground-truth id are its hits and misses; past the
@@ -213,7 +197,7 @@ def cmd_eval_prr(args) -> dict:
     if not 1 <= args.current_task <= spec.task_count:
         raise ValidationError(f"--current-task {args.current_task} outside 1..{spec.task_count}, "
                               f"the tasks of layout {args.task} that have old classes")
-    old = classes_up_to(spec, args.current_task - 1)
+    old = ciss.classes_up_to(spec, args.current_task - 1)
     pairs = ((read_pgm(oracle), read_pgm(pseudo))
              for oracle, pseudo in _read_pairs(args.pairs, "oracle", "pseudo"))
     return _displayed("prr", pseudo_label_retrieval_rate(pairs, old))

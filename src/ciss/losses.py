@@ -22,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ATOMIC_LOSSES, COMPOSITE_LOSSES
 from .artifacts import is_int, read_json, reading
 from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid, class_ids
-from .ids import ATOMIC_LOSSES, COMPOSITE_LOSSES
 from .pgm import read_pgm
 from .scores import ScoreMatrix, read_scores, row_blocks
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .artifacts import grid_name, is_int, read_json, write_artifact
+from .artifacts import grid_name, is_int, read_json, reading, write_artifact
 from .errors import FormatError, ValidationError
 from .grid import IGNORE, LabelGrid
 from .pgm import read_pgm, write_pgm
@@ -100,25 +100,17 @@ class DatasetManifest:
 
 
 def load_manifest(path: str | os.PathLike) -> DatasetManifest:
+    """Parse a manifest and read each grid once; a malformed field or a
+    breach of the manifest's invariants is a `FormatError` naming the file."""
     path = Path(path)
     doc = read_json(path, "manifest")
-    if not isinstance(doc, dict) or "class_count" not in doc or "images" not in doc:
-        raise FormatError(f"{path}: manifest must be an object with class_count and images")
-    if not is_int(doc["class_count"]):
-        raise FormatError(f"{path}: class_count must be an integer")
-    if not isinstance(doc["images"], list):
-        raise FormatError(f"{path}: images must be a list")
-
-    records = []
-    for entry in doc["images"]:
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("id"), str)
-            and isinstance(entry.get("labels"), str)
-        ):
+    with reading(path, "manifest"):
+        if not is_int(doc["class_count"]):
+            raise FormatError(f"{path}: class_count must be an integer")
+        if not all(isinstance(e["id"], str) and isinstance(e["labels"], str) for e in doc["images"]):
             raise FormatError(f"{path}: each image entry needs string id and labels fields")
-        records.append(OracleRecord.from_file(entry["id"], path.parent / entry["labels"]))
-    return DatasetManifest(class_count=doc["class_count"], records=tuple(records))
+        records = tuple(OracleRecord.from_file(e["id"], path.parent / e["labels"]) for e in doc["images"])
+        return DatasetManifest(class_count=doc["class_count"], records=records)
 
 
 def save_manifest(manifest: DatasetManifest, path: str | os.PathLike) -> None:

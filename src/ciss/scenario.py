@@ -18,9 +18,9 @@ import os
 import random
 from dataclasses import dataclass
 
+from . import SCENARIO_KINDS
 from .artifacts import is_int, read_json, reading, write_artifact
 from .errors import FormatError, ValidationError
-from .ids import SCENARIO_KINDS
 from .manifest import DatasetManifest
 from .tasks import TaskSpec, task_classes, task_of_class
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_bytes, reading
+from .artifacts import read_bytes, reading, staging
 from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid
 
@@ -144,7 +144,7 @@ def top_class(scores: ScoreMatrix, values_t: np.ndarray) -> np.ndarray:
 def write_scores(scores: ScoreMatrix, path: str | os.PathLike, *, binary: bool = False) -> None:
     header = f"{scores.n_pixels} {scores.n_classes}{' binary' if binary else ''}\n"
     header += " ".join(str(c) for c in scores.class_map) + "\n"
-    with open(path, "wb") as fh:
+    with staging(path, "score file") as stage, open(stage(path), "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
             fh.write(scores.logits.astype("<f8").tobytes())

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import random
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +106,15 @@ def one_hot_scores(grid: LabelGrid, class_map, margin: float = 10.0) -> ScoreMat
         target = BACKGROUND if int(v) == IGNORE else int(v)
         logits[i, col[target]] = margin
     return ScoreMatrix(class_map=cmap, logits=logits)
+
+
+def run_with_file_size_limit(args: list[str], limit: int) -> subprocess.CompletedProcess:
+    """`python *args` in a child that can write no file past `limit` bytes: a
+    longer write fails part-way with EFBIG, since Python ignores SIGXFSZ."""
+    def limit_writes():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, preexec_fn=limit_writes)
 
 
 # --- acceptance summary -----------------------------------------------------

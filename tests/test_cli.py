@@ -27,7 +27,7 @@ from ciss import (
 from ciss import losses
 from ciss.cli import build_parser, main
 from ciss.pgm import read_pgm, write_pgm
-from conftest import make_record, one_hot_scores
+from conftest import make_record, one_hot_scores, run_with_file_size_limit
 
 
 @pytest.fixture
@@ -192,6 +192,18 @@ class TestMemoryCommands:
         assert error["message"] == "image 'Img4' holds no task-0 class in the manifest (--manifest)"
         assert not out.exists() and not (tmp_path / "variant_grids").exists()
 
+    def test_sample_refusal_names_the_manifest(self, capsys, manifest_path, split_path, tmp_path):
+        """`memory sample` reads --split and --manifest; a manifest refusal names the manifest."""
+        _edit_manifest(manifest_path, lambda doc: doc["images"].append(doc["images"][0]))
+        code, doc, err = run(
+            capsys,
+            ["memory", "sample", "--manifest", str(manifest_path), "--split", str(split_path),
+             "--upto-task", "0", "--size", "3", "--seed", "1", "--out", str(tmp_path / "memory.json")],
+        )
+        assert (code, doc) == (2, None)
+        assert json.loads(err)["error"] == {
+            "type": "FormatError", "message": f"{manifest_path}: cannot read manifest (duplicate image id 'Img1')"}
+
     def test_batch_listing_deterministic(self, capsys, manifest_path, split_path, tmp_path):
         mem = tmp_path / "memory.json"
         run(
@@ -222,6 +234,35 @@ class TestPseudoCommand:
         assert code == 0
         assert read_pgm(out).data.tolist() == [3, 1, 0, 255]
         assert doc["relabeled_pixels"] == 1
+
+
+    def _inputs(self, tmp_path, side: int) -> list[str]:
+        """The argv of a pseudo run over a `side`×`side` grid, less --out."""
+        gt = LabelGrid(width=side, height=side, data=np.zeros(side * side, dtype=np.uint8))
+        write_pgm(gt, tmp_path / "gt.pgm")
+        write_scores(one_hot_scores(gt, (0, 1)), tmp_path / "prev.scores", binary=True)
+        return ["pseudo", "--gt", str(tmp_path / "gt.pgm"), "--prev-scores", str(tmp_path / "prev.scores"),
+                "--current-classes", "2", "--tau", "0.5"]
+
+    def test_out_in_a_missing_directory_is_a_format_error_naming_it(self, capsys, tmp_path):
+        out = tmp_path / "nodir" / "pseudo.pgm"
+        code, doc, err = run(capsys, [*self._inputs(tmp_path, 2), "--out", str(out)])
+        assert (code, doc) == (2, None)
+        error = json.loads(err)["error"]
+        assert error["type"] == "FormatError" and error["message"].startswith(f"{out}.tmp: cannot write PGM file (")
+        assert not (tmp_path / "nodir").exists()
+
+    def test_write_failing_part_way_keeps_the_previous_file(self, tmp_path):
+        """A 10 kB grid written under a 4 kB file-size limit."""
+        argv = [*self._inputs(tmp_path, 100), "--out", str(tmp_path / "pseudo.pgm")]
+        (tmp_path / "pseudo.pgm").write_bytes(b"previous")
+        before = sorted(tmp_path.iterdir())
+        proc = run_with_file_size_limit(["-m", "ciss.cli", *argv], 4096)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert [json.loads(line)["error"]["type"] for line in proc.stderr.splitlines()] == ["FormatError"]
+        assert "File too large" in proc.stderr
+        assert (tmp_path / "pseudo.pgm").read_bytes() == b"previous"
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestEvalCommands:
@@ -1041,6 +1082,12 @@ class TestImports:
         assert {"ciss.metrics", "ciss.pgm", "ciss.tasks"} <= listed
         assert {m for m in listed if m.startswith("ciss.")} == {m for m in _imported(argv) if m.startswith("ciss.")}
 
+    def test_importtime_lists_the_module_a_public_name_loads(self):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import ciss; ciss.miou"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "ciss.metrics" in {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()}
+
     def test_import_ciss_loads_no_submodule(self):
         code = "import sys, ciss; print(sorted(m for m in sys.modules if m.startswith('ciss.')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -1053,14 +1100,29 @@ class TestImports:
         import ciss
 
         for name in ciss.__all__:
-            value = getattr(ciss, name)  # a constant names no module; the table does
-            module = getattr(value, "__module__", None) or f"ciss.{ciss._MODULE_OF[name]}"
+            value = getattr(ciss, name)  # a constant names no module; the table does, else the package defines it
+            table = f"ciss.{ciss._MODULE_OF[name]}" if name in ciss._MODULE_OF else "ciss"
+            module = getattr(value, "__module__", None) or table
             assert getattr(importlib.import_module(module), name) is value, name
         assert set(ciss.__all__) <= set(dir(ciss))
         assert {"cli", "losses", "scenario"} <= set(dir(ciss))
         assert ciss.losses is importlib.import_module("ciss.losses")
         with pytest.raises(AttributeError):
             ciss.no_such_name
+
+    def test_public_names_see_a_rebinding_in_their_module(self, monkeypatch):
+        import ciss
+
+        assert ciss.loss_value is losses.loss_value  # an earlier access
+        stand_in = object()
+        monkeypatch.setattr(losses, "loss_value", stand_in)
+        assert ciss.loss_value is stand_in
+
+    def test_every_module_is_a_submodule(self):
+        import ciss
+
+        modules = {path.stem for path in Path(ciss.__file__).parent.glob("*.py")} - {"__init__"}
+        assert modules == set(ciss._SUBMODULES)
 
     def test_parser_choices_are_the_ids_the_library_dispatches_on(self):
         import ciss.scenario

@@ -31,7 +31,7 @@ from ciss import (
     write_scores,
 )
 from ciss.cli import main
-from ciss.ids import COMPOSITE_LOSSES
+from ciss import COMPOSITE_LOSSES
 from ciss.pgm import write_pgm
 from conftest import make_record
 

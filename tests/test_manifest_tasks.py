@@ -60,7 +60,7 @@ def test_load_manifest_empty_dataset(tmp_path):
 
 def test_load_manifest_rejects_undeclared_class(tmp_path):
     grids = {"Img1": make_record("x", {7}).oracle_labels}
-    with pytest.raises(ValidationError, match="undeclared"):
+    with pytest.raises(FormatError, match="undeclared"):
         load_manifest(_write_manifest(tmp_path, 3, grids))
 
 
@@ -79,7 +79,7 @@ def test_load_manifest_rejects_duplicate_ids(tmp_path):
             }
         )
     )
-    with pytest.raises(ValidationError, match="duplicate"):
+    with pytest.raises(FormatError, match="duplicate"):
         load_manifest(path)
 
 
@@ -88,6 +88,48 @@ def test_load_manifest_rejects_malformed_document(tmp_path):
     path.write_text("{\"images\": []}")
     with pytest.raises(FormatError):
         load_manifest(path)
+
+
+def _set_image(key, value):
+    return lambda doc: doc["images"][0].update({key: value})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["images"].append(doc["images"][0]), "duplicate image id 'Img1'"),
+        (lambda doc: doc.update(class_count=300), "class count must lie in 1..254, got 300"),
+        (_set_image("labels", "empty.pgm"), "image 'Img1' has no foreground pixels"),
+        (lambda doc: doc.update(class_count=True), "class_count must be an integer"),
+        (_set_image("id", 5), "each image entry needs string id and labels fields"),
+        (_set_image("labels", ["a.pgm"]), "each image entry needs string id and labels fields"),
+        (lambda doc: doc["images"][0].pop("labels"), "'labels'"),
+        (lambda doc: doc.pop("images"), "'images'"),
+        (lambda doc: doc.update(images={"Img1": "a.pgm"}), "string indices must be integers"),
+        (lambda doc: doc.clear() or doc.update(x=[]), "'class_count'"),
+    ],
+    ids=["duplicate-id", "class-count-300", "no-foreground", "class-count-bool", "id-int", "labels-list",
+         "labels-missing", "images-missing", "images-object", "no-fields"],
+)
+def test_load_manifest_refusals_name_the_file(tmp_path, edit, message):
+    path = _write_manifest(tmp_path, 2, {"Img1": make_record("x", {1}).oracle_labels,
+                                         "Img2": make_record("x", {2}).oracle_labels})
+    write_pgm(LabelGrid(width=2, height=1, data=np.array([0, 255], dtype=np.uint8)), tmp_path / "empty.pgm")
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
+def test_load_manifest_keeps_the_error_of_a_grid_it_cannot_read(tmp_path):
+    path = _write_manifest(tmp_path, 1, {"Img1": make_record("x", {1}).oracle_labels})
+    (tmp_path / "Img1.pgm").write_bytes(b"P5\n2 1\n255\n\x01")
+    with pytest.raises(FormatError) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{tmp_path / 'Img1.pgm'}: expected 2 raster bytes, found 1"
 
 
 def test_manifest_roundtrip(tmp_path, fig3_manifest):

@@ -1,0 +1,36 @@
+"""The README's command-line examples parse with the CLI's own parser, so a
+renamed or removed flag fails here instead of leaving the README wrong."""
+import argparse
+import shlex
+from pathlib import Path
+
+import pytest
+
+from ciss.cli import build_parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each `ciss ...` line of the "Command line" section's
+    first code block, lines ending in a backslash joined to the next."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ciss ")]
+
+
+def leaf_handlers(parser: argparse.ArgumentParser) -> set:
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {parser.get_default("func")}
+    return {handler for child in subs[0].choices.values() for handler in leaf_handlers(child)}
+
+
+def test_readme_shows_every_leaf_command():
+    assert {build_parser().parse_args(argv).func for argv in readme_commands()} == leaf_handlers(build_parser())
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(a for a in argv[:2] if a[0] != "-"))
+def test_readme_command_parses(argv):
+    build_parser().parse_args(argv)  # an unknown or missing flag raises ValidationError

@@ -1,5 +1,6 @@
 """Score matrices: softmax, argmax prediction, and file round-trips."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from ciss import (
     softmax_probs,
     write_scores,
 )
+from conftest import run_with_file_size_limit
 
 
 def test_softmax_symmetry():
@@ -169,6 +171,28 @@ def test_scores_file_roundtrip(tmp_path, binary):
     back = read_scores(path)
     assert back.class_map == m.class_map
     np.testing.assert_array_equal(back.logits, m.logits)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_scores_write_to_a_missing_directory_names_the_file(tmp_path, binary):
+    path = tmp_path / "nodir" / "s.scores"
+    with pytest.raises(FormatError, match=re.escape(f"{path}: cannot write score file (")):
+        write_scores(ScoreMatrix(class_map=(0, 1), logits=np.eye(2)), path, binary=binary)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_scores_write_failing_part_way_keeps_the_previous_file(tmp_path, binary):
+    """A 16 or 64 kB payload written under a 4 kB file-size limit."""
+    path = tmp_path / "s.scores"
+    path.write_bytes(b"previous")
+    code = ("import numpy as np, ciss; "
+            f"ciss.write_scores(ciss.ScoreMatrix((0, 1), np.zeros((4096, 2))), {str(path)!r}, binary={binary})")
+    proc = run_with_file_size_limit(["-c", code], 4096)
+    assert proc.returncode == 1
+    assert f"ciss.errors.FormatError: {path}: cannot write score file ([Errno 27] File too large)" in proc.stderr
+    assert path.read_bytes() == b"previous"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_scores_reader_rejects_bad_payload(tmp_path):

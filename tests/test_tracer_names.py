@@ -32,3 +32,17 @@ def test_tracer_binds_and_restores_every_name(monkeypatch):
         after = dict(vars(owner))
         assert after.keys() == names.keys(), owner.__name__
         assert [name for name in names if after[name] is not names[name]] == [], owner.__name__
+
+
+def test_tracer_rebinds_every_stand_in_of_the_cli(monkeypatch):
+    """The stand-ins `ciss.cli` binds, its `_forward` objects, `accumulate`
+    and `L`, exist only for the tracer to rebind, so it rebinds each one."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    before = dict(vars(ciss.cli))
+    stand_ins = {name for name, value in before.items()
+                 if getattr(value, "__qualname__", None) == "_forward.<locals>.call"} | {"accumulate", "L"}
+    with tracing.instrumented(tracing.Tracer("split-memory")):
+        rebound = {name for name in stand_ins if vars(ciss.cli)[name] is not before[name]}
+    assert rebound == stand_ins
