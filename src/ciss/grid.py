@@ -3,13 +3,14 @@
 A label grid stores one class id per pixel in row-major order (origin
 top-left). Class id 0 is the background class, 255 is the ignore index;
 ignored pixels are excluded from every loss and metric in this package.
+
+A grid is its raster bytes, so the commands that only read, relabel and write
+grids never import numpy; `LabelGrid.data` is a numpy view for the others.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -17,70 +18,82 @@ BACKGROUND = 0
 IGNORE = 255
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LabelGrid:
-    """Immutable per-pixel class-id grid of shape height x width. The grid
-    keeps a read-only uint8 array: a read-only contiguous uint8 input is kept
-    as it is, any other one is copied, so no reference the caller holds can
-    change the grid."""
+    """Immutable per-pixel class-id grid of shape height x width. A `bytes`
+    raster is kept as it is; other input, integer ids in 0..255, is copied
+    once into `bytes`, so no reference the caller holds can change the grid."""
 
     width: int
     height: int
-    data: np.ndarray
+    raster: bytes
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError(f"grid dimensions must be positive, got {self.width}x{self.height}")
-        arr = np.asarray(self.data).reshape(-1)
-        if arr.size != self.width * self.height:
-            raise ValidationError(
-                f"grid data length {arr.size} does not match {self.width}x{self.height}"
-            )
-        if arr.dtype != np.uint8:
-            if arr.dtype.kind not in "iu":
-                raise ValidationError(f"grid class ids must be integers, got dtype {arr.dtype}")
-            if arr.min() < 0 or arr.max() > IGNORE:
-                raise ValidationError(f"grid class ids must lie in 0..{IGNORE}")
-        if arr.flags.writeable or arr.dtype != np.uint8 or not arr.flags.c_contiguous:
-            arr = arr.astype(np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+    def __init__(self, width: int, height: int, data) -> None:
+        if width <= 0 or height <= 0:
+            raise ValidationError(f"grid dimensions must be positive, got {width}x{height}")
+        if not isinstance(data, bytes):  # array-like ids, in C order
+            import numpy as np
+
+            arr = np.asarray(data)
+            if arr.dtype != np.uint8:
+                if arr.dtype.kind not in "iu":
+                    raise ValidationError(f"grid class ids must be integers, got dtype {arr.dtype}")
+                if arr.size and (arr.min() < 0 or arr.max() > IGNORE):
+                    raise ValidationError(f"grid class ids must lie in 0..{IGNORE}")
+            data = arr.astype(np.uint8, copy=False).tobytes()
+        if len(data) != width * height:
+            raise ValidationError(f"grid data length {len(data)} does not match {width}x{height}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "raster", data)
+
+    @property
+    def data(self):
+        """The raster as a read-only flat uint8 array that shares its bytes."""
+        import numpy as np
+
+        return np.frombuffer(self.raster, dtype=np.uint8)
 
     @property
     def n_pixels(self) -> int:
         return self.width * self.height
 
     @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "LabelGrid":
+    def from_rows(cls, rows) -> "LabelGrid":
+        import numpy as np
+
         rows = np.asarray(rows)
         if rows.ndim != 2:
             raise ValidationError("expected a 2-D array of class ids")
-        return cls(width=rows.shape[1], height=rows.shape[0], data=rows.reshape(-1))
+        return cls(width=rows.shape[1], height=rows.shape[0], data=rows)
 
-    def as_rows(self) -> np.ndarray:
+    def as_rows(self):
         return self.data.reshape(self.height, self.width)
 
     def foreground_classes(self) -> set[int]:
         """Distinct class ids present, excluding background and ignore.
 
-        Every id present starts a run, so only the run starts are counted.
-        The cost scales with them: a VOC-like 500x375 grid has about 2,200 of
-        its 187,500 pixels (1.2%) and takes about 0.16 ms, against 0.83 ms
-        for a bincount of every pixel (2-core VM, numpy 2.4). On uniform
-        noise every pixel starts a run, and it takes 1.1 ms against 0.53 ms.
+        Each pass adds every 256th of the bytes left to the ids found, then
+        deletes every found id from them. The first byte left is always
+        sampled, so each pass finds at least one new id and there are at most
+        256 passes. A VOC-like 500x375 grid has all its ids in the first
+        sample and takes 0.11-0.14 ms, as does a numpy bincount of its run
+        starts; uniform noise over all 256 ids takes 0.36-0.39 ms against
+        0.68-1.0 ms (2-core VM, Python 3.11). Sampling every 1,024th byte costs
+        the same on VOC-like grids but 2.3 ms on that noise, where deleting
+        unpredictable bytes runs at about 8.5 ns a byte.
         """
-        counts = np.bincount(self.data[_run_starts(self.data)], minlength=256)
-        counts[[BACKGROUND, IGNORE]] = 0
-        return set(np.flatnonzero(counts).tolist())
+        found: set[int] = set()
+        rest = self.raster
+        while rest:
+            found.update(rest[::256])
+            rest = rest.translate(None, bytes(found))
+        return found - {BACKGROUND, IGNORE}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelGrid):
             return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and bool(np.array_equal(self.data, other.data))
-        )
+        return (self.width, self.height, self.raster) == (other.width, other.height, other.raster)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LabelGrid({self.width}x{self.height})"
@@ -95,39 +108,21 @@ def class_ids(classes: Iterable[int]) -> list[int]:
     return keep
 
 
-def _run_starts(data: np.ndarray) -> np.ndarray:
-    """Indices of the pixels that start a run: pixel 0 and every pixel unlike its predecessor."""
-    is_start = np.empty(data.size, dtype=bool)
-    is_start[0] = True
-    np.not_equal(data[1:], data[:-1], out=is_start[1:])
-    return np.flatnonzero(is_start)
-
-
 def relabel(oracle: LabelGrid, classes: Iterable[int]) -> LabelGrid:
     """Keep pixels of the given classes, preserve ignore, send the rest to background.
 
     Total on valid grids: any pixel value outside ``classes`` and the ignore
     index becomes background, so applying the same class set twice is a no-op.
 
-    Only the run starts go through the class table, and each mapped value is
-    repeated over its run; a grid no pixel of which changes is returned as it
-    is, grids being immutable. The cost scales with the run starts: a
-    VOC-like 500x375 grid, with a few thousand, takes about 0.07 ms at a
-    peak of 1.1x the raster, against 0.15 ms and 9x for a table lookup of every
-    pixel through `take`, whose uint8 index numpy widens to an 8-byte copy of
-    the raster. On uniform noise every pixel starts a run, and it takes
-    2.1 ms at 26x against 0.15 ms at 9x (2-core VM, numpy 2.4).
+    One `bytes.translate` through a 256-entry table maps every pixel:
+    0.17-0.23 ms for a VOC-like 500x375 grid and 0.16-0.22 ms for uniform
+    noise, against 0.16-0.21 and 3.4-3.8 ms for a numpy relabel of the run
+    starts (2-core VM, Python 3.11). A grid no pixel of which changes is
+    returned as it is, grids being immutable.
     """
-    keep = class_ids(classes)
-    lut = np.zeros(256, dtype=np.uint8)
-    lut[keep] = keep
-    lut[IGNORE] = IGNORE
-    data = oracle.data
-    starts = _run_starts(data)
-    values = data[starts]
-    mapped = lut[values]
-    if np.array_equal(mapped, values):
-        return oracle
-    out = np.repeat(mapped, np.diff(starts, append=data.size))
-    out.setflags(write=False)
-    return LabelGrid(width=oracle.width, height=oracle.height, data=out)
+    table = bytearray(256)
+    for c in class_ids(classes):
+        table[c] = c
+    table[IGNORE] = IGNORE
+    raster = oracle.raster.translate(table)
+    return oracle if raster == oracle.raster else LabelGrid(oracle.width, oracle.height, raster)

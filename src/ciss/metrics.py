@@ -58,12 +58,11 @@ def accumulate(
         )
     if acc is None:
         acc = ConfusionAccumulator()
-    # joint[g, p]: pixels with ground truth g predicted as p
-    index = gt.data.astype(np.uint16)
+    # joint[g, p]: pixels with ground truth g predicted as p; bincount copies no intp index
+    index = gt.data.astype(np.intp)
     index <<= 8
     index |= pred.data
-    joint = np.bincount(index, minlength=_N_IDS * _N_IDS)
-    joint = joint.reshape(_N_IDS, _N_IDS)
+    joint = np.bincount(index, minlength=_N_IDS * _N_IDS).reshape(_N_IDS, _N_IDS)
     joint[IGNORE] = 0
     hits = joint.diagonal()
     acc.tp += hits

@@ -41,6 +41,4 @@ def pseudo_label(
         )
     best_class, confidence = top_probs(prev_scores)
     fill = (gt.data == BACKGROUND) & (confidence > cfg.tau)
-    out = np.where(fill, best_class, relabel(gt, keep).data)
-    out.setflags(write=False)
-    return LabelGrid(width=gt.width, height=gt.height, data=out)
+    return LabelGrid(width=gt.width, height=gt.height, data=np.where(fill, best_class, relabel(gt, keep).data))

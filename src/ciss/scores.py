@@ -128,9 +128,7 @@ def predict_labels(scores: ScoreMatrix, *, width: int | None = None, height: int
         width, height = n, 1
     if width is None or height is None or width * height != n:
         raise ValidationError(f"shape {width}x{height} does not cover {n} pixels")
-    data = top_class(scores, scores.logits.T)
-    data.setflags(write=False)
-    return LabelGrid(width=width, height=height, data=data)
+    return LabelGrid(width=width, height=height, data=top_class(scores, scores.logits.T))
 
 
 def top_class(scores: ScoreMatrix, values_t: np.ndarray) -> np.ndarray:

@@ -1045,12 +1045,13 @@ def _imported(argv: list[str]) -> set[str]:
 class TestImports:
     """A command imports only the modules it calls."""
 
+    # names of `ciss` submodules, and numpy, which the grid-only commands never need
     NOT_LOADED = {
-        "build": {"losses", "scores", "metrics", "pseudo"},
-        "memory sample": {"losses", "scores", "metrics", "pseudo"},
-        "memory overlap-ratio": {"losses", "scores", "metrics", "pseudo"},
-        "memory variant": {"losses", "scores", "metrics", "pseudo"},
-        "memory batch": {"losses", "scores", "metrics", "pseudo"},
+        "build": {"losses", "scores", "metrics", "pseudo", "numpy"},
+        "memory sample": {"losses", "scores", "metrics", "pseudo", "numpy"},
+        "memory overlap-ratio": {"losses", "scores", "metrics", "pseudo", "numpy"},
+        "memory variant": {"losses", "scores", "metrics", "pseudo", "numpy"},
+        "memory batch": {"losses", "scores", "metrics", "pseudo", "numpy"},
         "pseudo": {"losses", "memory", "scenario", "manifest", "metrics"},
         "eval miou": {"losses", "scores", "memory", "scenario", "manifest", "pseudo"},
         "eval prr": {"losses", "scores", "memory", "scenario", "manifest", "pseudo"},
@@ -1062,10 +1063,26 @@ class TestImports:
     def test_command_loads_only_what_it_calls(self, tmp_path, manifest_path, fig3_spec, command):
         modules = _imported(_leaf_commands(tmp_path, manifest_path, fig3_spec)[command])
         assert {"ciss", "ciss.errors"} <= modules  # ciss.cli itself runs as __main__
-        assert not {f"ciss.{name}" for name in self.NOT_LOADED[command]} & modules
+        assert not {name if name == "numpy" else f"ciss.{name}" for name in self.NOT_LOADED[command]} & modules
         # partitioned builds hash; so does numpy.random on import (through
         # secrets), which gradcheck samples its coordinates with
         assert ("hashlib" in modules) == (command == "loss gradcheck")
+
+    @pytest.mark.parametrize("command", sorted(c for c, names in NOT_LOADED.items() if "numpy" in names))
+    def test_grid_only_command_runs_without_numpy(self, tmp_path, manifest_path, fig3_spec, command):
+        """With numpy unimportable, the command prints the same document and
+        writes the same files as a normal run."""
+        argv = _leaf_commands(tmp_path, manifest_path, fig3_spec)[command]
+
+        def run_and_read(setup: str = "") -> tuple:
+            code = f"import runpy, sys; {setup}runpy.run_module('ciss.cli', run_name='__main__', alter_sys=True)"
+            proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True)
+            files = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+            return proc.returncode, proc.stdout, proc.stderr, files
+
+        code, out, err, files = run_and_read()
+        assert (code, err) == (0, b"")
+        assert run_and_read("sys.modules['numpy'] = None; ") == (code, out, err, files)
 
     def test_only_partitioned_builds_load_hashlib(self, tmp_path, manifest_path):
         build = ["build", "--manifest", str(manifest_path), "--task", "1-1"]

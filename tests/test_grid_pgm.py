@@ -1,4 +1,6 @@
 """Label grids, relabeling, and the PGM reader/writer."""
+import os
+import threading
 import time
 import tracemalloc
 
@@ -55,19 +57,18 @@ def test_grid_copies_a_writeable_input():
 
 
 def test_grid_keeps_a_read_only_input():
-    a = np.array([0, 3, 3, 0], dtype=np.uint8)
-    a.setflags(write=False)
-    assert np.shares_memory(LabelGrid(2, 2, a).data, a)
+    b = bytes([0, 3, 3, 0])
+    assert LabelGrid(2, 2, b).raster is b
 
 
 def test_relabel_and_p2_rasters_are_kept_uncopied(tmp_path):
-    """relabel and the P2 reader hand the grid read-only rasters of their
-    own, which it keeps as views instead of copying them."""
+    """relabel and the P2 reader hand the grid raster bytes of their own,
+    and its data is a read-only view of them."""
     oracle = LabelGrid(4, 3, np.random.default_rng(2).integers(0, 21, 12, dtype=np.uint8))
     (tmp_path / "a.pgm").write_bytes(b"P2\n4 3\n255\n" + " ".join(map(str, oracle.data.tolist())).encode())
     for grid in (relabel(oracle, {1, 2, 3}), read_pgm(tmp_path / "a.pgm")):
         assert not grid.data.flags.writeable
-        assert grid.data.base is not None and grid.data.base.flags.owndata
+        assert np.shares_memory(grid.data, np.frombuffer(grid.raster, np.uint8))
 
 
 def test_foreground_classes_exclude_reserved_ids():
@@ -219,8 +220,8 @@ def test_foreground_classes_match_unique_rule(g):
 
 
 def _relabel_by_table(oracle: LabelGrid, classes) -> np.ndarray:
-    """The relabel every pixel of which goes through the 256-entry class
-    table, as it was computed before run starts: the reference."""
+    """The relabel every pixel of which goes through a 256-entry numpy class
+    table: the reference."""
     keep = sorted(classes)
     lut = np.zeros(256, dtype=np.uint8)
     lut[keep] = keep
@@ -248,6 +249,44 @@ def test_relabel_matches_the_table_lookup(g, classes):
     assert (out.width, out.height) == (g.width, g.height) and not out.data.flags.writeable
 
 
+@st.composite
+def byte_cases(draw):
+    """A grid for the byte kernels and a class set to relabel it with: some
+    of its ids and maybe others. The grid holds a few drawn ids, uniform
+    noise, one pixel, background and ignore only, or a few ids plus rare ids
+    placed off `foreground_classes`' sample stride of 256 bytes."""
+    kind = draw(st.sampled_from(["palette", "noise", "one-pixel", "reserved", "rare"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = 40 if kind == "rare" else 1  # a rare grid spans several strides
+    width, height = (1, 1) if kind == "one-pixel" else (draw(st.integers(low, 90)), draw(st.integers(low, 70)))
+    n = width * height
+    if kind in ("noise", "one-pixel"):
+        values = rng.integers(0, 256, n)
+    elif kind == "reserved":
+        values = rng.choice([BACKGROUND, IGNORE], n)
+    else:
+        values = rng.choice(draw(st.lists(st.integers(0, 255), min_size=1, max_size=6)), n)
+    if kind == "rare":
+        spots = draw(st.lists(st.integers(1, n - 1).filter(lambda i: i % 256), min_size=1, max_size=3))
+        values[spots] = draw(st.lists(st.integers(1, 254), min_size=len(spots), max_size=len(spots)))
+    g = LabelGrid(width, height, values)
+    present = sorted(set(g.raster) - {BACKGROUND, IGNORE})
+    classes = draw(st.sets(st.sampled_from(present)) if present else st.just(set()))
+    return g, classes | draw(st.sets(st.integers(1, 254), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(byte_cases())
+@example((LabelGrid(1100, 1, bytes(1000) + b"\x07" + bytes(99)), {7}))  # one id, off every stride
+@example((LabelGrid(1100, 1, bytes(1000) + b"\x07" + bytes(99)), {9}))
+def test_byte_kernels_match_numpy_references(case):
+    g, classes = case
+    assert g.foreground_classes() == set(np.unique(g.data).tolist()) - {BACKGROUND, IGNORE}
+    out = relabel(g, classes)
+    assert out.raster == _relabel_by_table(g, classes).tobytes()
+    assert (out is g) == (out.raster == g.raster)
+
+
 def test_relabel_returns_an_unchanged_grid_itself():
     g = _voc_like()
     assert relabel(g, {5, 9}) is g
@@ -265,7 +304,7 @@ def test_relabel_peak_memory_stays_near_the_raster(classes):
     finally:
         tracemalloc.stop()
     assert out.data.tolist() == _relabel_by_table(g, classes).tolist()
-    # the output raster, plus a run-start index far smaller than the raster
+    # the output raster, plus a 256-byte class table
     assert peak < 1.5 * g.n_pixels
 
 
@@ -356,6 +395,67 @@ def test_pgm_header_grammar_reads_back(tmp_path_factory, case):
             read_pgm(path)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([b"P2", b"P5"]), st.integers(1, 255), st.integers(-2, 2), st.data())
+def test_pgm_rasters_read_as_their_values(tmp_path_factory, magic, maxval, extra, data):
+    """A raster with `extra` values more or fewer than the 3x2 header asks
+    for reads as its values, or fails with the message for its first
+    fault: a short raster (a long P5 one is cut), a P2 value outside 0..255,
+    then a value above maxval."""
+    n = 6 + extra
+    if magic == b"P5":
+        values = data.draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
+        body, count = bytes(values), min(len(values), 6)
+    else:
+        values = data.draw(st.lists(st.integers(0, 255) | st.integers(-300, 300) | st.just(2**70),
+                                    min_size=n, max_size=n))
+        body, count = " ".join(map(str, values)).encode(), len(values)
+    path = tmp_path_factory.mktemp("pgm") / "g.pgm"
+    path.write_bytes(b"%s 3 2 %d\n%s" % (magic, maxval, body))
+    raster = values[:6]
+    if count != 6:
+        what = "raster bytes" if magic == b"P5" else "pixel values"
+        message = f"expected 6 {what}, found {count}"
+    elif min(raster) < 0 or max(raster) > 255:
+        message = "ASCII pixel value outside 0..255"
+    elif max(raster) > maxval:
+        message = f"pixel value {max(raster)} exceeds maxval {maxval}"
+    else:
+        assert read_pgm(path).as_rows().tolist() == [raster[:3], raster[3:]]
+        return
+    with pytest.raises(FormatError) as err:
+        read_pgm(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_pgm_header_longer_than_the_first_read(tmp_path):
+    """A header of any length reads, whether its last token ends before,
+    at or after the end of the reader's first 512 bytes."""
+    path = tmp_path / "g.pgm"
+    for magic, raster in ((b"P5", b"\x01\x00\x07"), (b"P2", b"1 0 7\n")):
+        for pad in [0, 100, *range(495, 515), 1023, 1024, 5000]:
+            path.write_bytes(magic + b" #" + b"c" * pad + b"\n3 1 255\n" + raster)
+            assert read_pgm(path).data.tolist() == [1, 0, 7], (magic, pad)
+
+
+def test_pgm_reads_from_a_pipe(tmp_path):
+    """A pipe cannot seek back to the end of the header; the raster bytes
+    read with the header are kept."""
+    raster = np.random.default_rng(3).integers(0, 256, 400 * 300, dtype=np.uint8)
+    text = " ".join(map(str, raster[:12].tolist())).encode()
+    fifo = tmp_path / "g.pgm"
+    for blob, want in ((b"P5 400 300 255\n" + raster.tobytes(), raster), (b"P2 4 3 255\n" + text, raster[:12])):
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        try:
+            grid = read_pgm(fifo)
+        finally:
+            writer.join(10)
+            fifo.unlink()
+        assert not writer.is_alive() and grid.raster == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "blob, message",
     [
@@ -379,6 +479,8 @@ def test_pgm_header_grammar_reads_back(tmp_path_factory, case):
         (b"P2 1 1 255\n256\n", "ASCII pixel value outside 0..255"),
         (b"P2 1 1 255\n1 #\n", "bad ASCII raster (invalid literal for int() with base 10: b'#')"),
         (b"P5 1 1 1\n\x02", "pixel value 2 exceeds maxval 1"),
+        (b"P2 1 1 255\n99999999999999999999\n", "ASCII pixel value outside 0..255"),  # past int64
+        (b"P5 100000 100000 255\n\x00", "expected 10000000000 raster bytes, found 1"),
     ],
 )
 def test_pgm_errors_keep_their_messages(tmp_path, blob, message):

@@ -86,6 +86,25 @@ def test_accumulate_matches_per_pixel_count(pair):
     assert np.array_equal(acc.fn, fn)
 
 
+def _all_counts(acc: ConfusionAccumulator) -> tuple[list, list, list]:
+    return acc.tp.tolist(), acc.fp.tolist(), acc.fn.tolist()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(all_byte_pairs(), min_size=3, max_size=3))
+def test_merge_is_associative_and_equals_one_accumulator(pairs):
+    """Counts accumulated apart and merged in any grouping, by `merge` or
+    `+`, equal those of every pair accumulated into one accumulator, and
+    merging leaves its operands as they were."""
+    whole = ConfusionAccumulator()
+    for pred, gt in pairs:
+        accumulate(pred, gt, whole)
+    a, b, c = (accumulate(pred, gt) for pred, gt in pairs)
+    for merged in ((a + b) + c, a + (b + c), a.merge(b).merge(c), a.merge(b.merge(c)), (c + a) + b):
+        assert _all_counts(merged) == _all_counts(whole)
+    assert _all_counts(a) == _all_counts(accumulate(*pairs[0]))
+
+
 def test_predicted_ignore_id_is_a_false_positive_of_255():
     acc = accumulate(g([255, 1, 255]), g([1, 1, 255]))
     assert acc.counts(255) == (0, 1, 0)

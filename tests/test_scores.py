@@ -132,8 +132,8 @@ def test_scorematrix_keeps_a_read_only_input():
 
 
 def test_internal_arrays_are_kept_uncopied(tmp_path, monkeypatch):
-    """The text reader's rows and predict_labels' raster are read-only and
-    the matrix and grid keep them as they are."""
+    """The text reader's rows are read-only and the matrix keeps them as they
+    are; predict_labels' grid data is a read-only view of its raster."""
     made = []
     loadtxt = np.loadtxt
 
@@ -145,9 +145,9 @@ def test_internal_arrays_are_kept_uncopied(tmp_path, monkeypatch):
     write_scores(ScoreMatrix(class_map=(0, 1), logits=np.eye(2)), tmp_path / "s.txt")
     m = read_scores(tmp_path / "s.txt")
     assert m.logits is made[0]
-    data = predict_labels(m).data
-    assert not data.flags.writeable
-    assert data.base is not None and data.base.flags.owndata
+    grid = predict_labels(m)
+    assert not grid.data.flags.writeable
+    assert np.shares_memory(grid.data, np.frombuffer(grid.raster, np.uint8))
 
 
 def test_text_scores_file_bytes_are_pinned(tmp_path):
