@@ -1,12 +1,25 @@
 """Scenario construction, exemplar-memory auditing, and loss/metric kernels
 for class-incremental semantic segmentation datasets.
 
-The ids the library dispatches on are defined here, so the command-line
-parser offers them as choices without loading `scenario` or `losses`, which
-re-export them. Every other public name is looked up in its module on each
-access (PEP 562), so `import ciss` loads no submodule, a CLI command loads
+The error types and the ids the library dispatches on are defined here, the
+ids so that the CLI parser offers them without loading `scenario` or `losses`,
+which re-export them. Every other public name is looked up in its module on
+each access (PEP 562), so `import ciss` loads no submodule, a CLI command loads
 only the modules it calls, and a name rebound in its module is seen here.
 """
+
+
+class CissError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class FormatError(CissError):
+    """A file or payload does not conform to its declared format."""
+
+
+class ValidationError(CissError):
+    """Inputs violate a documented precondition or invariant."""
+
 
 SCENARIO_KINDS = ("overlapped", "disjoint", "partitioned")
 # the per-pixel losses `losses.loss_value` scores, and the objectives built from them
@@ -15,7 +28,6 @@ COMPOSITE_LOSSES = ("memory_augmented", "bce_replay", "pseudo_replay")
 
 # submodule -> the public names `ciss` takes from it
 _EXPORTS = {
-    "errors": ("CissError", "FormatError", "ValidationError"),
     "grid": ("BACKGROUND", "IGNORE", "LabelGrid", "relabel"),
     "losses": (
         "GradCheckReport",
@@ -75,7 +87,8 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "artifacts", "cli")
 
-__all__ = sorted([*_MODULE_OF, "ATOMIC_LOSSES", "COMPOSITE_LOSSES", "SCENARIO_KINDS"])
+__all__ = sorted([*_MODULE_OF, "ATOMIC_LOSSES", "COMPOSITE_LOSSES", "SCENARIO_KINDS",
+                  "CissError", "FormatError", "ValidationError"])
 __version__ = "0.1.0"
 
 

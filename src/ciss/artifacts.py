@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
-from .errors import FormatError, ValidationError
+from . import FormatError, ValidationError
 from .grid import LabelGrid
 
 

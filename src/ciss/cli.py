@@ -19,9 +19,8 @@ from pathlib import Path
 
 import ciss
 
-from . import ATOMIC_LOSSES, COMPOSITE_LOSSES, SCENARIO_KINDS
+from . import ATOMIC_LOSSES, COMPOSITE_LOSSES, SCENARIO_KINDS, CissError, FormatError, ValidationError
 from .artifacts import json_text, read_json, staging
-from .errors import CissError, FormatError, ValidationError
 
 
 def _forward(name: str):
@@ -192,8 +191,8 @@ def cmd_eval_miou(args) -> dict:
 
 def cmd_eval_prr(args) -> dict:
     spec = _load_spec(args)
-    if not 1 <= args.current_task <= spec.task_count:
-        raise ValidationError(f"--current-task {args.current_task} outside 1..{spec.task_count}, "
+    if not 1 <= args.current_task < spec.num_tasks:
+        raise ValidationError(f"--current-task {args.current_task} outside 1..{spec.num_tasks - 1}, "
                               f"the tasks of layout {args.task} that have old classes")
     old = ciss.classes_up_to(spec, args.current_task - 1)
     pairs = ((read_pgm(oracle), read_pgm(pseudo))

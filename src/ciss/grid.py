@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ValidationError
+from . import ValidationError
 
 BACKGROUND = 0
 IGNORE = 255

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ATOMIC_LOSSES, COMPOSITE_LOSSES
+from . import ATOMIC_LOSSES, COMPOSITE_LOSSES, FormatError, ValidationError
 from .artifacts import is_int, read_json, reading
-from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid, class_ids
 from .pgm import read_pgm
 from .scores import ScoreMatrix, read_scores, row_blocks
@@ -503,7 +503,8 @@ def grad_check(
         raise ValidationError(f"seed must be >= 0, got {seed}")
     kernel, norm = _prepare(loss_id, item, layout, cfg)
     z = item.scores.logits
-    picks = np.random.default_rng(seed).choice(z.size, min(max_coords, z.size), replace=False)
+    # `random`, not `numpy.random`, whose import loads hashlib and OpenSSL
+    picks = random.Random(seed).sample(range(z.size), min(max_coords, z.size))
     rows, cols = np.divmod(picks, z.shape[1])
     # the gradient's scale and its values at the picks, block by block
     loss, grad, top = np.empty(len(z)), np.empty(len(picks)), 0.0

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+from . import FormatError, ValidationError
 from .artifacts import grid_name, is_int, read_json, reading, write_artifact
-from .errors import FormatError, ValidationError
 from .grid import IGNORE, LabelGrid
 from .pgm import read_pgm, write_pgm
 

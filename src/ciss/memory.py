@@ -18,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import FormatError, ValidationError
 from .artifacts import grid_name, is_int, read_json, reading, write_artifact
-from .errors import FormatError, ValidationError
 from .grid import LabelGrid, relabel
 from .manifest import DatasetManifest
 # read_pgm is unused here; it stays bound because bench/tracing.py patches ciss.memory.read_pgm
@@ -267,7 +267,7 @@ def make_non_overlapping_variant(
     anchors = {e.anchor_class for e in memory.entries if e.image_id in current}
     # key None holds every candidate, for replacements that fall back to task 0
     untaken = _Untaken(
-        {**_class_pools(split, manifest, anchors, spec.task_count, pool), None: [(i, 0) for i in pool]}
+        {**_class_pools(split, manifest, anchors, spec.num_tasks - 1, pool), None: [(i, 0) for i in pool]}
     )
     rng = random.Random(seed)
 

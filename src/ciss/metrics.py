@@ -17,7 +17,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from . import ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid
 from .tasks import TaskSpec
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import os
 import re
 
+from . import FormatError
 from .artifacts import reading
-from .errors import FormatError
 from .grid import LabelGrid
 
 # After the magic: width, height and maxval, each a maximal run of bytes that
@@ -76,10 +76,8 @@ def read_pgm(path: str | os.PathLike) -> LabelGrid:
 
 
 def write_pgm(grid: LabelGrid, path: str | os.PathLike) -> None:
-    header = f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(grid.raster)
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot write PGM file ({exc})") from exc
+    """Write `grid` as P5 at `path`; a failed write raises what `open` raises. The
+    package writes inside `staging`, whose `FormatError` names the file being replaced."""
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii"))
+        fh.write(grid.raster)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from . import ValidationError
 from .grid import BACKGROUND, LabelGrid, class_ids, relabel
 from .scores import ScoreMatrix, top_probs
 

@@ -18,9 +18,8 @@ import os
 import random
 from dataclasses import dataclass
 
-from . import SCENARIO_KINDS
+from . import SCENARIO_KINDS, FormatError, ValidationError
 from .artifacts import is_int, read_json, reading, write_artifact
-from .errors import FormatError, ValidationError
 from .manifest import DatasetManifest
 from .tasks import TaskSpec, task_classes, task_of_class
 
@@ -42,7 +41,7 @@ class SplitManifest:
             raise ValidationError(f"unknown scenario kind {self.scenario!r}")
         if len(self.tasks) != self.spec.num_tasks:
             raise ValidationError(
-                f"split holds {len(self.tasks)} task lists for layout tasks 0..{self.spec.task_count}"
+                f"split holds {len(self.tasks)} task lists for layout tasks 0..{self.spec.num_tasks - 1}"
             )
         seen: set[str] = set()
         for t, ids in enumerate(self.tasks):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import FormatError, ValidationError
 from .artifacts import read_bytes, reading, staging
-from .errors import FormatError, ValidationError
 from .grid import BACKGROUND, IGNORE, LabelGrid
 
 # Rows per block of a pass over a score matrix, so that a block's K x b

@@ -10,8 +10,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from . import ValidationError
 from .artifacts import reading
-from .errors import ValidationError
 from .grid import IGNORE
 
 
@@ -43,13 +43,9 @@ class TaskSpec:
         return len(self.class_order)
 
     @property
-    def task_count(self) -> int:
-        """Index of the last task; 0 when the base task holds every class."""
-        return (self.class_count - self.base_count) // self.step
-
-    @property
     def num_tasks(self) -> int:
-        return self.task_count + 1
+        """Tasks 0..num_tasks - 1; 1 when the base task holds every class."""
+        return (self.class_count - self.base_count) // self.step + 1
 
 
 def task_classes(spec: TaskSpec, t: int) -> set[int]:
@@ -60,8 +56,8 @@ def task_classes(spec: TaskSpec, t: int) -> set[int]:
 
 def classes_up_to(spec: TaskSpec, t: int) -> set[int]:
     """Class ids introduced at tasks 0..t inclusive."""
-    if not 0 <= t <= spec.task_count:
-        raise ValidationError(f"task index {t} outside 0..{spec.task_count}")
+    if not 0 <= t < spec.num_tasks:
+        raise ValidationError(f"task index {t} outside 0..{spec.num_tasks - 1}")
     return set(spec.class_order[: spec.base_count + t * spec.step])
 
 

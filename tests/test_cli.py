@@ -204,6 +204,26 @@ class TestMemoryCommands:
         assert json.loads(err)["error"] == {
             "type": "FormatError", "message": f"{manifest_path}: cannot read manifest (duplicate image id 'Img1')"}
 
+    def test_grid_write_failing_part_way_names_the_memory_file(self, capsys, fig3_manifest, tmp_path):
+        """Stored grids of 4.8 kB written under a 4 kB file-size limit: the
+        error names the memory file being written, not a staged grid."""
+        records = tuple(make_record(r.image_id, r.oracle_classes, width=80, height=60)
+                        for r in fig3_manifest.records)
+        manifest, split, mem = tmp_path / "big.json", tmp_path / "split.json", tmp_path / "memory.json"
+        save_manifest(DatasetManifest(class_count=3, records=records), manifest)
+        code, _, _ = run(capsys, ["build", "--manifest", str(manifest), "--scenario", "overlapped",
+                                  "--task", "1-1", "--out", str(split)])
+        assert code == 0
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_with_file_size_limit(
+            ["-m", "ciss.cli", "memory", "sample", "--manifest", str(manifest), "--split", str(split),
+             "--upto-task", "0", "--size", "3", "--seed", "1", "--out", str(mem)], 4096)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert [json.loads(line)["error"] for line in proc.stderr.splitlines()] == [
+            {"type": "FormatError", "message": f"{mem}: cannot write artifact ([Errno 27] File too large)"}]
+        assert ".tmp" not in proc.stderr
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_batch_listing_deterministic(self, capsys, manifest_path, split_path, tmp_path):
         mem = tmp_path / "memory.json"
         run(
@@ -249,7 +269,7 @@ class TestPseudoCommand:
         code, doc, err = run(capsys, [*self._inputs(tmp_path, 2), "--out", str(out)])
         assert (code, doc) == (2, None)
         error = json.loads(err)["error"]
-        assert error["type"] == "FormatError" and error["message"].startswith(f"{out}.tmp: cannot write PGM file (")
+        assert error["type"] == "FormatError" and error["message"].startswith(f"{out}: cannot write PGM file (")
         assert not (tmp_path / "nodir").exists()
 
     def test_write_failing_part_way_keeps_the_previous_file(self, tmp_path):
@@ -1062,11 +1082,11 @@ class TestImports:
     @pytest.mark.parametrize("command", sorted(NOT_LOADED))
     def test_command_loads_only_what_it_calls(self, tmp_path, manifest_path, fig3_spec, command):
         modules = _imported(_leaf_commands(tmp_path, manifest_path, fig3_spec)[command])
-        assert {"ciss", "ciss.errors"} <= modules  # ciss.cli itself runs as __main__
+        assert "ciss" in modules  # ciss.cli itself runs as __main__
         assert not {name if name == "numpy" else f"ciss.{name}" for name in self.NOT_LOADED[command]} & modules
-        # partitioned builds hash; so does numpy.random on import (through
-        # secrets), which gradcheck samples its coordinates with
-        assert ("hashlib" in modules) == (command == "loss gradcheck")
+        # only partitioned builds hash; gradcheck samples its coordinates with
+        # `random`, not numpy.random, whose import loads hashlib (through secrets)
+        assert not {"hashlib", "numpy.random"} & modules
 
     @pytest.mark.parametrize("command", sorted(c for c, names in NOT_LOADED.items() if "numpy" in names))
     def test_grid_only_command_runs_without_numpy(self, tmp_path, manifest_path, fig3_spec, command):

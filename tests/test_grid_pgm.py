@@ -141,6 +141,14 @@ def test_pgm_writer_is_byte_stable(tmp_path):
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
 
+def test_pgm_write_into_a_missing_directory_raises_what_open_raises(tmp_path):
+    """A direct write is not staged, so nothing names a target for it: the
+    `OSError` is left as `open` raised it."""
+    with pytest.raises(FileNotFoundError):
+        write_pgm(LabelGrid.from_rows(np.zeros((1, 1), dtype=np.uint8)), tmp_path / "nodir" / "a.pgm")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pgm_reads_ascii_variant_with_comments(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P2\n# produced by hand\n3 2\n255\n0 1 255\n20 3 0\n")

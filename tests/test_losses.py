@@ -2,6 +2,7 @@
 objectives, and finite-difference gradient checks."""
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -602,6 +603,29 @@ def test_blocked_kernel_is_bit_identical_to_one_call(loss_id, cfg, n):
                 assert np.array_equal(blocked[1], whole[1].T)
 
 
+def _permuted(scores: ScoreMatrix, order) -> ScoreMatrix:
+    """The same scores with their columns, and their class map, in `order`."""
+    return ScoreMatrix(class_map=tuple(scores.class_map[j] for j in order), logits=scores.logits[:, order])
+
+
+@pytest.mark.parametrize("loss_id", ATOMIC_LOSSES)
+@pytest.mark.parametrize("order", [(5, 4, 3, 2, 1, 0), (3, 0, 5, 1, 4, 2), (1, 3, 5, 0, 2, 4)])
+def test_column_order_changes_no_loss(loss_id, order):
+    """A kernel takes each bucket's rows by class, not by position. In the
+    identity order every bucket's columns are one ascending run, which the
+    kernels take as a slice; permuted together with the class map they are
+    not, and the kernels take them by index. Every loss moves by at most
+    1e-12 relative, and its gradient columns move with the permutation."""
+    item = _random_item(loss_id, seed=7, n=B + 5)
+    moved = LossItem(_permuted(item.scores, order), item.labels,
+                     prev_scores=_permuted(item.prev_scores, (2, 0, 1)))
+    value = loss_value(loss_id, item, WIDE, CFG)
+    assert loss_value(loss_id, moved, WIDE, CFG) == pytest.approx(value, rel=1e-12, abs=0)
+    grad = grad_logits(loss_id, item, WIDE, CFG)
+    np.testing.assert_allclose(grad_logits(loss_id, moved, WIDE, CFG), grad[:, order],
+                               rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+
+
 def _checked_coords(monkeypatch, item, **kwargs):
     """grad_check's report and the flat coordinates it differenced, read off
     the nudged logits it handed to the kernel."""
@@ -688,7 +712,7 @@ def test_gradcheck_report_matches_the_full_gradient(full_size_items, loss_id):
     report = grad_check(loss_id, item, FULL_LAYOUT, cfg, max_coords=k, seed=seed)
     grad = grad_logits(loss_id, item, FULL_LAYOUT, cfg)
     z = item.scores.logits
-    picks = np.random.default_rng(seed).choice(z.size, k, replace=False)
+    picks = np.array(random.Random(seed).sample(range(z.size), k))
     rows, cols = np.divmod(picks, z.shape[1])
     kernel, norm = losses_module._prepare(loss_id, item, FULL_LAYOUT, cfg)
     nudge = np.zeros((k, z.shape[1]))

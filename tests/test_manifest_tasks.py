@@ -166,7 +166,7 @@ def test_task_classes_15_1_layout():
     spec = parse_layout("15-1", 20)
     assert task_classes(spec, 0) == set(range(1, 16))
     assert task_classes(spec, 3) == {18}
-    assert spec.task_count == 5
+    assert spec.num_tasks == 6
 
 
 def test_task_classes_5_3_layout():
@@ -204,15 +204,15 @@ def test_task_classes_are_the_class_order_blocks(layout):
     assert blocks == [set(order[a:b]) for a, b in zip(starts, starts[1:])]
     assert sum(map(len, blocks)) == 20 and set().union(*blocks) == set(range(1, 21))
     for t in (-1, spec.num_tasks):
-        with pytest.raises(ValidationError, match=rf"task index {t} outside 0\.\.{spec.task_count}$"):
+        with pytest.raises(ValidationError, match=rf"task index {t} outside 0\.\.{spec.num_tasks - 1}$"):
             task_classes(spec, t)
 
 
 def test_single_task_layout_is_allowed():
     spec = parse_layout("1-1", 3)
-    assert spec.task_count == 2
+    assert spec.num_tasks == 3
     whole = parse_layout("3-3", 3)
-    assert whole.task_count == 0
+    assert whole.num_tasks == 1
     assert task_classes(whole, 0) == {1, 2, 3}
 
 
@@ -290,7 +290,7 @@ def test_class_order_reaching_the_ignore_id_is_rejected():
 
 def test_largest_class_count_is_allowed():
     assert DatasetManifest(class_count=254, records=()).class_count == 254
-    assert parse_layout("250-4", 254).task_count == 1
+    assert parse_layout("250-4", 254).num_tasks == 2
 
 
 @pytest.mark.parametrize("entry", [{"id": "a", "labels": 5}, {"id": 5, "labels": "a.pgm"}])

@@ -437,7 +437,7 @@ def _reference_variant(memory, split, manifest, t, seed):
     current = set(split.task_ids(t))
     pool = sorted(set(split.task_ids(0)) - current - memory.ids())
     anchors = {e.anchor_class for e in memory.entries if e.image_id in current}
-    pools = ciss.memory._class_pools(split, manifest, anchors, spec.task_count, pool)
+    pools = ciss.memory._class_pools(split, manifest, anchors, spec.num_tasks - 1, pool)
     rng = random.Random(seed)
     used, entries, warnings = set(), [], list(memory.warnings)
     for entry in memory.entries:

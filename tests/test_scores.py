@@ -190,7 +190,7 @@ def test_scores_write_failing_part_way_keeps_the_previous_file(tmp_path, binary)
             f"ciss.write_scores(ciss.ScoreMatrix((0, 1), np.zeros((4096, 2))), {str(path)!r}, binary={binary})")
     proc = run_with_file_size_limit(["-c", code], 4096)
     assert proc.returncode == 1
-    assert f"ciss.errors.FormatError: {path}: cannot write score file ([Errno 27] File too large)" in proc.stderr
+    assert f"ciss.FormatError: {path}: cannot write score file ([Errno 27] File too large)" in proc.stderr
     assert path.read_bytes() == b"previous"
     assert list(tmp_path.iterdir()) == [path]
 
