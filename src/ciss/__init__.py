@@ -70,7 +70,6 @@ _EXPORTS = {
         "pseudo_label_retrieval_rate",
     ),
     "pgm": ("read_pgm", "write_pgm"),
-    "pseudo": ("PseudoConfig", "pseudo_label"),
     "scenario": (
         "SplitManifest",
         "assign_partition_class",
@@ -81,7 +80,8 @@ _EXPORTS = {
         "save_split",
         "split_overlapping",
     ),
-    "scores": ("ScoreMatrix", "predict_labels", "read_scores", "softmax_probs", "write_scores"),
+    "scores": ("PseudoConfig", "ScoreMatrix", "predict_labels", "pseudo_label", "read_scores", "softmax_probs",
+               "write_scores"),
     "tasks": ("TaskSpec", "classes_up_to", "load_class_order", "parse_layout", "task_classes", "task_of_class"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

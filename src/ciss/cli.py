@@ -128,9 +128,9 @@ def cmd_memory_variant(args) -> dict:
     memory, split = load_memory(args.memory), load_split(args.split)
     manifest = load_manifest(args.manifest)
     variant = make_non_overlapping_variant(memory, split, manifest, args.task, args.seed)
+    ratio = overlap_ratio(variant, split, args.task)  # an empty variant has none: refused before any write
     save_memory(variant, args.out, manifest, split.spec)
-    return {"out": str(args.out), **_displayed("overlap_ratio", overlap_ratio(variant, split, args.task)),
-            "warnings": list(variant.warnings)}
+    return {"out": str(args.out), **_displayed("overlap_ratio", ratio), "warnings": list(variant.warnings)}
 
 
 def cmd_memory_batch(args) -> dict:

@@ -9,7 +9,7 @@ grids never import numpy; `LabelGrid.data` is a numpy view for the others.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import ValidationError
@@ -18,7 +18,7 @@ BACKGROUND = 0
 IGNORE = 255
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, init=False)
 class LabelGrid:
     """Immutable per-pixel class-id grid of shape height x width. A `bytes`
     raster is kept as it is; other input, integer ids in 0..255, is copied
@@ -26,7 +26,7 @@ class LabelGrid:
 
     width: int
     height: int
-    raster: bytes
+    raster: bytes = field(repr=False)
 
     def __init__(self, width: int, height: int, data) -> None:
         if width <= 0 or height <= 0:
@@ -89,14 +89,6 @@ class LabelGrid:
             found.update(rest[::256])
             rest = rest.translate(None, bytes(found))
         return found - {BACKGROUND, IGNORE}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabelGrid):
-            return NotImplemented
-        return (self.width, self.height, self.raster) == (other.width, other.height, other.raster)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"LabelGrid({self.width}x{self.height})"
 
 
 def class_ids(classes: Iterable[int]) -> list[int]:

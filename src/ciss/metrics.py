@@ -34,15 +34,12 @@ class ConfusionAccumulator:
         self.fp = np.zeros(_N_IDS, dtype=np.int64)
         self.fn = np.zeros(_N_IDS, dtype=np.int64)
 
-    def merge(self, other: "ConfusionAccumulator") -> "ConfusionAccumulator":
+    def __add__(self, other: "ConfusionAccumulator") -> "ConfusionAccumulator":
         out = ConfusionAccumulator()
         out.tp = self.tp + other.tp
         out.fp = self.fp + other.fp
         out.fn = self.fn + other.fn
         return out
-
-    def __add__(self, other: "ConfusionAccumulator") -> "ConfusionAccumulator":
-        return self.merge(other)
 
     def counts(self, class_id: int) -> tuple[int, int, int]:
         return int(self.tp[class_id]), int(self.fp[class_id]), int(self.fn[class_id])
@@ -96,15 +93,6 @@ def miou(acc: ConfusionAccumulator, classes: Iterable[int]) -> float:
     return sum(v if v is not None else 0.0 for v in per_class.values()) / len(per_class)
 
 
-def _image_miou_defined(pred: LabelGrid, gt: LabelGrid, classes: set[int]) -> float:
-    """Per-image mean over classes whose IoU is defined for this image."""
-    per_class = iou_per_class(accumulate(pred, gt), classes)
-    defined = [v for v in per_class.values() if v is not None]
-    if not defined:
-        return 0.0
-    return sum(defined) / len(defined)
-
-
 def pseudo_label_retrieval_rate(
     pairs: Iterable[tuple[LabelGrid, LabelGrid]], old_classes: set[int]
 ) -> float:
@@ -119,7 +107,8 @@ def pseudo_label_retrieval_rate(
     total = 0.0
     count = 0
     for oracle, pseudo in pairs:
-        total += _image_miou_defined(pred=pseudo, gt=oracle, classes=measured)
+        defined = [v for v in iou_per_class(accumulate(pseudo, oracle), measured).values() if v is not None]
+        total += sum(defined) / len(defined) if defined else 0.0
         count += 1
     if not count:
         raise ValidationError("retrieval rate of an empty evaluation set is undefined")

@@ -1,4 +1,5 @@
-"""Per-pixel score matrices and the argmax prediction rule.
+"""Per-pixel score matrices, the argmax prediction rule, and pseudo-labels
+drawn from a previous model's scores.
 
 A score matrix holds N x K logits with an explicit class-id map (background
 included). File format: line 1 is "N K" or "N K binary", line 2 the K class
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import FormatError, ValidationError
 from .artifacts import read_bytes, reading, staging
-from .grid import BACKGROUND, IGNORE, LabelGrid
+from .grid import BACKGROUND, IGNORE, LabelGrid, class_ids, relabel
 
 # Rows per block of a pass over a score matrix, so that a block's K x b
 # temporaries stay in cache. Larger blocks run faster in a warm process but
@@ -115,6 +116,34 @@ def top_probs(scores: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
         best[block] = top_class(scores, probs)
         confidence[block] = probs.max(axis=0)
     return best, confidence
+
+
+@dataclass(frozen=True)
+class PseudoConfig:
+    tau: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValidationError(f"threshold must be in [0, 1], got {self.tau}")
+
+
+def pseudo_label(gt: LabelGrid, prev_scores: ScoreMatrix, current_classes: set[int], cfg: PseudoConfig) -> LabelGrid:
+    """Pseudo-labeling of background pixels from a previous model's scores.
+
+    Ground-truth pixels of the current task's classes are kept. A background
+    pixel takes the previous model's argmax class when its top softmax
+    probability strictly exceeds the threshold; everything else stays
+    background, and ignored pixels are untouched.
+    """
+    keep = class_ids(current_classes)
+    if not keep:
+        raise ValidationError("at least one current class is needed: with none, every "
+                              "current-task label would be lost")
+    if gt.n_pixels != prev_scores.n_pixels:
+        raise ValidationError(f"grid has {gt.n_pixels} pixels, scores have {prev_scores.n_pixels}")
+    best_class, confidence = top_probs(prev_scores)
+    fill = (gt.data == BACKGROUND) & (confidence > cfg.tau)
+    return LabelGrid(width=gt.width, height=gt.height, data=np.where(fill, best_class, relabel(gt, keep).data))
 
 
 def predict_labels(scores: ScoreMatrix, *, width: int | None = None, height: int | None = None) -> LabelGrid:

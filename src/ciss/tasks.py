@@ -8,6 +8,7 @@ order form the per-task class sets, which partition 1..C.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 
 from . import ValidationError
@@ -22,11 +23,11 @@ class TaskSpec:
     class_order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        order = tuple(int(c) for c in self.class_order)
-        object.__setattr__(self, "class_order", order)
-        c = len(order)
+        c = len(self.class_order)  # before any id is read, so a long lazy order is never built
         if not 1 <= c < IGNORE:
-            raise ValidationError(f"class order holds {c} classes, expected 1..{IGNORE - 1}")
+            raise ValidationError(f"class count must lie in 1..{IGNORE - 1}, got {c}")
+        order = tuple(int(i) for i in self.class_order)
+        object.__setattr__(self, "class_order", order)
         if sorted(order) != list(range(1, c + 1)):
             raise ValidationError(f"class order is not a permutation of 1..{c}")
         if not 1 <= self.base_count <= c:
@@ -81,14 +82,13 @@ def parse_layout(text: str, class_count: int, class_order: tuple[int, ...] | Non
         base, step = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValidationError(f"task layout {text!r} is not of the form B-s") from None
-    if not 1 <= class_count < IGNORE:
-        raise ValidationError(f"class count must lie in 1..{IGNORE - 1}, got {class_count}")
-    order = class_order if class_order is not None else tuple(range(1, class_count + 1))
+    # a lazy range, which TaskSpec measures before it reads an id (no len() past sys.maxsize)
+    order = class_order if class_order is not None else range(1, min(class_count, sys.maxsize) + 1)
     if len(order) != class_count:
         raise ValidationError(
             f"class order length {len(order)} does not match class count {class_count}"
         )
-    return TaskSpec(base_count=base, step=step, class_order=tuple(order))
+    return TaskSpec(base_count=base, step=step, class_order=order)
 
 
 def load_class_order(path: str | os.PathLike) -> tuple[int, ...]:

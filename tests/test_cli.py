@@ -13,6 +13,7 @@ import pytest
 from ciss import (
     DatasetManifest,
     LabelGrid,
+    OracleRecord,
     ScoreMatrix,
     build_overlapped,
     build_partitioned,
@@ -76,6 +77,18 @@ class TestBuild:
         assert code == 2
         assert doc is None
         assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("scenario", ["overlapped", "disjoint"])
+    def test_only_partitioned_builds_take_a_seed(self, capsys, manifest_path, tmp_path, scenario):
+        out = tmp_path / "x.json"
+        code, doc, err = run(
+            capsys,
+            ["build", "--manifest", str(manifest_path), "--scenario", scenario,
+             "--task", "1-1", "--seed", "1", "--out", str(out)],
+        )
+        assert (code, doc) == (2, None)
+        assert json.loads(err)["error"] == {"type": "ValidationError", "message": f"{scenario} builds take no --seed"}
+        assert not out.exists()
 
     def test_class_order_file(self, capsys, manifest_path, tmp_path):
         order = tmp_path / "order.txt"
@@ -192,6 +205,30 @@ class TestMemoryCommands:
         assert error["message"] == "image 'Img4' holds no task-0 class in the manifest (--manifest)"
         assert not out.exists() and not (tmp_path / "variant_grids").exists()
 
+    def test_variant_of_an_empty_memory_writes_nothing(self, capsys, tmp_path):
+        """No image holds task 0's class 1, so the sampled memory is empty and
+        its variant has no overlap ratio: exit 2, one JSON error line, and
+        neither the --out file nor its grid directory."""
+        grid = LabelGrid(width=4, height=1, data=np.array([2, 0, 0, 2], dtype=np.uint8))
+        records = tuple(OracleRecord.from_grid(f"img{i}", grid) for i in range(3))
+        manifest, split, mem = tmp_path / "manifest.json", tmp_path / "split.json", tmp_path / "memory.json"
+        save_manifest(DatasetManifest(class_count=2, records=records), manifest)
+        code, _, _ = run(capsys, ["build", "--manifest", str(manifest), "--scenario", "overlapped",
+                                  "--task", "1-1", "--out", str(split)])
+        assert code == 0
+        code, doc, _ = run(capsys, ["memory", "sample", "--manifest", str(manifest), "--split", str(split),
+                                    "--upto-task", "0", "--size", "2", "--seed", "0", "--out", str(mem)])
+        assert code == 0 and doc["stored"] == 0
+        out = tmp_path / "var.json"
+        code, doc, err = run(capsys, ["memory", "variant", "--memory", str(mem), "--split", str(split),
+                                      "--manifest", str(manifest), "--task", "1", "--seed", "0",
+                                      "--out", str(out)])
+        assert (code, doc) == (2, None)
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == {"type": "ValidationError",
+                                             "message": "overlap ratio of an empty memory is undefined"}
+        assert not out.exists() and not (tmp_path / "var_grids").exists()
+
     def test_sample_refusal_names_the_manifest(self, capsys, manifest_path, split_path, tmp_path):
         """`memory sample` reads --split and --manifest; a manifest refusal names the manifest."""
         _edit_manifest(manifest_path, lambda doc: doc["images"].append(doc["images"][0]))
@@ -303,8 +340,9 @@ class TestEvalCommands:
         "flags, message",
         [(["--class-count", "0"], "class count must lie in 1..254, got 0"),
          (["--class-count", "20", "--class-order", "order.txt"],
-          "class order length 3 does not match class count 20")],
-        ids=["count-0", "count-not-order-length"],
+          "class order length 3 does not match class count 20"),
+         ([], "eval miou needs --class-order or --class-count")],
+        ids=["count-0", "count-not-order-length", "no-count-no-order"],
     )
     def test_class_count_is_used_whenever_given(self, capsys, tmp_path, monkeypatch, flags, message):
         monkeypatch.chdir(tmp_path)
@@ -375,6 +413,19 @@ class TestEvalCommands:
         assert doc["prr"] == 100.0
         assert doc["prr_display"] == "100.00"
 
+    def test_prr_pair_with_no_defined_class_scores_0(self, capsys, tmp_path):
+        """Old classes 1 and 2 and background occur in neither grid of the
+        second pair, so that pair scores 0 and halves the perfect first."""
+        write_pgm(LabelGrid(width=4, height=1, data=np.array([1, 2, 0, 0], dtype=np.uint8)), tmp_path / "o.pgm")
+        write_pgm(LabelGrid(width=2, height=1, data=np.array([3, 255], dtype=np.uint8)), tmp_path / "new.pgm")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([{"oracle": "o.pgm", "pseudo": "o.pgm"},
+                                     {"oracle": "new.pgm", "pseudo": "new.pgm"}]))
+        code, doc, _ = run(capsys, ["eval", "prr", "--pairs", str(pairs), "--task", "2-1", "--class-count", "3",
+                                    "--current-task", "1"])
+        assert code == 0
+        assert (doc["prr"], doc["prr_display"]) == (50.0, "50.00")
+
     @pytest.mark.parametrize("current", [0, 2])
     def test_prr_current_task_error_names_the_given_task(self, capsys, tmp_path, current):
         write_pgm(LabelGrid(width=4, height=1, data=np.array([1, 2, 0, 0], dtype=np.uint8)), tmp_path / "o.pgm")
@@ -412,6 +463,16 @@ class TestEvalCommands:
                                       "--class-count", "3", "--current-task", "1"])
         assert code == 2 and doc is None
         assert json.loads(err)["error"]["message"] == f"{pairs}: pairs file must hold a JSON list of objects"
+
+    @pytest.mark.parametrize("command", ["miou", "prr"])
+    def test_pairs_file_must_not_be_empty(self, capsys, tmp_path, command):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text("[]")
+        extra = ["--current-task", "1"] if command == "prr" else []
+        code, doc, err = run(capsys, ["eval", command, "--pairs", str(pairs), "--task", "2-1",
+                                      "--class-count", "3", *extra])
+        assert (code, doc) == (2, None)
+        assert json.loads(err)["error"] == {"type": "ValidationError", "message": f"{pairs}: pairs file is empty"}
 
     def test_prr_reads_and_scores_one_pair_at_a_time(self, capsys, tmp_path, monkeypatch):
         import ciss.cli
@@ -634,6 +695,17 @@ class TestLossCaseContract:
         write_scores(ScoreMatrix(class_map=(0, 1, 2, 3), logits=logits), tmp_path / "s0.scores")
         for argv in (["loss", "value", "--loss", "ce_current"], GRADCHECK):
             _assert_one_json_error([*argv, "--case", str(path)])
+
+    def test_non_finite_loss_names_the_loss(self, capsys, tmp_path):
+        doc = _case_24(tmp_path)
+        doc["config"]["lambda"] = 1e308
+        doc["items"][0]["pod"] = 10.0
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["loss", "value", "--loss", "pseudo_replay", "--case", str(path)])
+        assert (code, out) == (2, None)
+        assert json.loads(err)["error"] == {"type": "ValidationError",
+                                            "message": "pseudo_replay: loss is not finite (inf)"}
 
     def test_nan_in_a_document_exits_2(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "case.json"
@@ -1067,17 +1139,24 @@ class TestImports:
 
     # names of `ciss` submodules, and numpy, which the grid-only commands never need
     NOT_LOADED = {
-        "build": {"losses", "scores", "metrics", "pseudo", "numpy"},
-        "memory sample": {"losses", "scores", "metrics", "pseudo", "numpy"},
-        "memory overlap-ratio": {"losses", "scores", "metrics", "pseudo", "numpy"},
-        "memory variant": {"losses", "scores", "metrics", "pseudo", "numpy"},
-        "memory batch": {"losses", "scores", "metrics", "pseudo", "numpy"},
+        "build": {"losses", "scores", "metrics", "numpy"},
+        "memory sample": {"losses", "scores", "metrics", "numpy"},
+        "memory overlap-ratio": {"losses", "scores", "metrics", "numpy"},
+        "memory variant": {"losses", "scores", "metrics", "numpy"},
+        "memory batch": {"losses", "scores", "metrics", "numpy"},
         "pseudo": {"losses", "memory", "scenario", "manifest", "metrics"},
-        "eval miou": {"losses", "scores", "memory", "scenario", "manifest", "pseudo"},
-        "eval prr": {"losses", "scores", "memory", "scenario", "manifest", "pseudo"},
-        "loss value": {"memory", "scenario", "manifest", "metrics", "pseudo"},
-        "loss gradcheck": {"memory", "scenario", "manifest", "metrics", "pseudo"},
+        "eval miou": {"losses", "scores", "memory", "scenario", "manifest"},
+        "eval prr": {"losses", "scores", "memory", "scenario", "manifest"},
+        "loss value": {"memory", "scenario", "manifest", "metrics"},
+        "loss gradcheck": {"memory", "scenario", "manifest", "metrics"},
     }
+
+    def test_not_loaded_names_are_submodules(self):
+        """A name that is no module of the package would pass unchecked."""
+        import ciss
+
+        names = set().union(*self.NOT_LOADED.values()) - {"numpy"}
+        assert names <= set(ciss._SUBMODULES)
 
     @pytest.mark.parametrize("command", sorted(NOT_LOADED))
     def test_command_loads_only_what_it_calls(self, tmp_path, manifest_path, fig3_spec, command):

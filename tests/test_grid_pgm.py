@@ -18,6 +18,20 @@ def test_grid_rejects_length_mismatch():
         LabelGrid(width=3, height=2, data=np.zeros(5, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("width, height", [(0, 2), (2, 0), (-1, -1)])
+def test_grid_dimensions_must_be_positive(width, height):
+    with pytest.raises(ValidationError) as err:
+        LabelGrid(width=width, height=height, data=b"")
+    assert str(err.value) == f"grid dimensions must be positive, got {width}x{height}"
+
+
+@pytest.mark.parametrize("rows", [[1, 2, 3], [[[1]]]], ids=["1-d", "3-d"])
+def test_from_rows_takes_a_2d_array(rows):
+    with pytest.raises(ValidationError) as err:
+        LabelGrid.from_rows(rows)
+    assert str(err.value) == "expected a 2-D array of class ids"
+
+
 @pytest.mark.parametrize(
     "values",
     [[300, 1, 2], [-1, 1, 2], [256, 1, 2], [1.7, 2.2, 3.0], [True, False, True]],
@@ -33,6 +47,16 @@ def test_grid_rejects_ids_that_do_not_fit_a_byte(values):
 def test_grid_takes_wider_integer_ids_in_range():
     g = LabelGrid(width=3, height=1, data=np.array([0, 7, 255], dtype=np.int64))
     assert g.data.dtype == np.uint8 and g.data.tolist() == [0, 7, 255]
+
+
+def test_grids_compare_and_hash_by_shape_and_raster():
+    a = LabelGrid(width=2, height=1, data=b"\x01\x02")
+    b = LabelGrid(width=2, height=1, data=np.array([1, 2]))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != LabelGrid(width=1, height=2, data=b"\x01\x02")
+    assert a != LabelGrid(width=2, height=1, data=b"\x01\x00")
+    assert a != a.raster
+    assert repr(a) == "LabelGrid(width=2, height=1)"
 
 
 def test_grid_is_immutable():

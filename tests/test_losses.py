@@ -334,6 +334,38 @@ class TestStructure:
             LossConfig(positive_weight=0.0)
 
 
+_S3 = rand_scores(3, (0, 1, 2, 3), 0)
+_ITEM3 = LossItem(_S3, labels_of([0, 1, 2]))
+_EMPTY, _EMPTY_PREV = (ScoreMatrix(class_map=cmap, logits=np.zeros((0, len(cmap)))) for cmap in ((0, 1, 2, 3), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: loss_value("ce_current", LossItem(_S3), LAYOUT, CFG), "item is missing its label grid"),
+        (lambda: loss_value("bce_new", LossItem(_S3, labels_of([0, 2])), LAYOUT, CFG),
+         "labels have 2 pixels, scores have 3"),
+        (lambda: loss_value("kd_old", LossItem(_S3, prev_scores=rand_scores(2, (0, 1), 1)), LAYOUT, CFG),
+         "previous scores cover 2 pixels, current 3"),
+        (lambda: loss_value("kd_old", LossItem(_EMPTY, prev_scores=_EMPTY_PREV), LAYOUT, CFG),
+         "previous scores hold no pixels; loss undefined"),
+        (lambda: pseudo_replay_objective([], LAYOUT, CFG), "objective requires at least one item"),
+        (lambda: grad_check("ce_plain", _ITEM3, LAYOUT, CFG, step=0.0),
+         "step and tol must be finite numbers > 0, got 0.0 and 1e-06"),
+        (lambda: grad_check("ce_plain", _ITEM3, LAYOUT, CFG, max_coords=0),
+         "at least one coordinate must be checked, got 0"),
+        (lambda: grad_check("ce_plain", _ITEM3, LAYOUT, CFG, seed=-1),
+         "seed must be >= 0, got -1"),
+    ],
+    ids=["no-labels", "label-pixels", "prev-pixels", "prev-empty", "no-items", "grad-step", "grad-coords",
+         "grad-seed"],
+)
+def test_refusal_names_its_cause(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # --- composites ---------------------------------------------------------------
 
 
@@ -1090,6 +1122,13 @@ class TestLossCaseFiles:
         assert loss_value("kd_old", item, LAYOUT, CFG) == loss_value("kd_old", cur, LAYOUT, CFG)
         assert loss_value("ce_current", item, LAYOUT, CFG) == loss_value("ce_current", cur, LAYOUT, CFG)
         assert reads == ["cur.scores", "cur.pgm", "cur_prev.scores"]
+
+    def test_case_without_items_is_a_format_error(self, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({"layout": {"old": [1], "new": [2, 3]}, "items": []}))
+        with pytest.raises(FormatError) as err:
+            load_loss_case(path)
+        assert str(err.value) == f"{path}: loss case has no items"
 
     def test_bad_source_rejected_at_construction(self, tmp_path):
         _, cur, _ = self._write_case(tmp_path)

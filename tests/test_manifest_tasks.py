@@ -193,6 +193,13 @@ def test_task_classes_out_of_range():
         task_classes(spec, 6)
 
 
+@pytest.mark.parametrize("class_id", [0, 9, 255])
+def test_task_of_a_class_outside_the_order_is_an_error(class_id):
+    with pytest.raises(ValidationError) as err:
+        task_of_class(parse_layout("4-2", 8), class_id)
+    assert str(err.value) == f"class {class_id} not in class order"
+
+
 @pytest.mark.parametrize("layout", ["1-1", "4-4", "10-2", "15-1"])
 def test_task_classes_are_the_class_order_blocks(layout):
     """Over 20 shuffled classes, task t's classes are the t-th block of the
@@ -281,6 +288,13 @@ def test_class_count_outside_1_to_254_is_rejected(bad):
         DatasetManifest(class_count=bad, records=())
     with pytest.raises(ValidationError, match="1..254"):
         parse_layout("1-1", bad)
+
+
+@pytest.mark.parametrize("count", [-5, 10**12, 2**70])
+def test_any_class_count_is_refused_without_building_its_order(count):
+    """The identity order of a huge count is never built: TaskSpec measures it first."""
+    with pytest.raises(ValidationError):
+        parse_layout("1-1", count)
 
 
 def test_class_order_reaching_the_ignore_id_is_rejected():

@@ -159,6 +159,32 @@ class TestOverlapRatio:
             overlap_ratio(memory, part, 1)
 
 
+_ENTRY = ExemplarEntry("a", saved_at=0, anchor_class=1)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"capacity": 0, "entries": ()}, "memory capacity must be >= 1"),
+        ({"capacity": 1, "entries": (_ENTRY, ExemplarEntry("b", 0, 1))}, "2 entries exceed capacity 1"),
+        ({"capacity": 2, "entries": (_ENTRY, _ENTRY)}, "memory image ids must be unique"),
+    ],
+    ids=["capacity-0", "over-capacity", "duplicate-id"],
+)
+def test_memory_invariants(fields, message):
+    with pytest.raises(ValidationError) as err:
+        ExemplarMemory(**fields)
+    assert str(err.value) == message
+
+
+def test_entry_lookup_names_an_absent_image():
+    memory = ExemplarMemory(capacity=1, entries=(_ENTRY,))
+    assert memory.entry("a") == _ENTRY
+    with pytest.raises(ValidationError) as err:
+        memory.entry("b")
+    assert str(err.value) == "image 'b' not in memory"
+
+
 class TestNonOverlappingVariant:
     def test_fixpoint_when_ratio_zero(self):
         records = tuple(make_record(f"a{k}", {1}) for k in range(6)) + (make_record("b", {2}),)
@@ -168,6 +194,16 @@ class TestNonOverlappingVariant:
         assert overlap_ratio(memory, split, 1) == 0.0
         variant = make_non_overlapping_variant(memory, split, manifest, 1, seed=0)
         assert variant.entries == memory.entries
+
+    @pytest.mark.parametrize("build, t, message", [
+        (build_partitioned, 1, "the non-overlapping variant is defined on overlapped splits"),
+        (build_overlapped, 0, "need an incremental task, got t=0"),
+    ], ids=["partitioned", "task-0"])
+    def test_refusals(self, fig3_manifest, fig3_spec, build, t, message):
+        split = build(fig3_manifest, fig3_spec, **({"seed": 0} if build is build_partitioned else {}))
+        with pytest.raises(ValidationError) as err:
+            make_non_overlapping_variant(ExemplarMemory(capacity=1, entries=()), split, fig3_manifest, t, seed=0)
+        assert str(err.value) == message
 
     def test_replaces_overlapping_entries(self, ample_manifest, ample_split):
         memory = sample_class_balanced(ample_split, ample_manifest, upto_task=0, capacity=40, seed=5)
@@ -249,6 +285,12 @@ class TestBatches:
         empty = ciss.ExemplarMemory(capacity=5, entries=())
         with pytest.raises(ValidationError):
             compose_batch(list(ample_split.task_ids(1)), empty, batch_size=1, seed=0)
+
+    def test_no_current_images_is_an_error(self):
+        memory = ExemplarMemory(capacity=1, entries=(_ENTRY,))
+        with pytest.raises(ValidationError) as err:
+            compose_batch([], memory, batch_size=2, seed=0)
+        assert str(err.value) == "no current-task images to sample"
 
     def test_memory_items_carry_saved_at_labels(self, ample_manifest, ample_split):
         spec = ample_split.spec

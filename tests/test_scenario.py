@@ -108,6 +108,15 @@ class TestPartitioned:
         with pytest.raises(ValidationError):
             build_partitioned(fig3_manifest, fig3_spec, seed=0, assignments={"Img5": 3})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_fit_64_bits(self, fig3_manifest, fig3_spec, seed):
+        with pytest.raises(ValidationError, match="^seed must be an unsigned 64-bit integer$"):
+            build_partitioned(fig3_manifest, fig3_spec, seed=seed)
+
+    def test_an_image_without_classes_cannot_be_assigned(self):
+        with pytest.raises(ValidationError, match="^image 'x' has no classes to assign$"):
+            ciss.assign_partition_class(0, "x", set())
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_partition_properties_on_synthetic_data(self, seed):
         manifest = synthetic_manifest(1000, 20, seed=42)
@@ -255,6 +264,22 @@ class TestPersistence:
         save_split(split, tmp_path / "split.json")
         assert load_split(tmp_path / "split.json") == split
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("seed"), "partitioned split requires an integer seed and assignments"),
+        (lambda doc: doc.update(assignments=[]), "partitioned split requires an integer seed and assignments"),
+        (lambda doc: doc["assignments"].update(Img3="3"), "assignments of ['Img3'] are not integer class ids"),
+    ], ids=["no-seed", "assignments-list", "assignment-string"])
+    def test_load_refuses_partitioned_fields_of_the_wrong_type(self, fig3_manifest, fig3_spec, tmp_path,
+                                                                edit, message):
+        path = tmp_path / "split.json"
+        save_split(build_partitioned(fig3_manifest, fig3_spec, seed=1), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as err:
+            load_split(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_split_holds_one_id_list_per_layout_task(self, fig3_manifest, fig3_spec):
         split = build_overlapped(fig3_manifest, fig3_spec)
         assert split.tasks == (("Img1", "Img2", "Img4", "Img5"), ("Img1", "Img2"), ("Img1", "Img3", "Img4"))
@@ -262,6 +287,24 @@ class TestPersistence:
             ciss.SplitManifest(scenario="overlapped", spec=fig3_spec, tasks=split.tasks[:2])
         with pytest.raises(ValidationError, match="task index 3 outside 0..2"):
             split.task_ids(3)
+
+    @pytest.mark.parametrize("scenario, extra, message", [
+        ("partitioned", {"seed": 1}, "partitioned split requires assignments"),
+        ("partitioned", {"seed": 1, "assignments": {"Img1": 1, "Img2": 1, "Img3": 3, "Img4": 1, "Img5": 1}},
+         "image 'Img1' sits in task 1 but is assigned class 1"),
+        ("overlapped", {"seed": 1}, "overlapped split carries no seed or assignments"),
+        ("disjoint", {"assignments": {}}, "disjoint split carries no seed or assignments"),
+    ], ids=["partitioned-no-assignments", "partitioned-off-task", "overlapped-seed", "disjoint-assignments"])
+    def test_split_checks_its_seed_and_assignments(self, fig3_spec, scenario, extra, message):
+        tasks = (("Img4", "Img5"), ("Img1", "Img2"), ("Img3",))
+        with pytest.raises(ValidationError) as err:
+            ciss.SplitManifest(scenario=scenario, spec=fig3_spec, tasks=tasks, **extra)
+        assert str(err.value) == message
+
+    def test_layout_must_cover_the_manifest_classes(self, fig3_manifest):
+        with pytest.raises(ValidationError) as err:
+            build_overlapped(fig3_manifest, parse_layout("1-1", 2))
+        assert str(err.value) == "task layout covers 2 classes, manifest declares 3"
 
 
 class TestBackgroundShift:

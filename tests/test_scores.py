@@ -112,6 +112,25 @@ def test_scorematrix_validation():
             ScoreMatrix(class_map=cmap, logits=np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("class_map, shape, message", [
+    ((), (1, 0), "class map is empty"),
+    ((0, 1), (2, 3), "logits shape (2, 3) does not match 2 mapped classes"),
+    ((0, 1), (4,), "logits shape (4,) does not match 2 mapped classes"),
+], ids=["empty-map", "columns", "one-dimensional"])
+def test_scorematrix_refusal_names_its_cause(class_map, shape, message):
+    with pytest.raises(ValidationError) as err:
+        ScoreMatrix(class_map=class_map, logits=np.zeros(shape))
+    assert str(err.value) == message
+
+
+def test_column_of_an_unmapped_class_is_an_error():
+    m = ScoreMatrix(class_map=(0, 3), logits=np.zeros((1, 2)))
+    assert m.column(3) == 1
+    with pytest.raises(ValidationError) as err:
+        m.column(2)
+    assert str(err.value) == "class 2 not in score matrix"
+
+
 def test_scorematrix_copies_a_writeable_input():
     """The matrix neither freezes the caller's array nor lets a view of it
     write a non-finite value past the check."""
