@@ -41,8 +41,6 @@ _EXPORTS = {
         "load_loss_case",
         "loss_value",
         "memory_augmented_objective",
-        "probs_bg_absorbing_new",
-        "probs_bg_absorbing_old",
         "pseudo_replay_objective",
     ),
     "manifest": ("DatasetManifest", "OracleRecord", "load_manifest", "save_manifest"),
@@ -52,7 +50,6 @@ _EXPORTS = {
         "ExemplarMemory",
         "ReplayBatch",
         "compose_batch",
-        "extend_class_balanced",
         "load_memory",
         "make_non_overlapping_variant",
         "overlap_ratio",
@@ -80,8 +77,7 @@ _EXPORTS = {
         "save_split",
         "split_overlapping",
     ),
-    "scores": ("PseudoConfig", "ScoreMatrix", "predict_labels", "pseudo_label", "read_scores", "softmax_probs",
-               "write_scores"),
+    "scores": ("PseudoConfig", "ScoreMatrix", "pseudo_label", "read_scores", "softmax_probs", "write_scores"),
     "tasks": ("TaskSpec", "classes_up_to", "load_class_order", "parse_layout", "task_classes", "task_of_class"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -356,26 +356,6 @@ def grad_logits(loss_id: str, item: LossItem, layout: TaskClassLayout, cfg: Loss
     return grad
 
 
-def _bucket_probs(scores: ScoreMatrix, layout: TaskClassLayout, singles, pooled) -> np.ndarray:
-    _check_classes(scores, layout.old_classes | layout.new_classes, "score")
-    buckets = _bucket_rows(scores, sorted(singles), pooled)
-    probs = np.empty((scores.n_pixels, len(singles) + 1))
-    for block, zt in row_blocks(scores.logits):
-        probs[block] = np.exp(_bucket_log_probs(zt, *buckets)[0]).T
-    return probs
-
-
-def probs_bg_absorbing_new(scores: ScoreMatrix, layout: TaskClassLayout) -> np.ndarray:
-    """Softmax reduced to the sorted old classes plus background (last column),
-    the new classes' mass added to background; rows sum to 1."""
-    return _bucket_probs(scores, layout, layout.old_classes, layout.new_classes)
-
-
-def probs_bg_absorbing_old(scores: ScoreMatrix, layout: TaskClassLayout) -> np.ndarray:
-    """Mirror reduction: new classes plus background, old mass into background."""
-    return _bucket_probs(scores, layout, layout.new_classes, layout.old_classes)
-
-
 # --- composite objectives -----------------------------------------------------
 def _mean(values) -> float:
     """statistics.fmean without importing statistics (and with it fractions
@@ -462,8 +442,8 @@ def load_loss_case(path: str | os.PathLike) -> LossCase:
     doc = read_json(path, "loss case")
     with reading(path, "loss case"):
         old, new = doc["layout"]["old"], doc["layout"]["new"]
-        if not all(map(is_int, [*old, *new])):
-            raise ValidationError(f"layout class ids must be integers, got {doc['layout']!r}")
+        if not all(isinstance(ids, list) and all(map(is_int, ids)) for ids in (old, new)):
+            raise ValidationError(f"layout old and new must be lists of integer class ids, got {doc['layout']!r}")
         layout = TaskClassLayout(old_classes=frozenset(old), new_classes=frozenset(new))
         cfg = LossConfig.from_mapping(doc.get("config", {}))
         items = tuple(_case_item(path.parent, entry) for entry in doc["items"])

@@ -107,9 +107,12 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     with reading(path, "manifest"):
         if not is_int(doc["class_count"]):
             raise FormatError(f"{path}: class_count must be an integer")
-        if not all(isinstance(e["id"], str) and isinstance(e["labels"], str) for e in doc["images"]):
+        images = doc["images"]
+        if not (isinstance(images, list) and all(isinstance(e, dict) for e in images)):
+            raise FormatError(f"{path}: images must be a JSON list of objects")
+        if not all(isinstance(e["id"], str) and isinstance(e["labels"], str) for e in images):
             raise FormatError(f"{path}: each image entry needs string id and labels fields")
-        records = tuple(OracleRecord.from_file(e["id"], path.parent / e["labels"]) for e in doc["images"])
+        records = tuple(OracleRecord.from_file(e["id"], path.parent / e["labels"]) for e in images)
         return DatasetManifest(class_count=doc["class_count"], records=records)
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from bisect import bisect_left, insort
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,12 +117,12 @@ def _class_pools(
 
 class _Untaken:
     """Per-key pools of (image id, saved-at task) pairs, each in image-id
-    order, holding only the images not taken. A draw indexes a pool directly:
-    the same pair that filtering the full pool against the taken ids picks."""
+    order, from which `take` drops an image in place, so that they hold only
+    the images not taken. A draw indexes a pool directly: the same pair that
+    filtering the full pool against the taken ids picks."""
 
-    def __init__(self, pools: dict, taken=frozenset()) -> None:
-        self._full = pools
-        self.pools = {key: [c for c in pool if c[0] not in taken] for key, pool in pools.items()}
+    def __init__(self, pools: dict) -> None:
+        self.pools = pools
         self._holders: dict[str, list] = {}
         for key, pool in pools.items():
             for image_id, _ in pool:
@@ -134,12 +133,6 @@ class _Untaken:
         for key in self._holders.get(image_id, ()):
             pool = self.pools[key]
             del pool[bisect_left(pool, (image_id,))]
-
-    def release(self, image_id: str) -> None:
-        """Put a taken image back into every pool it came from."""
-        for key in self._holders.get(image_id, ()):
-            full = self._full[key]
-            insort(self.pools[key], full[bisect_left(full, (image_id,))])
 
     def draw(self, key, rng: random.Random) -> tuple[str, int] | None:
         """A seeded pick from the key's pool, already taken; None when the pool is empty."""
@@ -186,50 +179,6 @@ def sample_class_balanced(
             )
             break
     return ExemplarMemory(capacity=capacity, entries=tuple(entries), warnings=tuple(warnings))
-
-
-def extend_class_balanced(
-    memory: ExemplarMemory,
-    split: SplitManifest,
-    manifest: DatasetManifest,
-    new_task: int,
-    seed: int,
-) -> ExemplarMemory:
-    """Make room for the classes introduced at `new_task` while keeping old
-    entries. Vacancies are filled first; once full, one entry of a
-    most-represented anchor class is evicted (seeded, uniform) per insertion.
-    Each new class targets an equal share of the capacity, supply permitting.
-    """
-    spec = split.spec
-    introduced = task_classes(spec, new_task)
-    new_classes = [c for c in spec.class_order if c in introduced]
-    untaken = _Untaken(_class_pools(split, manifest, new_classes, new_task), memory.ids())
-    rng = random.Random(seed)
-
-    entries = list(memory.entries)
-    warnings = list(memory.warnings)
-    target = max(1, memory.capacity // len(classes_up_to(spec, new_task)))
-    counts = Counter(e.anchor_class for e in entries)
-
-    for cls in new_classes:
-        while counts[cls] < target:
-            if not untaken.pools[cls]:
-                warnings.append(f"class {cls}: no unsampled images left")
-                break
-            evicted = None
-            if len(entries) >= memory.capacity:
-                top = max(counts.values())
-                if top <= target:
-                    break  # nothing over-represented to evict
-                victims = [i for i, e in enumerate(entries) if counts[e.anchor_class] == top]
-                evicted = entries.pop(victims[rng.randrange(len(victims))])
-                counts[evicted.anchor_class] -= 1
-            pick = untaken.draw(cls, rng)
-            if evicted is not None:  # drawable again, from the next draw on
-                untaken.release(evicted.image_id)
-            entries.append(ExemplarEntry(*pick, cls))
-            counts[cls] += 1
-    return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 
 
 def overlap_ratio(memory: ExemplarMemory, split: SplitManifest, t: int) -> float:
@@ -383,6 +332,8 @@ def load_memory(path: str | os.PathLike) -> ExemplarMemory:
     doc = read_json(path, "memory file")
     with reading(path, "memory file"):
         entries, warnings = doc["entries"], doc.get("warnings", [])
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise FormatError(f"{path}: entries must be a JSON list of objects")
         numbers = [doc["capacity"], *(e[k] for e in entries for k in ("saved_at", "anchor_class"))]
         if not all(map(is_int, numbers)):
             raise FormatError(f"{path}: capacity, saved_at and anchor_class must be integers")

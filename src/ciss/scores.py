@@ -146,20 +146,6 @@ def pseudo_label(gt: LabelGrid, prev_scores: ScoreMatrix, current_classes: set[i
     return LabelGrid(width=gt.width, height=gt.height, data=np.where(fill, best_class, relabel(gt, keep).data))
 
 
-def predict_labels(scores: ScoreMatrix, *, width: int | None = None, height: int | None = None) -> LabelGrid:
-    """Per-pixel argmax over the mapped classes; ties go to the lowest class id.
-
-    The matrix carries no 2-D shape, so callers may pass one; the default is a
-    single N x 1 row.
-    """
-    n = scores.n_pixels
-    if width is None and height is None:
-        width, height = n, 1
-    if width is None or height is None or width * height != n:
-        raise ValidationError(f"shape {width}x{height} does not cover {n} pixels")
-    return LabelGrid(width=width, height=height, data=top_class(scores, scores.logits.T))
-
-
 def top_class(scores: ScoreMatrix, values_t: np.ndarray) -> np.ndarray:
     """Per column of `values_t` (K x N, rows in `scores.class_map` order), the class id (uint8) of its
     largest value. Ties go to the lowest id: of the tied classes, the one whose IGNORE - id is largest."""

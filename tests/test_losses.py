@@ -25,8 +25,6 @@ from ciss import (
     load_loss_case,
     loss_value,
     memory_augmented_objective,
-    probs_bg_absorbing_new,
-    probs_bg_absorbing_old,
     pseudo_replay_objective,
     write_scores,
 )
@@ -131,55 +129,14 @@ def oracle_plain_ce(scores, labels):
     return total / n
 
 
-# --- probability augmentations ----------------------------------------------
+# --- task class layouts ------------------------------------------------------
 
 
-class TestAugmentedProbs:
-    def test_uniform_logits(self):
-        m = uniform_scores()
-        absorbing_new = probs_bg_absorbing_new(m, LAYOUT)  # columns: 1, bg
-        np.testing.assert_allclose(absorbing_new, [[0.25, 0.75]])
-        absorbing_old = probs_bg_absorbing_old(m, LAYOUT)  # columns: 2, 3, bg
-        np.testing.assert_allclose(absorbing_old, [[0.25, 0.25, 0.5]])
-
-    def test_no_mass_on_new_classes(self):
-        logits = np.array([[0.0, 0.0, -1000.0, -1000.0]])
-        m = ScoreMatrix(class_map=(0, 1, 2, 3), logits=logits)
-        reduced = probs_bg_absorbing_new(m, LAYOUT)
-        np.testing.assert_allclose(reduced, [[0.5, 0.5]], atol=1e-300)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_rows_normalize_and_bg_grows(self, seed):
-        m = rand_scores(9, (0, 1, 2, 3), seed)
-        from ciss import softmax_probs
-
-        p = softmax_probs(m)
-        bg_col = m.class_map.index(0)
-        dotted = probs_bg_absorbing_new(m, LAYOUT)
-        np.testing.assert_allclose(dotted.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(dotted[:, -1] >= p[:, bg_col])
-        ddotted = probs_bg_absorbing_old(m, LAYOUT)
-        np.testing.assert_allclose(ddotted.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(
-            ddotted[:, :-1],
-            p[:, [m.class_map.index(c) for c in sorted(LAYOUT.new_classes)]],
-            atol=1e-15,
-        )
-
-    def test_base_task_reduction_is_softmax(self):
-        base_layout = TaskClassLayout(old_classes=frozenset(), new_classes=frozenset({1, 2, 3}))
-        m = rand_scores(4, (0, 1, 2, 3), 7)
-        from ciss import softmax_probs
-
-        p = softmax_probs(m)
-        reduced = probs_bg_absorbing_old(m, base_layout)
-        cols = [m.class_map.index(c) for c in (1, 2, 3)] + [m.class_map.index(0)]
-        np.testing.assert_allclose(reduced, p[:, cols], atol=1e-15)
-
+class TestTaskClassLayout:
     def test_layout_mismatch_rejected(self):
-        m = uniform_scores(cmap=(0, 1, 2))
-        with pytest.raises(ValidationError):
-            probs_bg_absorbing_new(m, LAYOUT)
+        item = LossItem(uniform_scores(cmap=(0, 1, 2)), labels_of([0]))
+        with pytest.raises(ValidationError, match=r"^score class map \[0, 1, 2\] does not cover \[0, 1, 2, 3\]$"):
+            loss_value("ce_current", item, LAYOUT, LossConfig())
 
     @pytest.mark.parametrize("side", ["old_classes", "new_classes"])
     @pytest.mark.parametrize("class_id", [0, 255, 300, -1])
@@ -1129,6 +1086,15 @@ class TestLossCaseFiles:
         with pytest.raises(FormatError) as err:
             load_loss_case(path)
         assert str(err.value) == f"{path}: loss case has no items"
+
+    @pytest.mark.parametrize("old", [{}, "", {"1": 1}, ["a"]],
+                             ids=["empty-object", "empty-string", "object", "string-id"])
+    def test_layout_sides_must_be_lists_of_integers(self, tmp_path, old):
+        """Read as no old classes, `{}` and `""` scored every loss against a layout without them."""
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({"layout": {"old": old, "new": [2, 3]}, "items": []}))
+        with pytest.raises(FormatError, match="layout old and new must be lists of integer class ids"):
+            load_loss_case(path)
 
     def test_bad_source_rejected_at_construction(self, tmp_path):
         _, cur, _ = self._write_case(tmp_path)

@@ -105,11 +105,16 @@ def _set_image(key, value):
         (_set_image("labels", ["a.pgm"]), "each image entry needs string id and labels fields"),
         (lambda doc: doc["images"][0].pop("labels"), "'labels'"),
         (lambda doc: doc.pop("images"), "'images'"),
-        (lambda doc: doc.update(images={"Img1": "a.pgm"}), "string indices must be integers"),
+        (lambda doc: doc.update(images={"Img1": "a.pgm"}), "images must be a JSON list of objects"),
+        # read as an empty manifest, these two made `build` write an all-empty split
+        (lambda doc: doc.update(images={}), "images must be a JSON list of objects"),
+        (lambda doc: doc.update(images=""), "images must be a JSON list of objects"),
+        (lambda doc: doc.update(images=[1]), "images must be a JSON list of objects"),
         (lambda doc: doc.clear() or doc.update(x=[]), "'class_count'"),
     ],
     ids=["duplicate-id", "class-count-300", "no-foreground", "class-count-bool", "id-int", "labels-list",
-         "labels-missing", "images-missing", "images-object", "no-fields"],
+         "labels-missing", "images-missing", "images-object", "images-empty-object", "images-empty-string",
+         "images-list-of-numbers", "no-fields"],
 )
 def test_load_manifest_refusals_name_the_file(tmp_path, edit, message):
     path = _write_manifest(tmp_path, 2, {"Img1": make_record("x", {1}).oracle_labels,

@@ -21,7 +21,6 @@ from ciss import (
     build_partitioned,
     classes_up_to,
     compose_batch,
-    extend_class_balanced,
     load_manifest,
     load_memory,
     make_non_overlapping_variant,
@@ -322,6 +321,16 @@ class TestPersistence:
         back = load_memory(path)
         assert back == memory
 
+    @pytest.mark.parametrize("entries", [{}, "", {"a": 1}, [1]],
+                             ids=["empty-object", "empty-string", "object", "list-of-numbers"])
+    def test_entries_must_be_a_list_of_objects(self, tmp_path, entries):
+        """Read as an empty memory, `{}` and `""` made `memory batch` all-current."""
+        path = tmp_path / "memory.json"
+        path.write_text(json.dumps({"capacity": 2, "entries": entries}))
+        with pytest.raises(FormatError) as info:
+            load_memory(path)
+        assert str(info.value) == f"{path}: entries must be a JSON list of objects"
+
     def test_memory_file_byte_stable(self, ample_manifest, ample_split, tmp_path):
         memory = sample_class_balanced(ample_split, ample_manifest, upto_task=1, capacity=16, seed=4)
         run1, run2 = tmp_path / "run1", tmp_path / "run2"
@@ -399,21 +408,6 @@ class TestGridFree:
         assert peaks[40] < 2 * peaks[4], peaks
 
 
-class TestExtend:
-    def test_new_classes_get_entries_without_exceeding_capacity(self, ample_manifest):
-        spec = parse_layout("15-1", 20)
-        split = build_overlapped(ample_manifest, spec)
-        base = sample_class_balanced(split, ample_manifest, upto_task=0, capacity=32, seed=0)
-        assert len(base) == 32
-        extended = extend_class_balanced(base, split, ample_manifest, new_task=1, seed=0)
-        assert len(extended) <= extended.capacity
-        counts = collections.Counter(e.anchor_class for e in extended.entries)
-        new_class = next(iter(task_classes(spec, 1)))
-        assert counts[new_class] >= 1
-        kept = {e.image_id for e in base.entries} & {e.image_id for e in extended.entries}
-        assert len(kept) >= len(base) - counts[new_class]
-
-
 # --- draws match the filter-every-draw loops they replaced ---------------------
 
 
@@ -441,35 +435,6 @@ def _reference_sample(split, manifest, upto_task, capacity, seed):
             warnings.append(f"supply exhausted: stored {len(entries)} of {capacity} requested entries")
             break
     return ExemplarMemory(capacity=capacity, entries=tuple(entries), warnings=tuple(warnings))
-
-
-def _reference_extend(memory, split, manifest, new_task, seed):
-    """Extension that rebuilds the taken ids and anchor counts on every draw."""
-    spec = split.spec
-    new_classes = [c for c in spec.class_order if c in task_classes(spec, new_task)]
-    pools = ciss.memory._class_pools(split, manifest, new_classes, new_task)
-    rng = random.Random(seed)
-    entries, warnings = list(memory.entries), list(memory.warnings)
-    target = max(1, memory.capacity // (spec.base_count + new_task * spec.step))
-    for cls in new_classes:
-        stored = sum(1 for e in entries if e.anchor_class == cls)
-        while stored < target:
-            taken = {e.image_id for e in entries}
-            pool = [cand for cand in pools[cls] if cand[0] not in taken]
-            if not pool:
-                warnings.append(f"class {cls}: no unsampled images left")
-                break
-            if len(entries) >= memory.capacity:
-                counts = collections.Counter(e.anchor_class for e in entries)
-                top = max(counts.values())
-                if top <= target:
-                    break
-                victims = [i for i, e in enumerate(entries) if counts[e.anchor_class] == top]
-                entries.pop(victims[rng.randrange(len(victims))])
-            image_id, saved_at = pool[rng.randrange(len(pool))]
-            entries.append(ExemplarEntry(image_id, saved_at, cls))
-            stored += 1
-    return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 
 
 def _reference_variant(memory, split, manifest, t, seed):
@@ -516,7 +481,7 @@ def _as_tuples(memory, manifest, spec):
 @pytest.mark.parametrize("layout", ["15-1", "10-2", "4-4"])
 @pytest.mark.parametrize("capacity", [5, 24, 120])
 def test_draws_match_the_filtering_loops(layout, capacity):
-    """Over 12 seeds, sample, extend and variant pick the same images, in the
+    """Over 12 seeds, sample and variant pick the same images, in the
     same order and with the same warnings, as loops that filter every pool on
     every draw; the small manifest runs supply out at the larger capacities."""
     for seed in range(12):
@@ -527,9 +492,6 @@ def test_draws_match_the_filtering_loops(layout, capacity):
             memory = sample_class_balanced(split, manifest, upto, capacity, seed)
             reference = _reference_sample(split, manifest, upto, capacity, seed)
             assert _as_tuples(memory, manifest, spec) == _as_tuples(reference, manifest, spec)
-            extended = extend_class_balanced(memory, split, manifest, upto + 1, seed)
-            reference = _reference_extend(memory, split, manifest, upto + 1, seed)
-            assert _as_tuples(extended, manifest, spec) == _as_tuples(reference, manifest, spec)
             variant = make_non_overlapping_variant(memory, split, manifest, upto + 1, seed)
             reference = _reference_variant(memory, split, manifest, upto + 1, seed)
             assert _as_tuples(variant, manifest, spec) == _as_tuples(reference, manifest, spec)

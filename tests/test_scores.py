@@ -1,4 +1,4 @@
-"""Score matrices: softmax, argmax prediction, and file round-trips."""
+"""Score matrices: softmax and file round-trips."""
 import math
 import re
 import warnings
@@ -13,7 +13,6 @@ from ciss import (
     FormatError,
     ScoreMatrix,
     ValidationError,
-    predict_labels,
     read_scores,
     softmax_probs,
     write_scores,
@@ -49,55 +48,6 @@ def test_softmax_large_logits_do_not_overflow():
 def test_softmax_rows_sum_to_one(z):
     p = softmax_probs(ScoreMatrix(class_map=(0, 1, 2, 3), logits=z))
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_predict_strict_argmax():
-    m = ScoreMatrix(class_map=(0, 1, 2), logits=np.array([[0.1, 2.0, -1.0]]))
-    assert predict_labels(m).data.tolist() == [1]
-
-
-def test_predict_tie_breaks_to_lowest_class_id():
-    m = ScoreMatrix(class_map=(2, 0, 1), logits=np.array([[1.0, 1.0, 1.0]]))
-    assert predict_labels(m).data.tolist() == [0]
-    m = ScoreMatrix(class_map=(2, 0, 1), logits=np.array([[1.0, 0.0, 1.0]]))
-    assert predict_labels(m).data.tolist() == [1]
-
-
-def test_predict_matches_per_pixel_bruteforce():
-    rng = np.random.default_rng(11)
-    cmap = (0, 3, 1, 2)
-    z = rng.normal(size=(4, 4))
-    got = predict_labels(ScoreMatrix(class_map=cmap, logits=z), width=2, height=2)
-    expected = []
-    for row in z:  # oracle: scan classes in id order, keep the strict best
-        best_class, best_score = None, None
-        for cls in sorted(cmap):
-            score = row[cmap.index(cls)]
-            if best_score is None or score > best_score:
-                best_class, best_score = cls, score
-        expected.append(best_class)
-    assert got.data.tolist() == expected
-    assert (got.width, got.height) == (2, 2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    hnp.arrays(np.int64, (3, 4), elements=st.integers(-20, 20)),
-    st.integers(-50, 50),
-)
-def test_predict_invariant_under_per_pixel_shift(z, shift):
-    # integer-valued logits keep the addition exact; the invariance claim is
-    # about the mathematical argmax, not about sub-ulp float collapses
-    cmap = (0, 1, 2, 3)
-    base = predict_labels(ScoreMatrix(class_map=cmap, logits=z.astype(np.float64)))
-    shifted = predict_labels(ScoreMatrix(class_map=cmap, logits=(z + shift).astype(np.float64)))
-    assert base == shifted
-
-
-def test_predict_shape_must_cover_pixels():
-    m = ScoreMatrix(class_map=(0, 1), logits=np.zeros((4, 2)))
-    with pytest.raises(ValidationError):
-        predict_labels(m, width=3, height=1)
 
 
 def test_scorematrix_validation():
@@ -151,8 +101,7 @@ def test_scorematrix_keeps_a_read_only_input():
 
 
 def test_internal_arrays_are_kept_uncopied(tmp_path, monkeypatch):
-    """The text reader's rows are read-only and the matrix keeps them as they
-    are; predict_labels' grid data is a read-only view of its raster."""
+    """The text reader's rows are read-only and the matrix keeps them as they are."""
     made = []
     loadtxt = np.loadtxt
 
@@ -164,9 +113,6 @@ def test_internal_arrays_are_kept_uncopied(tmp_path, monkeypatch):
     write_scores(ScoreMatrix(class_map=(0, 1), logits=np.eye(2)), tmp_path / "s.txt")
     m = read_scores(tmp_path / "s.txt")
     assert m.logits is made[0]
-    grid = predict_labels(m)
-    assert not grid.data.flags.writeable
-    assert np.shares_memory(grid.data, np.frombuffer(grid.raster, np.uint8))
 
 
 def test_text_scores_file_bytes_are_pinned(tmp_path):
