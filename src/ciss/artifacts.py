@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -31,6 +32,14 @@ def reading(path: str | os.PathLike, what: str):
 def is_int(value) -> bool:
     """A JSON integer; booleans, Python ints though they are, are not."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def seeded(seed: int) -> random.Random:
+    """`random.Random(seed)` for a seed >= 0. A negative seed is refused:
+    `random.Random(-n)` draws the same stream as `random.Random(n)`."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
 
 
 def read_bytes(path: str | os.PathLike, what: str) -> bytes:

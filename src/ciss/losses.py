@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ATOMIC_LOSSES, COMPOSITE_LOSSES, FormatError, ValidationError
-from .artifacts import is_int, read_json, reading
+from .artifacts import is_int, read_json, reading, seeded
 from .grid import BACKGROUND, IGNORE, LabelGrid, class_ids
 from .pgm import read_pgm
 from .scores import ScoreMatrix, read_scores, row_blocks
@@ -127,13 +126,6 @@ class LossItem:
 # pixel), so that every per-pixel reduction runs along axis 0 over contiguous
 # rows, and return the block's loss per pixel and, when asked, its K x b
 # gradient.
-def _slice_if_run(index: np.ndarray):
-    """Row indices as a slice when they are one ascending run, so that the rows they take are a view."""
-    if len(index) and np.array_equal(index, np.arange(index[0], index[0] + len(index))):
-        return slice(int(index[0]), int(index[0]) + len(index))
-    return index
-
-
 def _bucket_log_probs(zt, singles, pooled):
     """log P(B_b) per pixel, (S+1) x b: the one-row buckets `singles`, then
     the bucket of the rows `pooled`; and exp(z - max) over the pooled rows
@@ -248,15 +240,10 @@ def _label_buckets(scores: ScoreMatrix, labels: LabelGrid | None, singles: list[
     return bucket
 
 
-def _bucket_rows(scores: ScoreMatrix, singles, pooled: frozenset[int]):
-    """The class-major rows of the one-row buckets `singles` (in order) and of the pooled bucket."""
-    return _slice_if_run(_cols(scores, singles)), _slice_if_run(_cols(scores, pooled | {BACKGROUND}))
-
-
 def _bucket_kernel(scores: ScoreMatrix, singles: list[int], pooled: frozenset[int], weights):
     """The bucket cross-entropy with `weights(rows)`, (S+1) x b, for the item's pixels `rows`."""
-    buckets = _bucket_rows(scores, singles, pooled)
-    return lambda zt, rows, grad: _bucket_ce(zt, *buckets, weights(rows), grad)
+    own, pool = _cols(scores, singles), _cols(scores, pooled | {BACKGROUND})
+    return lambda zt, rows, grad: _bucket_ce(zt, own, pool, weights(rows), grad)
 
 
 def _ce(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
@@ -479,12 +466,10 @@ def grad_check(
         raise ValidationError(f"step and tol must be finite numbers > 0, got {step} and {tol}")
     if max_coords < 1:
         raise ValidationError(f"at least one coordinate must be checked, got {max_coords}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    rng = seeded(seed)  # `random`, not `numpy.random`, whose import loads hashlib and OpenSSL
     kernel, norm = _prepare(loss_id, item, layout, cfg)
     z = item.scores.logits
-    # `random`, not `numpy.random`, whose import loads hashlib and OpenSSL
-    picks = random.Random(seed).sample(range(z.size), min(max_coords, z.size))
+    picks = rng.sample(range(z.size), min(max_coords, z.size))
     rows, cols = np.divmod(picks, z.shape[1])
     # the gradient's scale and its values at the picks, block by block
     loss, grad, top = np.empty(len(z)), np.empty(len(picks)), 0.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import FormatError, ValidationError
-from .artifacts import grid_name, is_int, read_json, reading, write_artifact
+from .artifacts import grid_name, is_int, read_json, reading, seeded, write_artifact
 from .grid import LabelGrid, relabel
 from .manifest import DatasetManifest
 # read_pgm is unused here; it stays bound because bench/tracing.py patches ciss.memory.read_pgm
@@ -115,33 +115,19 @@ def _class_pools(
     return pools
 
 
-class _Untaken:
-    """Per-key pools of (image id, saved-at task) pairs, each in image-id
-    order, from which `take` drops an image in place, so that they hold only
-    the images not taken. A draw indexes a pool directly: the same pair that
-    filtering the full pool against the taken ids picks."""
-
-    def __init__(self, pools: dict) -> None:
-        self.pools = pools
-        self._holders: dict[str, list] = {}
-        for key, pool in pools.items():
-            for image_id, _ in pool:
-                self._holders.setdefault(image_id, []).append(key)
-
-    def take(self, image_id: str) -> None:
-        """Drop the image from every pool that holds it."""
-        for key in self._holders.get(image_id, ()):
-            pool = self.pools[key]
-            del pool[bisect_left(pool, (image_id,))]
-
-    def draw(self, key, rng: random.Random) -> tuple[str, int] | None:
-        """A seeded pick from the key's pool, already taken; None when the pool is empty."""
-        pool = self.pools[key]
-        if not pool:
-            return None
-        pick = pool[rng.randrange(len(pool))]
-        self.take(pick[0])
-        return pick
+def _draw(pools: dict, key, rng: random.Random) -> tuple[str, int] | None:
+    """A seeded pick from the key's pool of (image id, saved-at task) pairs,
+    each pool in image-id order; the picked image leaves every pool, so the
+    pools hold only the images not drawn. None when the key's pool is empty."""
+    pool = pools[key]
+    if not pool:
+        return None
+    pick = pool[rng.randrange(len(pool))]
+    for other in pools.values():
+        i = bisect_left(other, (pick[0],))
+        if i < len(other) and other[i][0] == pick[0]:
+            del other[i]
+    return pick
 
 
 def sample_class_balanced(
@@ -157,11 +143,10 @@ def sample_class_balanced(
     supply allows; a class with no remaining images is skipped and the budget
     flows to the others.
     """
+    rng = seeded(seed)
     visible = classes_up_to(split.spec, upto_task)
     order = [c for c in split.spec.class_order if c in visible]
-    untaken = _Untaken(_class_pools(split, manifest, order, upto_task))
-
-    rng = random.Random(seed)
+    pools = _class_pools(split, manifest, order, upto_task)
     entries: list[ExemplarEntry] = []
     warnings: list[str] = []
     while len(entries) < capacity:
@@ -169,7 +154,7 @@ def sample_class_balanced(
         for cls in order:
             if len(entries) >= capacity:
                 break
-            if (pick := untaken.draw(cls, rng)) is None:
+            if (pick := _draw(pools, cls, rng)) is None:
                 continue
             entries.append(ExemplarEntry(*pick, cls))
             progress = True
@@ -210,15 +195,13 @@ def make_non_overlapping_variant(
         raise ValidationError("the non-overlapping variant is defined on overlapped splits")
     if t < 1:
         raise ValidationError(f"need an incremental task, got t={t}")
+    rng = seeded(seed)
     spec = split.spec
     current = set(split.task_ids(t))
     pool = sorted(set(split.task_ids(0)) - current - memory.ids())
     anchors = {e.anchor_class for e in memory.entries if e.image_id in current}
     # key None holds every candidate, for replacements that fall back to task 0
-    untaken = _Untaken(
-        {**_class_pools(split, manifest, anchors, spec.num_tasks - 1, pool), None: [(i, 0) for i in pool]}
-    )
-    rng = random.Random(seed)
+    pools = {**_class_pools(split, manifest, anchors, spec.num_tasks - 1, pool), None: [(i, 0) for i in pool]}
 
     entries: list[ExemplarEntry] = []
     warnings = list(memory.warnings)
@@ -226,9 +209,9 @@ def make_non_overlapping_variant(
         if entry.image_id not in current:
             entries.append(entry)
             continue
-        if (pick := untaken.draw(entry.anchor_class, rng)) is not None:
+        if (pick := _draw(pools, entry.anchor_class, rng)) is not None:
             anchor = entry.anchor_class
-        elif (pick := untaken.draw(None, rng)) is not None:
+        elif (pick := _draw(pools, None, rng)) is not None:
             image_id = pick[0]
             stored_visible = sorted(
                 manifest.record(image_id).oracle_classes & classes_up_to(spec, 0),
@@ -261,6 +244,7 @@ def compose_batch(
     """
     if batch_size < 2:
         raise ValidationError(f"batch size must be >= 2, got {batch_size}")
+    rng = seeded(seed)
     n_current = math.ceil(batch_size / 2)
     n_memory = batch_size - n_current
     warnings: list[str] = []
@@ -270,7 +254,6 @@ def compose_batch(
     pool = list(current_ids)
     if not pool:
         raise ValidationError("no current-task images to sample")
-    rng = random.Random(seed)
 
     def picks(ids: list[str], n: int, short: str) -> list[str]:
         if len(ids) >= n:

@@ -15,11 +15,10 @@ Three ways of distributing a dataset over incremental tasks:
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass
 
 from . import SCENARIO_KINDS, FormatError, ValidationError
-from .artifacts import is_int, read_json, reading, write_artifact
+from .artifacts import is_int, read_json, reading, seeded, write_artifact
 from .manifest import DatasetManifest
 from .tasks import TaskSpec, task_classes, task_of_class
 
@@ -179,10 +178,11 @@ def split_overlapping(
     """
     if t < 1:
         raise ValidationError(f"need a consecutive task pair, got t={t}")
+    rng = seeded(seed)
     split = build_overlapped(manifest, spec)
     prev_ids = set(split.task_ids(t - 1))
     overlap = sorted(prev_ids.intersection(split.task_ids(t)))
-    random.Random(seed).shuffle(overlap)
+    rng.shuffle(overlap)
     cut = (len(overlap) + 1) // 2
     return frozenset(overlap[:cut]), frozenset(overlap[cut:])
 

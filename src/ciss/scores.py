@@ -106,15 +106,16 @@ def softmax_probs(scores: ScoreMatrix) -> np.ndarray:
 
 
 def top_probs(scores: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the class id of the largest softmax probability (ties go to
-    the lowest id) and that probability, equal bit for bit to those of
-    `softmax_probs`. The rows are taken BLOCK_ROWS at a time, so no N x K
-    temporary is built."""
+    """Per row, the class id of the largest softmax probability and that
+    probability, equal bit for bit to those of `softmax_probs`. Ties go to the
+    lowest id: of the tied classes, the one whose IGNORE - id is largest. The
+    rows are taken BLOCK_ROWS at a time, so no N x K temporary is built."""
     best, confidence = np.empty(scores.n_pixels, dtype=np.uint8), np.empty(scores.n_pixels)
+    below_ignore = (IGNORE - np.asarray(scores.class_map)).astype(np.uint8)[:, None]
     for block, zt in row_blocks(scores.logits):
         probs = _softmax_columns(zt)
-        best[block] = top_class(scores, probs)
-        confidence[block] = probs.max(axis=0)
+        confidence[block] = top = probs.max(axis=0)
+        best[block] = IGNORE - ((probs == top) * below_ignore).max(axis=0)
     return best, confidence
 
 
@@ -144,14 +145,6 @@ def pseudo_label(gt: LabelGrid, prev_scores: ScoreMatrix, current_classes: set[i
     best_class, confidence = top_probs(prev_scores)
     fill = (gt.data == BACKGROUND) & (confidence > cfg.tau)
     return LabelGrid(width=gt.width, height=gt.height, data=np.where(fill, best_class, relabel(gt, keep).data))
-
-
-def top_class(scores: ScoreMatrix, values_t: np.ndarray) -> np.ndarray:
-    """Per column of `values_t` (K x N, rows in `scores.class_map` order), the class id (uint8) of its
-    largest value. Ties go to the lowest id: of the tied classes, the one whose IGNORE - id is largest."""
-    is_top = values_t == values_t.max(axis=0)
-    below_ignore = (IGNORE - np.asarray(scores.class_map)).astype(np.uint8)
-    return IGNORE - (is_top * below_ignore[:, None]).max(axis=0)
 
 
 def write_scores(scores: ScoreMatrix, path: str | os.PathLike, *, binary: bool = False) -> None:

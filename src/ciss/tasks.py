@@ -8,12 +8,17 @@ order form the per-task class sets, which partition 1..C.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 
 from . import ValidationError
 from .artifacts import reading
 from .grid import IGNORE
+
+
+def _class_count(c: int) -> int:
+    if not 1 <= c < IGNORE:
+        raise ValidationError(f"class count must lie in 1..{IGNORE - 1}, got {c}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -23,9 +28,7 @@ class TaskSpec:
     class_order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        c = len(self.class_order)  # before any id is read, so a long lazy order is never built
-        if not 1 <= c < IGNORE:
-            raise ValidationError(f"class count must lie in 1..{IGNORE - 1}, got {c}")
+        c = _class_count(len(self.class_order))  # before any id is read, so a long lazy order is never built
         order = tuple(int(i) for i in self.class_order)
         object.__setattr__(self, "class_order", order)
         if sorted(order) != list(range(1, c + 1)):
@@ -82,13 +85,13 @@ def parse_layout(text: str, class_count: int, class_order: tuple[int, ...] | Non
         base, step = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValidationError(f"task layout {text!r} is not of the form B-s") from None
-    # a lazy range, which TaskSpec measures before it reads an id (no len() past sys.maxsize)
-    order = class_order if class_order is not None else range(1, min(class_count, sys.maxsize) + 1)
-    if len(order) != class_count:
+    if class_order is None:
+        class_order = range(1, _class_count(class_count) + 1)
+    elif len(class_order) != class_count:
         raise ValidationError(
-            f"class order length {len(order)} does not match class count {class_count}"
+            f"class order length {len(class_order)} does not match class count {class_count}"
         )
-    return TaskSpec(base_count=base, step=step, class_order=order)
+    return TaskSpec(base_count=base, step=step, class_order=class_order)
 
 
 def load_class_order(path: str | os.PathLike) -> tuple[int, ...]:

@@ -341,8 +341,10 @@ class TestEvalCommands:
         [(["--class-count", "0"], "class count must lie in 1..254, got 0"),
          (["--class-count", "20", "--class-order", "order.txt"],
           "class order length 3 does not match class count 20"),
-         ([], "eval miou needs --class-order or --class-count")],
-        ids=["count-0", "count-not-order-length", "no-count-no-order"],
+         ([], "eval miou needs --class-order or --class-count"),
+         (["--class-count", "-5"], "class count must lie in 1..254, got -5"),
+         (["--class-count", str(10**26)], f"class count must lie in 1..254, got {10**26}")],
+        ids=["count-0", "count-not-order-length", "no-count-no-order", "count-negative", "count-past-int64"],
     )
     def test_class_count_is_used_whenever_given(self, capsys, tmp_path, monkeypatch, flags, message):
         monkeypatch.chdir(tmp_path)
@@ -350,6 +352,21 @@ class TestEvalCommands:
         Path("pairs.json").write_text(json.dumps([{"pred": "a.pgm", "gt": "a.pgm"}]))
         Path("order.txt").write_text("1\n2\n3\n")
         code, doc, err = run(capsys, ["eval", "miou", "--pairs", "pairs.json", "--task", "2-1", *flags])
+        assert code == 2 and doc is None
+        assert json.loads(err)["error"]["message"] == message
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--class-count", "-5"], "class count must lie in 1..254, got -5"),
+         (["--class-count", str(10**26)], f"class count must lie in 1..254, got {10**26}")],
+        ids=["count-negative", "count-past-int64"],
+    )
+    def test_prr_class_count_out_of_range(self, capsys, tmp_path, monkeypatch, flags, message):
+        monkeypatch.chdir(tmp_path)
+        write_pgm(LabelGrid(width=4, height=1, data=np.array([1, 2, 3, 0], dtype=np.uint8)), "a.pgm")
+        Path("pairs.json").write_text(json.dumps([{"oracle": "a.pgm", "pseudo": "a.pgm"}]))
+        code, doc, err = run(capsys, ["eval", "prr", "--pairs", "pairs.json", "--task", "2-1",
+                                      "--current-task", "1", *flags])
         assert code == 2 and doc is None
         assert json.loads(err)["error"]["message"] == message
 
@@ -1009,6 +1026,18 @@ class TestLoaderContract:
     )
     def test_exits_2_with_one_json_error(self, tmp_path, manifest_path, fig3_spec, make_argv):
         _assert_one_json_error(make_argv(tmp_path, manifest_path, fig3_spec))
+
+
+@pytest.mark.parametrize("command", ["memory sample", "memory variant", "memory batch"])
+def test_negative_seed_exits_2(capsys, tmp_path, manifest_path, fig3_spec, command):
+    """random.Random(-3) draws the stream of random.Random(3), so --seed -3
+    would print what --seed 3 prints."""
+    argv = _leaf_commands(tmp_path, manifest_path, fig3_spec)[command]
+    argv[argv.index("--seed") + 1] = "-3"
+    code, doc, err = run(capsys, argv)
+    assert (code, doc) == (2, None)
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": {"type": "ValidationError", "message": "seed must be >= 0, got -3"}}
 
 
 class TestProcessLevel:

@@ -600,11 +600,11 @@ def _permuted(scores: ScoreMatrix, order) -> ScoreMatrix:
 @pytest.mark.parametrize("loss_id", ATOMIC_LOSSES)
 @pytest.mark.parametrize("order", [(5, 4, 3, 2, 1, 0), (3, 0, 5, 1, 4, 2), (1, 3, 5, 0, 2, 4)])
 def test_column_order_changes_no_loss(loss_id, order):
-    """A kernel takes each bucket's rows by class, not by position. In the
-    identity order every bucket's columns are one ascending run, which the
-    kernels take as a slice; permuted together with the class map they are
-    not, and the kernels take them by index. Every loss moves by at most
-    1e-12 relative, and its gradient columns move with the permutation."""
+    """A kernel takes each bucket's rows by class, not by position: by index,
+    whether the bucket's columns are one ascending run, as in the identity
+    order, or are permuted together with the class map. Every loss moves by
+    at most 1e-12 relative, and its gradient columns move with the
+    permutation."""
     item = _random_item(loss_id, seed=7, n=B + 5)
     moved = LossItem(_permuted(item.scores, order), item.labels,
                      prev_scores=_permuted(item.prev_scores, (2, 0, 1)))

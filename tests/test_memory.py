@@ -184,6 +184,22 @@ def test_entry_lookup_names_an_absent_image():
     assert str(err.value) == "image 'b' not in memory"
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [lambda split, manifest, memory, seed: sample_class_balanced(split, manifest, 0, 2, seed),
+     lambda split, manifest, memory, seed: make_non_overlapping_variant(memory, split, manifest, 1, seed),
+     lambda split, manifest, memory, seed: compose_batch(split.task_ids(1), memory, 4, seed)],
+    ids=["sample", "variant", "batch"],
+)
+def test_negative_seed_is_refused(fig3_manifest, fig3_spec, draw):
+    """random.Random(-n) draws the stream of random.Random(n): a negative seed
+    would repeat the draws of its absolute value."""
+    split = build_overlapped(fig3_manifest, fig3_spec)
+    memory = sample_class_balanced(split, fig3_manifest, 0, 2, 0)
+    with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -3$"):
+        draw(split, fig3_manifest, memory, -3)
+
+
 class TestNonOverlappingVariant:
     def test_fixpoint_when_ratio_zero(self):
         records = tuple(make_record(f"a{k}", {1}) for k in range(6)) + (make_record("b", {2}),)

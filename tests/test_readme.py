@@ -1,12 +1,16 @@
-"""The README's command-line examples parse with the CLI's own parser, so a
-renamed or removed flag fails here instead of leaving the README wrong."""
+"""The README's command-line examples parse with the CLI's own parser, and
+its library example runs, so a renamed or removed flag or name fails here
+instead of leaving the README wrong."""
 import argparse
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ciss import LabelGrid, save_manifest, write_pgm, write_scores
 from ciss.cli import build_parser
+from conftest import random_scores, synthetic_manifest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +38,18 @@ def test_readme_shows_every_leaf_command():
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(a for a in argv[:2] if a[0] != "-"))
 def test_readme_command_parses(argv):
     build_parser().parse_args(argv)  # an unknown or missing flag raises ValidationError
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    """The "Library use" block, run as written against files of the shapes it
+    names: a 20-class manifest, 17-class scores with 16-class previous
+    scores, and a grid holding background and the new class 16."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    save_manifest(synthetic_manifest(300, 20, seed=5), "data/manifest.json")
+    write_scores(random_scores(12, range(17), seed=1), "item0.scores")
+    write_scores(random_scores(12, range(16), seed=2), "item0_prev.scores")
+    write_pgm(LabelGrid(width=4, height=3, data=np.array([0, 16] * 6, dtype=np.uint8)), "item0.pgm")
+    exec(compile(block, str(README), "exec"), {})
+    assert Path("memory.json").is_file()

@@ -173,6 +173,11 @@ class TestSplitOverlapping:
         with pytest.raises(ValidationError):
             split_overlapping(fig3_manifest, fig3_spec, t=0, seed=0)
 
+    def test_negative_seed_is_refused(self, fig3_manifest, fig3_spec):
+        """random.Random(-3) shuffles as random.Random(3) does."""
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -3$"):
+            split_overlapping(fig3_manifest, fig3_spec, t=1, seed=-3)
+
 
 class TestPersistence:
     def test_partitioned_roundtrip(self, fig3_manifest, fig3_spec, tmp_path):
