@@ -58,18 +58,6 @@ class LabelGrid:
     def n_pixels(self) -> int:
         return self.width * self.height
 
-    @classmethod
-    def from_rows(cls, rows) -> "LabelGrid":
-        import numpy as np
-
-        rows = np.asarray(rows)
-        if rows.ndim != 2:
-            raise ValidationError("expected a 2-D array of class ids")
-        return cls(width=rows.shape[1], height=rows.shape[0], data=rows)
-
-    def as_rows(self):
-        return self.data.reshape(self.height, self.width)
-
     def foreground_classes(self) -> set[int]:
         """Distinct class ids present, excluding background and ignore.
 

@@ -38,6 +38,15 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
+def _object(doc, what: str, *known: str) -> dict:
+    """`doc`, a JSON object holding no key but `known`."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be an object, got {doc!r}")
+    if unknown := [key for key in doc if key not in known]:
+        raise ValidationError(f"{what} holds unknown keys {unknown}; it takes {list(known)}")
+    return doc
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Weights of the loss family: kd_weight scales the old-class distillation
@@ -60,12 +69,11 @@ class LossConfig:
 
     @classmethod
     def from_mapping(cls, doc: dict) -> "LossConfig":
-        if not isinstance(doc, dict):
-            raise ValidationError(f"config must be an object, got {doc!r}")
+        names = {"lambda": "kd_weight", "gamma": "positive_weight", "alpha": "kd_alpha", "beta": "kd_beta"}
+        _object(doc, "config", *names, "kd_includes_bg")
         include_bg = doc.get("kd_includes_bg", True)
         if not isinstance(include_bg, bool):
             raise ValidationError(f"kd_includes_bg must be true or false, got {include_bg!r}")
-        names = {"lambda": "kd_weight", "gamma": "positive_weight", "alpha": "kd_alpha", "beta": "kd_beta"}
         weights = {name: _finite(doc.get(key, getattr(cls, name)), key) for key, name in names.items()}
         return cls(**weights, kd_includes_bg=include_bg)
 
@@ -221,9 +229,10 @@ def _cols(scores: ScoreMatrix, class_ids) -> np.ndarray:
     return np.asarray([scores.column(c) for c in class_ids], dtype=np.intp)
 
 
-def _label_buckets(scores: ScoreMatrix, labels: LabelGrid | None, singles: list[int]) -> np.ndarray:
-    """Each pixel's label through a 256-entry table: its index in `singles`,
-    len(singles) for background, -1 for ignore; other labels break the contract."""
+def _label_buckets(scores: ScoreMatrix, labels: LabelGrid | None, singles: list[int]) -> tuple[np.ndarray, int]:
+    """Each pixel's label through a 256-entry table, its index in `singles`,
+    len(singles) for background and -1 for ignore (other labels break the
+    contract), and the count of valid pixels, those not ignored."""
     if labels is None:
         raise ValidationError("item is missing its label grid")
     if labels.n_pixels != scores.n_pixels:
@@ -232,12 +241,12 @@ def _label_buckets(scores: ScoreMatrix, labels: LabelGrid | None, singles: list[
     # int16 holds every bucket index in a quarter of intp's bytes
     table = np.array([index.get(c, -2) for c in range(256)], dtype=np.int16)
     bucket = table[labels.data]
-    if not (bucket >= 0).any():
+    if not (valid := int((bucket >= 0).sum())):
         raise ValidationError("every pixel is ignored; loss undefined")
     if (bucket == -2).any():
         bad = np.unique(labels.data[bucket == -2]).tolist()
         raise ValidationError(f"labels contain out-of-contract class ids {bad}")
-    return bucket
+    return bucket, valid
 
 
 def _bucket_kernel(scores: ScoreMatrix, singles: list[int], pooled: frozenset[int], weights):
@@ -248,13 +257,13 @@ def _bucket_kernel(scores: ScoreMatrix, singles: list[int], pooled: frozenset[in
 
 def _ce(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
     """Cross-entropy: one-hot label weights, normalized by the valid pixel count."""
-    bucket = _label_buckets(item.scores, item.labels, singles)
+    bucket, valid = _label_buckets(item.scores, item.labels, singles)
     buckets = np.arange(len(singles) + 1)[:, None]
 
     def one_hot(rows):
         return (bucket[rows] == buckets).astype(np.float64)
 
-    return _bucket_kernel(item.scores, singles, pooled, one_hot), int((bucket >= 0).sum())
+    return _bucket_kernel(item.scores, singles, pooled, one_hot), valid
 
 
 def _kd(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
@@ -284,9 +293,9 @@ def _kd(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossCon
 
 def _bce(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
     """Binary cross-entropy over `singles`, normalized by the valid pixel count."""
-    bucket = _label_buckets(item.scores, item.labels, singles)
+    bucket, valid = _label_buckets(item.scores, item.labels, singles)
     cols, gamma = _cols(item.scores, singles), cfg.positive_weight
-    return (lambda zt, rows, grad: _binary_ce(zt, bucket[rows], cols, gamma, grad)), int((bucket >= 0).sum())
+    return (lambda zt, rows, grad: _binary_ce(zt, bucket[rows], cols, gamma, grad)), valid
 
 
 # loss id -> (preparation, layout side scored class by class, side pooled
@@ -404,8 +413,7 @@ def pseudo_replay_objective(items: Sequence[LossItem], layout: TaskClassLayout, 
 # --- loss-case files and finite-difference validation -------------------------
 def _case_item(root: Path, entry) -> LossItem:
     """A loss-case item, its files named relative to `root` and its scalars checked."""
-    if not isinstance(entry, dict):
-        raise ValidationError(f"loss case item must be an object, got {entry!r}")
+    _object(entry, "loss case item", "source", "scores", "labels", "prev_scores", "kd", "dkd", "ac", "pod")
     scores = root / entry["scores"]
     paths = {key: root / entry[key] for key in ("labels", "prev_scores") if key in entry}
     scalars = {key: _finite(entry[key], key) for key in ("kd", "dkd", "ac", "pod") if entry.get(key) is not None}
@@ -423,14 +431,16 @@ def load_loss_case(path: str | os.PathLike) -> LossCase:
     """Read a loss-case file: JSON with `layout` ({old, new} class-id lists),
     `config` (lambda, gamma, alpha, beta, kd_includes_bg), and `items`, each
     naming score/label files (paths relative to the case file) plus optional
-    prev_scores and external kd/dkd/ac/pod scalars. Every item's fields are
-    checked here; its files are read when a loss first uses them."""
+    prev_scores and external kd/dkd/ac/pod scalars; no other key. Every item's
+    fields are checked here; its files are read when a loss first uses them."""
     path = Path(path)
     doc = read_json(path, "loss case")
     with reading(path, "loss case"):
-        old, new = doc["layout"]["old"], doc["layout"]["new"]
+        _object(doc, "loss case", "layout", "config", "items")
+        sides = _object(doc["layout"], "layout", "old", "new")
+        old, new = sides["old"], sides["new"]
         if not all(isinstance(ids, list) and all(map(is_int, ids)) for ids in (old, new)):
-            raise ValidationError(f"layout old and new must be lists of integer class ids, got {doc['layout']!r}")
+            raise ValidationError(f"layout old and new must be lists of integer class ids, got {sides!r}")
         layout = TaskClassLayout(old_classes=frozenset(old), new_classes=frozenset(new))
         cfg = LossConfig.from_mapping(doc.get("config", {}))
         items = tuple(_case_item(path.parent, entry) for entry in doc["items"])

@@ -8,43 +8,41 @@ A loaded manifest keeps each image's class set and reads its grid on demand.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 from . import FormatError, ValidationError
 from .artifacts import grid_name, is_int, read_json, reading, write_artifact
-from .grid import IGNORE, LabelGrid
+from .grid import LabelGrid
 from .pgm import read_pgm, write_pgm
+from .tasks import _class_count
 
 
 @dataclass(frozen=True)
 class OracleRecord:
     """One image's identity, foreground class set and all-classes-annotated
-    grid: the grid itself, which must hold the declared classes, or the path
-    of its file, read again each time `oracle_labels` is asked for, so that a
-    loaded manifest holds no pixels."""
+    grid, its `source`: the grid itself, which must hold the declared classes,
+    or the path of its file, read again each time `oracle_labels` is asked
+    for, so that a loaded manifest holds no pixels."""
 
     image_id: str
     oracle_classes: frozenset[int]
     n_pixels: int
-    labels_path: Path | None = None
-    grid: LabelGrid | None = field(default=None, repr=False)
+    source: LabelGrid | Path
 
     def __post_init__(self) -> None:
         if not self.oracle_classes:
             raise ValidationError(f"image {self.image_id!r} has no foreground pixels")
-        if (self.grid is None) == (self.labels_path is None):
-            raise ValidationError(f"image {self.image_id!r} needs a grid or the path of one, not both")
-        if self.grid is not None and self.grid.foreground_classes() != self.oracle_classes:
+        if isinstance(self.source, LabelGrid) and self.source.foreground_classes() != self.oracle_classes:
             raise ValidationError(
                 f"image {self.image_id!r}: declared classes {sorted(self.oracle_classes)} "
-                f"do not match grid contents {sorted(self.grid.foreground_classes())}"
+                f"do not match grid contents {sorted(self.source.foreground_classes())}"
             )
 
     @classmethod
     def from_grid(cls, image_id: str, grid: LabelGrid) -> "OracleRecord":
-        return cls(image_id, frozenset(grid.foreground_classes()), grid.n_pixels, grid=grid)
+        return cls(image_id, frozenset(grid.foreground_classes()), grid.n_pixels, grid)
 
     @classmethod
     def from_file(cls, image_id: str, path: Path) -> "OracleRecord":
@@ -54,12 +52,12 @@ class OracleRecord:
 
     @property
     def oracle_labels(self) -> LabelGrid:
-        if self.grid is not None:
-            return self.grid
-        grid = read_pgm(self.labels_path)
+        if isinstance(self.source, LabelGrid):
+            return self.source
+        grid = read_pgm(self.source)
         if grid.n_pixels != self.n_pixels:
             raise FormatError(
-                f"{self.labels_path}: grid of image {self.image_id!r} has {grid.n_pixels} pixels, "
+                f"{self.source}: grid of image {self.image_id!r} has {grid.n_pixels} pixels, "
                 f"{self.n_pixels} when the manifest was loaded"
             )
         return grid
@@ -71,8 +69,7 @@ class DatasetManifest:
     records: tuple[OracleRecord, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.class_count < IGNORE:
-            raise ValidationError(f"class count must lie in 1..{IGNORE - 1}, got {self.class_count}")
+        _class_count(self.class_count)
         seen: set[str] = set()
         for rec in self.records:
             if rec.image_id in seen:

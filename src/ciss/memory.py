@@ -10,9 +10,9 @@ one at a time; `load_memory` reads the JSON only.
 """
 from __future__ import annotations
 
-import math
 import os
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -238,15 +238,15 @@ def compose_batch(
     seed: int,
 ) -> ReplayBatch:
     """Half current-task data, half memory: ceil(b/2) current items and
-    floor(b/2) memory items, seeded. Draws are without replacement unless a
-    side is smaller than its half, in which case it is sampled with
-    replacement (empty memory degrades to an all-current batch, flagged).
-    """
-    if batch_size < 2:
-        raise ValidationError(f"batch size must be >= 2, got {batch_size}")
+    floor(b/2) memory items, seeded, b at most `sys.maxsize`, the longest
+    list. Draws are without replacement unless a side is smaller than its
+    half, in which case it is sampled with replacement (empty memory
+    degrades to an all-current batch, flagged)."""
+    if not 2 <= batch_size <= sys.maxsize:
+        raise ValidationError(f"batch size must lie in 2..{sys.maxsize}, got {batch_size}")
     rng = seeded(seed)
-    n_current = math.ceil(batch_size / 2)
-    n_memory = batch_size - n_current
+    n_memory = batch_size // 2
+    n_current = batch_size - n_memory
     warnings: list[str] = []
     if not memory.entries:
         warnings.append("memory is empty; batch is current-task only")

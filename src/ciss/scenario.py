@@ -51,6 +51,7 @@ class SplitManifest:
                 raise ValidationError(f"{self.scenario} task lists overlap on {sorted(overlap)[:3]}")
             seen.update(ids)
         if self.scenario == "partitioned":
+            _seed_bytes(self.seed)
             if self.assignments is None:
                 raise ValidationError("partitioned split requires assignments")
             for t, ids in enumerate(self.tasks):
@@ -73,11 +74,10 @@ class SplitManifest:
             raise ValidationError(f"task index {t} outside 0..{len(self.tasks) - 1}")
         return self.tasks[t]
 
-    def membership(self, upto_task: int | None = None) -> dict[str, list[int]]:
-        """Map image id to the sorted task indices containing it, counting
-        only tasks 0..upto_task when a bound is given."""
+    def membership(self, upto_task: int) -> dict[str, list[int]]:
+        """Map image id to the sorted indices of the tasks 0..upto_task containing it."""
         out: dict[str, list[int]] = {}
-        for t, ids in enumerate(self.tasks[: None if upto_task is None else upto_task + 1]):
+        for t, ids in enumerate(self.tasks[: upto_task + 1]):
             for image_id in ids:
                 out.setdefault(image_id, []).append(t)
         return out
@@ -117,6 +117,13 @@ def build_disjoint(manifest: DatasetManifest, spec: TaskSpec) -> SplitManifest:
     return _build("disjoint", manifest, spec, lambda rec: [max(class_task[c] for c in rec.oracle_classes)])
 
 
+def _seed_bytes(seed: int) -> bytes:
+    """The 8 bytes a partitioned split's draws hash: its seed, an unsigned 64-bit integer."""
+    if not (is_int(seed) and 0 <= seed < 2**64):
+        raise ValidationError("seed must be an unsigned 64-bit integer")
+    return seed.to_bytes(8, "big")
+
+
 def assign_partition_class(seed: int, image_id: str, classes: frozenset[int] | set[int]) -> int:
     """Deterministic uniform pick of one class for an image.
 
@@ -128,9 +135,7 @@ def assign_partition_class(seed: int, image_id: str, classes: frozenset[int] | s
     candidates = sorted(classes)
     if not candidates:
         raise ValidationError(f"image {image_id!r} has no classes to assign")
-    digest = hashlib.blake2b(
-        seed.to_bytes(8, "big") + image_id.encode("utf-8"), digest_size=16
-    ).digest()
+    digest = hashlib.blake2b(_seed_bytes(seed) + image_id.encode("utf-8"), digest_size=16).digest()
     return candidates[int.from_bytes(digest, "big") % len(candidates)]
 
 
@@ -146,8 +151,6 @@ def build_partitioned(
     one of the image's oracle classes); the rest are drawn from the seed.
     """
     class_task = _class_tasks(manifest, spec)
-    if not 0 <= seed < 2**64:
-        raise ValidationError("seed must be an unsigned 64-bit integer")
     forced = dict(assignments or {})
     for image_id in forced:
         manifest.record(image_id)
@@ -230,8 +233,8 @@ def load_split(path: str | os.PathLike) -> SplitManifest:
         seed = doc.get("seed")
         assignments = doc.get("assignments")
         if doc["scenario"] == "partitioned":
-            if not is_int(seed) or not isinstance(assignments, dict):
-                raise FormatError(f"{path}: partitioned split requires an integer seed and assignments")
+            if not isinstance(assignments, dict):
+                raise FormatError(f"{path}: partitioned split requires an assignments object")
             bad = sorted(k for k, v in assignments.items() if not is_int(v))
             if bad:
                 raise FormatError(f"{path}: assignments of {bad[:3]} are not integer class ids")

@@ -78,11 +78,8 @@ def task_of_class(spec: TaskSpec, class_id: int) -> int:
 
 def parse_layout(text: str, class_count: int, class_order: tuple[int, ...] | None = None) -> TaskSpec:
     """Build a TaskSpec from a "B-s" string; identity order unless given."""
-    parts = text.split("-")
-    if len(parts) != 2:
-        raise ValidationError(f"task layout {text!r} is not of the form B-s")
     try:
-        base, step = int(parts[0]), int(parts[1])
+        base, step = map(int, text.split("-"))
     except ValueError:
         raise ValidationError(f"task layout {text!r} is not of the form B-s") from None
     if class_order is None:

@@ -37,6 +37,12 @@ def grid_with(classes, width=6, height=4, ignore_tail=0) -> LabelGrid:
     return LabelGrid(width=width, height=height, data=data)
 
 
+def grid_of(rows) -> LabelGrid:
+    """The grid whose rows are those of a 2-D array of class ids."""
+    rows = np.asarray(rows)
+    return LabelGrid(rows.shape[1], rows.shape[0], rows)
+
+
 def make_record(image_id: str, classes, **kw) -> OracleRecord:
     return OracleRecord.from_grid(image_id, grid_with(classes, **kw))
 

@@ -78,6 +78,16 @@ class TestBuild:
         assert doc is None
         assert json.loads(err)["error"]["type"] == "ValidationError"
 
+    def test_partitioned_seed_must_fit_64_bits(self, capsys, manifest_path, tmp_path):
+        code, doc, err = run(
+            capsys,
+            ["build", "--manifest", str(manifest_path), "--scenario", "partitioned",
+             "--task", "1-1", "--seed", "-1", "--out", str(tmp_path / "x.json")],
+        )
+        assert (code, doc) == (2, None)
+        assert json.loads(err)["error"] == {"type": "ValidationError",
+                                            "message": "seed must be an unsigned 64-bit integer"}
+
     @pytest.mark.parametrize("scenario", ["overlapped", "disjoint"])
     def test_only_partitioned_builds_take_a_seed(self, capsys, manifest_path, tmp_path, scenario):
         out = tmp_path / "x.json"
@@ -260,6 +270,38 @@ class TestMemoryCommands:
             {"type": "FormatError", "message": f"{mem}: cannot write artifact ([Errno 27] File too large)"}]
         assert ".tmp" not in proc.stderr
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("seed", [-4, 2**70])
+    def test_sample_refuses_a_partitioned_split_seed_outside_64_bits(self, capsys, manifest_path, tmp_path, seed):
+        split = tmp_path / "split.json"
+        run(capsys, ["build", "--manifest", str(manifest_path), "--scenario", "partitioned",
+                     "--task", "1-1", "--seed", "1", "--out", str(split)])
+        split.write_text(json.dumps({**json.loads(split.read_text()), "seed": seed}))
+        code, doc, err = run(
+            capsys,
+            ["memory", "sample", "--manifest", str(manifest_path), "--split", str(split),
+             "--upto-task", "0", "--size", "3", "--seed", "1", "--out", str(tmp_path / "memory.json")],
+        )
+        assert (code, doc) == (2, None)
+        assert json.loads(err)["error"] == {
+            "type": "FormatError",
+            "message": f"{split}: cannot read split manifest (seed must be an unsigned 64-bit integer)"}
+        assert not (tmp_path / "memory.json").exists()
+
+    def test_batch_size_past_the_longest_list_exits_2(self, capsys, manifest_path, split_path, tmp_path):
+        """A batch is a list, so its size is at most sys.maxsize; a size past
+        it is refused before any item is drawn. (Sizes up to sys.maxsize are
+        not run: one that large would try to build the list.)"""
+        size = 10**400
+        mem = tmp_path / "memory.json"
+        run(capsys, ["memory", "sample", "--manifest", str(manifest_path), "--split", str(split_path),
+                     "--upto-task", "0", "--size", "3", "--seed", "1", "--out", str(mem)])
+        code, doc, err = run(capsys, ["memory", "batch", "--memory", str(mem), "--split", str(split_path),
+                                      "--task", "1", "--size", str(size), "--seed", "0"])
+        assert (code, doc) == (2, None)
+        assert json.loads(err)["error"] == {
+            "type": "ValidationError", "message": f"batch size must lie in 2..{sys.maxsize}, got {size}"}
+        assert len(err.splitlines()) == 1
 
     def test_batch_listing_deterministic(self, capsys, manifest_path, split_path, tmp_path):
         mem = tmp_path / "memory.json"
@@ -685,6 +727,28 @@ class TestLossCaseContract:
         path = tmp_path / "case.json"
         path.write_text(json.dumps(doc))
         _assert_one_json_error([*argv, "--case", str(path)])
+
+    @pytest.mark.parametrize("edit, what, unknown, known", [
+        (lambda doc: doc.update(confg=doc.pop("config")), "loss case", "confg", ["layout", "config", "items"]),
+        (lambda doc: doc["layout"].update(older=[4]), "layout", "older", ["old", "new"]),
+        (lambda doc: doc["config"].update(lamda=doc["config"].pop("lambda")), "config", "lamda",
+         ["lambda", "gamma", "alpha", "beta", "kd_includes_bg"]),
+        (lambda doc: doc["items"][1].update(sourse=doc["items"][1].pop("source")), "loss case item", "sourse",
+         ["source", "scores", "labels", "prev_scores", "kd", "dkd", "ac", "pod"]),
+    ], ids=["top-level", "layout", "config", "item"])
+    def test_unknown_key_exits_2_naming_the_file_and_the_keys(self, capsys, tmp_path, edit, what, unknown, known):
+        """A misspelt key is refused, not read as a missing one: `lamda` would
+        leave lambda at 0, `confg` every weight at its default and `sourse`
+        a memory item on the current side."""
+        doc = _case_24(tmp_path)
+        edit(doc)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [*VALUE, "--case", str(path)])
+        assert (code, out) == (2, None)
+        assert json.loads(err)["error"] == {
+            "type": "FormatError",
+            "message": f"{path}: cannot read loss case ({what} holds unknown keys {[unknown]}; it takes {known})"}
 
     @pytest.mark.parametrize("side", ["old", "new"])
     @pytest.mark.parametrize("class_id", [0, 255, 300, -1])

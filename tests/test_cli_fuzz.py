@@ -55,7 +55,7 @@ def pgm_bytes(grid: LabelGrid, ascii_raster: bool) -> bytes:
         with tempfile.TemporaryDirectory() as tmp:
             write_pgm(grid, Path(tmp) / "g.pgm")
             return (Path(tmp) / "g.pgm").read_bytes()
-    raster = "\n".join(" ".join(map(str, row)) for row in grid.as_rows().tolist())
+    raster = "\n".join(" ".join(map(str, row)) for row in grid.data.reshape(grid.height, grid.width).tolist())
     return f"P2\n{grid.width} {grid.height}\n255\n{raster}\n".encode()
 
 

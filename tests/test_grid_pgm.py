@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ciss import BACKGROUND, IGNORE, FormatError, LabelGrid, OracleRecord, ValidationError, relabel
 from ciss.pgm import read_pgm, write_pgm
+from conftest import grid_of
 
 
 def test_grid_rejects_length_mismatch():
@@ -23,13 +24,6 @@ def test_grid_dimensions_must_be_positive(width, height):
     with pytest.raises(ValidationError) as err:
         LabelGrid(width=width, height=height, data=b"")
     assert str(err.value) == f"grid dimensions must be positive, got {width}x{height}"
-
-
-@pytest.mark.parametrize("rows", [[1, 2, 3], [[[1]]]], ids=["1-d", "3-d"])
-def test_from_rows_takes_a_2d_array(rows):
-    with pytest.raises(ValidationError) as err:
-        LabelGrid.from_rows(rows)
-    assert str(err.value) == "expected a 2-D array of class ids"
 
 
 @pytest.mark.parametrize(
@@ -72,12 +66,12 @@ def test_grid_copies_a_writeable_input():
     grid = LabelGrid(2, 2, a)
     record = OracleRecord.from_grid("x", grid)
     rows = np.array([[0, 3], [3, 0]], dtype=np.int64)
-    from_rows = LabelGrid.from_rows(rows)
+    from_array = LabelGrid(2, 2, rows)
     a[:] = 7
     rows[:] = 9
     assert a.flags.writeable and rows.flags.writeable
-    assert grid.foreground_classes() == record.oracle_classes == from_rows.foreground_classes() == {3}
-    assert record.oracle_labels == grid == from_rows
+    assert grid.foreground_classes() == record.oracle_classes == from_array.foreground_classes() == {3}
+    assert record.oracle_labels == grid == from_array
 
 
 def test_grid_keeps_a_read_only_input():
@@ -101,19 +95,19 @@ def test_foreground_classes_exclude_reserved_ids():
 
 
 def test_relabel_keeps_selected_and_ignores():
-    g = LabelGrid.from_rows(np.array([[1, 2, 3], [0, 255, 2]], dtype=np.uint8))
+    g = grid_of(np.array([[1, 2, 3], [0, 255, 2]], dtype=np.uint8))
     out = relabel(g, {2})
-    assert out.as_rows().tolist() == [[0, 2, 0], [0, 255, 2]]
+    assert out.data.reshape(out.height, out.width).tolist() == [[0, 2, 0], [0, 255, 2]]
 
 
 def test_relabel_with_all_classes_is_identity():
-    g = LabelGrid.from_rows(np.array([[1, 2], [3, 255]], dtype=np.uint8))
+    g = grid_of(np.array([[1, 2], [3, 255]], dtype=np.uint8))
     assert relabel(g, {1, 2, 3}) == g
 
 
 def test_relabel_with_empty_set_clears_foreground():
-    g = LabelGrid.from_rows(np.array([[1, 2], [0, 255]], dtype=np.uint8))
-    assert relabel(g, set()).as_rows().tolist() == [[0, 0], [0, 255]]
+    g = grid_of(np.array([[1, 2], [0, 255]], dtype=np.uint8))
+    assert relabel(g, set()).data.reshape(2, 2).tolist() == [[0, 0], [0, 255]]
 
 
 def test_relabel_rejects_reserved_targets():
@@ -152,14 +146,14 @@ def test_relabel_partitions_pixels(g, classes):
 
 
 def test_pgm_p5_roundtrip(tmp_path):
-    g = LabelGrid.from_rows(np.array([[0, 1, 255], [20, 3, 0]], dtype=np.uint8))
+    g = grid_of(np.array([[0, 1, 255], [20, 3, 0]], dtype=np.uint8))
     path = tmp_path / "g.pgm"
     write_pgm(g, path)
     assert read_pgm(path) == g
 
 
 def test_pgm_writer_is_byte_stable(tmp_path):
-    g = LabelGrid.from_rows(np.array([[5, 0], [255, 1]], dtype=np.uint8))
+    g = grid_of(np.array([[5, 0], [255, 1]], dtype=np.uint8))
     write_pgm(g, tmp_path / "a.pgm")
     write_pgm(g, tmp_path / "b.pgm")
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
@@ -169,7 +163,7 @@ def test_pgm_write_into_a_missing_directory_raises_what_open_raises(tmp_path):
     """A direct write is not staged, so nothing names a target for it: the
     `OSError` is left as `open` raised it."""
     with pytest.raises(FileNotFoundError):
-        write_pgm(LabelGrid.from_rows(np.zeros((1, 1), dtype=np.uint8)), tmp_path / "nodir" / "a.pgm")
+        write_pgm(grid_of(np.zeros((1, 1), dtype=np.uint8)), tmp_path / "nodir" / "a.pgm")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -177,7 +171,7 @@ def test_pgm_reads_ascii_variant_with_comments(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P2\n# produced by hand\n3 2\n255\n0 1 255\n20 3 0\n")
     g = read_pgm(path)
-    assert g.as_rows().tolist() == [[0, 1, 255], [20, 3, 0]]
+    assert g.data.reshape(g.height, g.width).tolist() == [[0, 1, 255], [20, 3, 0]]
 
 
 def test_pgm_accepts_lower_maxval(tmp_path):
@@ -225,7 +219,7 @@ def test_relabel_table_matches_isin_rule(g, classes):
 
 
 def _rows(*rows) -> LabelGrid:
-    return LabelGrid.from_rows(np.array(rows, dtype=np.uint8))
+    return grid_of(np.array(rows, dtype=np.uint8))
 
 
 @st.composite
@@ -266,7 +260,7 @@ def _voc_like(width=400, height=300) -> LabelGrid:
     rows[50:200, 100:300] = 5
     rows[120:180, 20:90] = 9
     rows[-3:] = IGNORE
-    return LabelGrid.from_rows(rows)
+    return grid_of(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -368,7 +362,7 @@ def test_pgm_p5_reads_a_read_only_view_and_writes_it_back_unchanged(tmp_path):
     blob = b"P5\n7 5\n255\n" + raster.tobytes()
     (tmp_path / "a.pgm").write_bytes(blob)
     grid = read_pgm(tmp_path / "a.pgm")
-    assert grid.as_rows().shape == (5, 7) and np.array_equal(grid.data, raster)
+    assert (grid.height, grid.width) == (5, 7) and np.array_equal(grid.data, raster)
     assert not grid.data.flags.writeable
     with pytest.raises(ValueError):
         grid.data[0] = 1
@@ -453,7 +447,8 @@ def test_pgm_rasters_read_as_their_values(tmp_path_factory, magic, maxval, extra
     elif max(raster) > maxval:
         message = f"pixel value {max(raster)} exceeds maxval {maxval}"
     else:
-        assert read_pgm(path).as_rows().tolist() == [raster[:3], raster[3:]]
+        grid = read_pgm(path)
+        assert grid.data.reshape(grid.height, grid.width).tolist() == [raster[:3], raster[3:]]
         return
     with pytest.raises(FormatError) as err:
         read_pgm(path)

@@ -157,14 +157,7 @@ def test_record_requires_foreground():
 def test_record_rejects_class_drift():
     grid = make_record("x", {1, 2}).oracle_labels
     with pytest.raises(ValidationError):
-        OracleRecord(image_id="x", oracle_classes=frozenset({1}), n_pixels=grid.n_pixels, grid=grid)
-
-
-def test_record_needs_a_grid_or_its_path(tmp_path):
-    grid = make_record("x", {1}).oracle_labels
-    for source in ({}, {"grid": grid, "labels_path": tmp_path / "x.pgm"}):
-        with pytest.raises(ValidationError, match="grid or the path"):
-            OracleRecord(image_id="x", oracle_classes=frozenset({1}), n_pixels=grid.n_pixels, **source)
+        OracleRecord(image_id="x", oracle_classes=frozenset({1}), n_pixels=grid.n_pixels, source=grid)
 
 
 def test_task_classes_15_1_layout():
@@ -264,10 +257,10 @@ def test_loaded_grid_read_on_demand(tmp_path, fig3_manifest):
     save_manifest(fig3_manifest, tmp_path / "m.json")
     manifest = load_manifest(tmp_path / "m.json")
     rec = manifest.record("Img2")
-    write_pgm(make_record("x", {1, 2}, width=5).oracle_labels, rec.labels_path)
+    write_pgm(make_record("x", {1, 2}, width=5).oracle_labels, rec.source)
     with pytest.raises(FormatError, match="pixels"):
         rec.oracle_labels
-    rec.labels_path.unlink()
+    rec.source.unlink()
     with pytest.raises(FormatError):
         rec.oracle_labels
     assert manifest.record("Img1").oracle_labels == fig3_manifest.record("Img1").oracle_labels
@@ -276,7 +269,7 @@ def test_loaded_grid_read_on_demand(tmp_path, fig3_manifest):
 def test_deleted_grid_fails_only_the_draw_that_reads_it(tmp_path, fig3_manifest, fig3_spec):
     save_manifest(fig3_manifest, tmp_path / "m.json")
     manifest = load_manifest(tmp_path / "m.json")
-    manifest.record("Img3").labels_path.unlink()
+    manifest.record("Img3").source.unlink()
     split = build_overlapped(manifest, fig3_spec)
     assert split.task_ids(2) == ("Img1", "Img3", "Img4")
     memory = sample_class_balanced(split, manifest, upto_task=2, capacity=5, seed=0)

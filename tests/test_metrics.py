@@ -309,8 +309,8 @@ def _eval_fixture(tmp_path):
         gt[rng.random(gt.shape) < 0.1] = 255
         pred = np.where(rng.random(gt.shape) < 0.3, rng.integers(0, 7, size=gt.shape), gt)
         pred[rng.random(gt.shape) < 0.02] = 255
-        write_pgm(LabelGrid.from_rows(gt.astype(np.uint8)), tmp_path / f"gt{i}.pgm")
-        write_pgm(LabelGrid.from_rows(pred.astype(np.uint8)), tmp_path / f"pred{i}.pgm")
+        write_pgm(LabelGrid(40, 30, gt), tmp_path / f"gt{i}.pgm")
+        write_pgm(LabelGrid(40, 30, pred), tmp_path / f"pred{i}.pgm")
         miou_pairs.append({"pred": f"pred{i}.pgm", "gt": f"gt{i}.pgm"})
         prr_pairs.append({"oracle": f"gt{i}.pgm", "pseudo": f"pred{i}.pgm"})
     (tmp_path / "miou.json").write_text(json.dumps(miou_pairs))

@@ -1,4 +1,5 @@
 """Scenario builders, the seen/unseen overlap split, and persistence."""
+import dataclasses
 import json
 
 import pytest
@@ -45,7 +46,7 @@ class TestOverlapped:
         manifest = synthetic_manifest(200, 6, seed=3)
         spec = parse_layout("2-2", 6)
         split = build_overlapped(manifest, spec)
-        member = split.membership()
+        member = split.membership(spec.num_tasks - 1)
         for rec in manifest.records:
             touched = {t for t in range(spec.num_tasks) if rec.oracle_classes & task_classes(spec, t)}
             assert set(member[rec.image_id]) == touched
@@ -53,7 +54,7 @@ class TestOverlapped:
     def test_membership_upper_bound_drops_later_tasks(self):
         manifest = synthetic_manifest(200, 6, seed=3)
         split = build_overlapped(manifest, parse_layout("2-2", 6))
-        full = split.membership()
+        full = split.membership(2)
         for upto in range(3):
             bounded = split.membership(upto)
             assert bounded == {
@@ -61,7 +62,7 @@ class TestOverlapped:
                 for image_id, tasks in full.items()
                 if tasks[0] <= upto
             }
-        assert split.membership(2) == full
+        assert set(full) == {i for ids in split.tasks for i in ids}
 
 
 class TestDisjoint:
@@ -112,6 +113,19 @@ class TestPartitioned:
     def test_seed_must_fit_64_bits(self, fig3_manifest, fig3_spec, seed):
         with pytest.raises(ValidationError, match="^seed must be an unsigned 64-bit integer$"):
             build_partitioned(fig3_manifest, fig3_spec, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_a_draw_refuses_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValidationError, match="^seed must be an unsigned 64-bit integer$"):
+            ciss.assign_partition_class(seed, "x", {1, 2})
+
+    @pytest.mark.parametrize("seed", [None, -1, 2**64, True])
+    def test_split_refuses_a_seed_outside_64_bits(self, fig3_manifest, fig3_spec, seed):
+        """A split refuses, when built, any seed no partitioned build could
+        have drawn with, rather than saving a file that `load_split` refuses."""
+        split = build_partitioned(fig3_manifest, fig3_spec, seed=1)
+        with pytest.raises(ValidationError, match="^seed must be an unsigned 64-bit integer$"):
+            dataclasses.replace(split, seed=seed)
 
     def test_an_image_without_classes_cannot_be_assigned(self):
         with pytest.raises(ValidationError, match="^image 'x' has no classes to assign$"):
@@ -270,10 +284,13 @@ class TestPersistence:
         assert load_split(tmp_path / "split.json") == split
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.pop("seed"), "partitioned split requires an integer seed and assignments"),
-        (lambda doc: doc.update(assignments=[]), "partitioned split requires an integer seed and assignments"),
+        (lambda doc: doc.pop("seed"), "cannot read split manifest (seed must be an unsigned 64-bit integer)"),
+        (lambda doc: doc.update(seed=-4), "cannot read split manifest (seed must be an unsigned 64-bit integer)"),
+        (lambda doc: doc.update(seed=2**70), "cannot read split manifest (seed must be an unsigned 64-bit integer)"),
+        (lambda doc: doc.update(seed=True), "cannot read split manifest (seed must be an unsigned 64-bit integer)"),
+        (lambda doc: doc.update(assignments=[]), "partitioned split requires an assignments object"),
         (lambda doc: doc["assignments"].update(Img3="3"), "assignments of ['Img3'] are not integer class ids"),
-    ], ids=["no-seed", "assignments-list", "assignment-string"])
+    ], ids=["no-seed", "seed-negative", "seed-past-64-bits", "seed-true", "assignments-list", "assignment-string"])
     def test_load_refuses_partitioned_fields_of_the_wrong_type(self, fig3_manifest, fig3_spec, tmp_path,
                                                                 edit, message):
         path = tmp_path / "split.json"
