@@ -120,12 +120,12 @@ def cmd_memory_sample(args) -> dict:
 
 
 def cmd_memory_overlap_ratio(args) -> dict:
-    memory, split = load_memory(args.memory), load_split(args.split)
+    memory = load_memory(args.memory, split := load_split(args.split))
     return _displayed("overlap_ratio", overlap_ratio(memory, split, args.task))
 
 
 def cmd_memory_variant(args) -> dict:
-    memory, split = load_memory(args.memory), load_split(args.split)
+    memory = load_memory(args.memory, split := load_split(args.split))
     manifest = load_manifest(args.manifest)
     variant = make_non_overlapping_variant(memory, split, manifest, args.task, args.seed)
     ratio = overlap_ratio(variant, split, args.task)  # an empty variant has none: refused before any write
@@ -134,7 +134,7 @@ def cmd_memory_variant(args) -> dict:
 
 
 def cmd_memory_batch(args) -> dict:
-    memory, split = load_memory(args.memory), load_split(args.split)
+    memory = load_memory(args.memory, split := load_split(args.split))
     batch = compose_batch(list(split.task_ids(args.task)), memory, args.size, args.seed)
     return {
         "items": [{"image_id": it.image_id, "source": it.source} for it in batch.items],

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import random
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,14 +81,6 @@ class ReplayBatch:
     warnings: tuple[str, ...] = ()
 
 
-def _source_task(member_tasks: list[int], anchor_task: int) -> int | None:
-    """Earliest task holding the image at which the anchor class is visible."""
-    for t in member_tasks:
-        if t >= anchor_task:
-            return t
-    return None
-
-
 def _class_pools(
     split: SplitManifest,
     manifest: DatasetManifest,
@@ -110,7 +101,7 @@ def _class_pools(
             (image_id, source)
             for image_id in ids
             if cls in manifest.record(image_id).oracle_classes
-            and (source := _source_task(member[image_id], anchor_task)) is not None
+            and (source := next((t for t in member[image_id] if t >= anchor_task), None)) is not None
         ]
     return pools
 
@@ -238,12 +229,17 @@ def compose_batch(
     seed: int,
 ) -> ReplayBatch:
     """Half current-task data, half memory: ceil(b/2) current items and
-    floor(b/2) memory items, seeded, b at most `sys.maxsize`, the longest
-    list. Draws are without replacement unless a side is smaller than its
-    half, in which case it is sampled with replacement (empty memory
+    floor(b/2) memory items, seeded, b at most the images the task and the
+    memory hold. Draws are without replacement unless a side is smaller than
+    its half, in which case it is sampled with replacement (empty memory
     degrades to an all-current batch, flagged)."""
-    if not 2 <= batch_size <= sys.maxsize:
-        raise ValidationError(f"batch size must lie in 2..{sys.maxsize}, got {batch_size}")
+    pool = list(current_ids)
+    if not pool:
+        raise ValidationError("no current-task images to sample")
+    supply = len(pool) + len(memory)
+    if not 2 <= batch_size <= supply:
+        raise ValidationError(f"batch size must lie in 2..{supply}, the images the task and the memory hold, "
+                              f"got {batch_size}")
     rng = seeded(seed)
     n_memory = batch_size // 2
     n_current = batch_size - n_memory
@@ -251,9 +247,6 @@ def compose_batch(
     if not memory.entries:
         warnings.append("memory is empty; batch is current-task only")
         n_current, n_memory = batch_size, 0
-    pool = list(current_ids)
-    if not pool:
-        raise ValidationError("no current-task images to sample")
 
     def picks(ids: list[str], n: int, short: str) -> list[str]:
         if len(ids) >= n:
@@ -309,8 +302,10 @@ def save_memory(
     write_artifact(path, doc, grids, write_pgm)
 
 
-def load_memory(path: str | os.PathLike) -> ExemplarMemory:
-    """Read a memory file's JSON; its stored grids are not opened."""
+def load_memory(path: str | os.PathLike, split: SplitManifest) -> ExemplarMemory:
+    """Read a memory file's JSON; its stored grids are not opened. Each entry
+    must hold an image of `split` at a task it was saved at, and an anchor
+    class visible at that task."""
     path = Path(path)
     doc = read_json(path, "memory file")
     with reading(path, "memory file"):
@@ -323,8 +318,16 @@ def load_memory(path: str | os.PathLike) -> ExemplarMemory:
         strings = [e[k] for e in entries for k in ("image_id", "labels_path")]
         if not isinstance(warnings, list) or not all(isinstance(v, str) for v in strings + warnings):
             raise FormatError(f"{path}: image_id and labels_path must be strings, warnings a list of strings")
-        return ExemplarMemory(
+        memory = ExemplarMemory(
             capacity=doc["capacity"],
             entries=tuple(ExemplarEntry(e["image_id"], e["saved_at"], e["anchor_class"]) for e in entries),
             warnings=tuple(warnings),
         )
+    member = split.membership(split.spec.num_tasks - 1)
+    for e in memory.entries:
+        if e.saved_at not in member.get(e.image_id, ()):
+            raise FormatError(f"{path}: image {e.image_id!r} is not in task {e.saved_at} of the split")
+        if e.anchor_class not in classes_up_to(split.spec, e.saved_at):
+            raise FormatError(f"{path}: anchor class {e.anchor_class} of {e.image_id!r} "
+                              f"is not visible at task {e.saved_at}")
+    return memory

@@ -42,37 +42,25 @@ def read_pgm(path: str | os.PathLike) -> LabelGrid:
         except ValueError as exc:
             raise FormatError(f"{path}: bad PGM header ({exc})") from exc
         pos = header.end()
-        if width <= 0 or height <= 0:
-            raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
         if not 0 < maxval <= 255:
             raise FormatError(f"{path}: maxval {maxval} outside 1..255")
         # exactly one whitespace byte separates a P5 maxval from the raster
         if magic == b"P5" and not head[pos:pos + 1].isspace():
             raise FormatError(f"{path}: missing raster separator")
-        start, n = pos + (magic == b"P5"), width * height
+        start = pos + (magic == b"P5")
         if fh.seekable():  # the rest of a file is read into bytes of its own
             fh.seek(start)
             rest = fh.read()
         else:  # a pipe cannot go back to the end of the header
             rest = head[start:] + fh.read()
-    if magic == b"P5":
-        raster = rest[:n]  # `rest` itself, uncopied, when no byte follows the raster
-        if len(raster) != n:
-            raise FormatError(f"{path}: expected {n} raster bytes, found {len(raster)}")
-    else:
-        try:
-            values = [int(v) for v in rest.split()]
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad ASCII raster ({exc})") from exc
-        if len(values) != n:
-            raise FormatError(f"{path}: expected {n} pixel values, found {len(values)}")
-        if min(values) < 0 or max(values) > 255:
-            raise FormatError(f"{path}: ASCII pixel value outside 0..255")
-        raster = bytes(values)
+        # a P5 raster is `rest` itself, uncopied, when no byte follows it; the
+        # grid refuses a raster of the wrong shape, `bytes` a P2 value outside 0..255
+        raster = rest[:width * height] if magic == b"P5" else bytes(map(int, rest.split()))
+        grid = LabelGrid(width, height, raster)
     # no byte exceeds maxval 255, so only a lower one is checked: by what deleting the bytes up to it leaves
-    if maxval < 255 and (over := raster.translate(None, bytes(range(maxval + 1)))):
+    if maxval < 255 and (over := grid.raster.translate(None, bytes(range(maxval + 1)))):
         raise FormatError(f"{path}: pixel value {max(over)} exceeds maxval {maxval}")
-    return LabelGrid(width=width, height=height, data=raster)
+    return grid
 
 
 def write_pgm(grid: LabelGrid, path: str | os.PathLike) -> None:

@@ -151,24 +151,14 @@ def build_partitioned(
     one of the image's oracle classes); the rest are drawn from the seed.
     """
     class_task = _class_tasks(manifest, spec)
-    forced = dict(assignments or {})
-    for image_id in forced:
-        manifest.record(image_id)
-    chosen: dict[str, int] = {}
-
-    def tasks_of(rec):
-        if rec.image_id in forced:
-            cls = int(forced[rec.image_id])
-            if cls not in rec.oracle_classes:
-                raise ValidationError(
-                    f"forced assignment {rec.image_id!r} -> {cls} is not an oracle class"
-                )
-        else:
-            cls = assign_partition_class(seed, rec.image_id, rec.oracle_classes)
-        chosen[rec.image_id] = cls
-        return [class_task[cls]]
-
-    return _build("partitioned", manifest, spec, tasks_of, seed=seed, assignments=chosen)
+    forced = {image_id: int(cls) for image_id, cls in (assignments or {}).items()}
+    for image_id, cls in forced.items():
+        if cls not in manifest.record(image_id).oracle_classes:
+            raise ValidationError(f"forced assignment {image_id!r} -> {cls} is not an oracle class")
+    chosen = {rec.image_id: forced[rec.image_id] if rec.image_id in forced
+              else assign_partition_class(seed, rec.image_id, rec.oracle_classes) for rec in manifest.records}
+    return _build("partitioned", manifest, spec, lambda rec: [class_task[chosen[rec.image_id]]],
+                  seed=seed, assignments=chosen)
 
 
 def split_overlapping(

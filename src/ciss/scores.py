@@ -41,8 +41,6 @@ class ScoreMatrix:
     def __post_init__(self) -> None:
         cmap = tuple(int(c) for c in self.class_map)
         object.__setattr__(self, "class_map", cmap)
-        if len(cmap) == 0:
-            raise ValidationError("class map is empty")
         if len(set(cmap)) != len(cmap):
             raise ValidationError("class map contains duplicates")
         if not all(BACKGROUND <= c < IGNORE for c in cmap):

@@ -28,7 +28,7 @@ from ciss import (
 from ciss import losses
 from ciss.cli import build_parser, main
 from ciss.pgm import read_pgm, write_pgm
-from conftest import make_record, one_hot_scores, run_with_file_size_limit
+from conftest import make_record, one_hot_scores, run_with_file_size_limit, synthetic_manifest
 
 
 @pytest.fixture
@@ -289,19 +289,72 @@ class TestMemoryCommands:
         assert not (tmp_path / "memory.json").exists()
 
     def test_batch_size_past_the_longest_list_exits_2(self, capsys, manifest_path, split_path, tmp_path):
-        """A batch is a list, so its size is at most sys.maxsize; a size past
-        it is refused before any item is drawn. (Sizes up to sys.maxsize are
-        not run: one that large would try to build the list.)"""
-        size = 10**400
+        """A batch holds at most the images the task and the memory hold: the
+        whole supply makes a batch, and one more, sys.maxsize or a size past
+        it is refused at once, one JSON error line, before any item is drawn."""
+        supply = len(json.loads(split_path.read_text())["tasks"][1]["image_ids"]) + 3
         mem = tmp_path / "memory.json"
         run(capsys, ["memory", "sample", "--manifest", str(manifest_path), "--split", str(split_path),
                      "--upto-task", "0", "--size", "3", "--seed", "1", "--out", str(mem)])
-        code, doc, err = run(capsys, ["memory", "batch", "--memory", str(mem), "--split", str(split_path),
-                                      "--task", "1", "--size", str(size), "--seed", "0"])
-        assert (code, doc) == (2, None)
-        assert json.loads(err)["error"] == {
-            "type": "ValidationError", "message": f"batch size must lie in 2..{sys.maxsize}, got {size}"}
-        assert len(err.splitlines()) == 1
+        batch = ["memory", "batch", "--memory", str(mem), "--split", str(split_path), "--task", "1", "--seed", "0"]
+        code, doc, _ = run(capsys, [*batch, "--size", str(supply)])
+        assert code == 0 and len(doc["items"]) == supply
+        for size in (supply + 1, sys.maxsize, 10**400):
+            code, doc, err = run(capsys, [*batch, "--size", str(size)])
+            assert (code, doc) == (2, None)
+            assert json.loads(err)["error"] == {
+                "type": "ValidationError",
+                "message": f"batch size must lie in 2..{supply}, the images the task and the memory hold, got {size}"}
+            assert len(err.splitlines()) == 1
+
+    @pytest.fixture
+    def layouts(self, capsys, tmp_path):
+        """A 300-image manifest, its 15-1 and 10-5 overlapped splits, and a
+        memory sampled from the 15-1 split up to its last task."""
+        paths = {name: tmp_path / f"{name}.json" for name in ("manifest", "15-1", "10-5", "memory")}
+        save_manifest(synthetic_manifest(300, 20, seed=5), paths["manifest"])
+        for task in ("15-1", "10-5"):
+            run(capsys, ["build", "--manifest", str(paths["manifest"]), "--scenario", "overlapped",
+                         "--task", task, "--out", str(paths[task])])
+        code, _, _ = run(capsys, ["memory", "sample", "--manifest", str(paths["manifest"]), "--split",
+                                  str(paths["15-1"]), "--upto-task", "5", "--size", "20", "--seed", "1",
+                                  "--out", str(paths["memory"])])
+        assert code == 0
+        return paths
+
+    @staticmethod
+    def _refused(capsys, paths, split):
+        """overlap-ratio, variant and batch each exit 2 with one error naming
+        the memory file, and variant writes nothing."""
+        out = paths["memory"].parent / "variant.json"
+        audit = ["--memory", str(paths["memory"]), "--split", str(paths[split]), "--task", "1"]
+        for argv in (["memory", "overlap-ratio", *audit],
+                     ["memory", "variant", *audit, "--manifest", str(paths["manifest"]), "--seed", "0",
+                      "--out", str(out)],
+                     ["memory", "batch", *audit, "--size", "4", "--seed", "0"]):
+            code, doc, err = run(capsys, argv)
+            assert (code, doc) == (2, None), argv
+            [line] = err.splitlines()
+            error = json.loads(line)["error"]
+            assert error["type"] == "FormatError" and error["message"].startswith(f"{paths['memory']}: "), argv
+        assert not out.exists() and not (out.parent / "variant_grids").exists()
+
+    def test_memory_of_another_layouts_split_is_refused(self, capsys, layouts):
+        """Read with the 10-5 split, the 15-1 memory's entries sit at tasks
+        the split has not, or anchor classes their task does not show."""
+        code, _, _ = run(capsys, ["memory", "overlap-ratio", "--memory", str(layouts["memory"]),
+                                  "--split", str(layouts["15-1"]), "--task", "1"])
+        assert code == 0
+        self._refused(capsys, layouts, "10-5")
+
+    @pytest.mark.parametrize("key, value", [
+        ("image_id", "s"), ("saved_at", -1), ("saved_at", 10**19), ("saved_at", 40), ("anchor_class", -1),
+    ])
+    def test_entry_its_split_does_not_hold_is_refused(self, capsys, layouts, key, value):
+        doc = json.loads(layouts["memory"].read_text())
+        doc["entries"][0][key] = value
+        layouts["memory"].write_text(json.dumps(doc))
+        self._refused(capsys, layouts, "15-1")
 
     def test_batch_listing_deterministic(self, capsys, manifest_path, split_path, tmp_path):
         mem = tmp_path / "memory.json"

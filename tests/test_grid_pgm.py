@@ -426,8 +426,8 @@ def test_pgm_header_grammar_reads_back(tmp_path_factory, case):
 def test_pgm_rasters_read_as_their_values(tmp_path_factory, magic, maxval, extra, data):
     """A raster with `extra` values more or fewer than the 3x2 header asks
     for reads as its values, or fails with the message for its first
-    fault: a short raster (a long P5 one is cut), a P2 value outside 0..255,
-    then a value above maxval."""
+    fault: a P2 value outside 0..255, a raster of another length (a long P5
+    one is cut), then a value above maxval."""
     n = 6 + extra
     if magic == b"P5":
         values = data.draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
@@ -439,11 +439,10 @@ def test_pgm_rasters_read_as_their_values(tmp_path_factory, magic, maxval, extra
     path = tmp_path_factory.mktemp("pgm") / "g.pgm"
     path.write_bytes(b"%s 3 2 %d\n%s" % (magic, maxval, body))
     raster = values[:6]
-    if count != 6:
-        what = "raster bytes" if magic == b"P5" else "pixel values"
-        message = f"expected 6 {what}, found {count}"
-    elif min(raster) < 0 or max(raster) > 255:
-        message = "ASCII pixel value outside 0..255"
+    if min(values) < 0 or max(values) > 255:
+        message = "cannot read PGM file (bytes must be in range(0, 256))"
+    elif count != 6:
+        message = f"cannot read PGM file (grid data length {count} does not match 3x2)"
     elif max(raster) > maxval:
         message = f"pixel value {max(raster)} exceeds maxval {maxval}"
     else:
@@ -498,16 +497,16 @@ def test_pgm_reads_from_a_pipe(tmp_path):
         (b"P2 2 2 2.5\n", "bad PGM header (invalid literal for int() with base 10: b'2.5')"),
         (b"P5 2 1 255#c\n\x00\x00", "missing raster separator"),  # maxval right before '#'
         (b"P5 2 1 255", "missing raster separator"),
-        (b"P5 2 1 255\n", "expected 2 raster bytes, found 0"),
-        (b"P2 0 2 255\n", "non-positive dimensions 0x2"),
-        (b"P2 2 -1 255\n", "non-positive dimensions 2x-1"),
+        (b"P5 2 1 255\n", "cannot read PGM file (grid data length 0 does not match 2x1)"),
+        (b"P2 0 2 255\n", "cannot read PGM file (grid dimensions must be positive, got 0x2)"),
+        (b"P2 2 -1 255\n", "cannot read PGM file (grid dimensions must be positive, got 2x-1)"),
         (b"P2 1 1 0\n0", "maxval 0 outside 1..255"),
         (b"P2 1 1 256\n0", "maxval 256 outside 1..255"),
-        (b"P2 1 1 255\n256\n", "ASCII pixel value outside 0..255"),
-        (b"P2 1 1 255\n1 #\n", "bad ASCII raster (invalid literal for int() with base 10: b'#')"),
+        (b"P2 1 1 255\n256\n", "cannot read PGM file (bytes must be in range(0, 256))"),
+        (b"P2 1 1 255\n1 #\n", "cannot read PGM file (invalid literal for int() with base 10: b'#')"),
         (b"P5 1 1 1\n\x02", "pixel value 2 exceeds maxval 1"),
-        (b"P2 1 1 255\n99999999999999999999\n", "ASCII pixel value outside 0..255"),  # past int64
-        (b"P5 100000 100000 255\n\x00", "expected 10000000000 raster bytes, found 1"),
+        (b"P2 1 1 255\n99999999999999999999\n", "cannot read PGM file (bytes must be in range(0, 256))"),  # past int64
+        (b"P5 100000 100000 255\n\x00", "cannot read PGM file (grid data length 1 does not match 100000x100000)"),
     ],
 )
 def test_pgm_errors_keep_their_messages(tmp_path, blob, message):

@@ -134,7 +134,7 @@ def test_load_manifest_keeps_the_error_of_a_grid_it_cannot_read(tmp_path):
     (tmp_path / "Img1.pgm").write_bytes(b"P5\n2 1\n255\n\x01")
     with pytest.raises(FormatError) as info:
         load_manifest(path)
-    assert str(info.value) == f"{tmp_path / 'Img1.pgm'}: expected 2 raster bytes, found 1"
+    assert str(info.value) == f"{tmp_path / 'Img1.pgm'}: cannot read PGM file (grid data length 1 does not match 2x1)"
 
 
 def test_manifest_roundtrip(tmp_path, fig3_manifest):

@@ -307,6 +307,13 @@ class TestBatches:
             compose_batch([], memory, batch_size=2, seed=0)
         assert str(err.value) == "no current-task images to sample"
 
+    def test_batch_size_is_at_most_the_supply(self):
+        memory = ExemplarMemory(capacity=1, entries=(_ENTRY,))
+        assert len(compose_batch(["b", "c"], memory, batch_size=3, seed=0).items) == 3
+        with pytest.raises(ValidationError) as err:
+            compose_batch(["b", "c"], memory, batch_size=4, seed=0)
+        assert str(err.value) == "batch size must lie in 2..3, the images the task and the memory hold, got 4"
+
     def test_memory_items_carry_saved_at_labels(self, ample_manifest, ample_split):
         spec = ample_split.spec
         memory = sample_class_balanced(ample_split, ample_manifest, upto_task=0, capacity=50, seed=3)
@@ -334,18 +341,29 @@ class TestPersistence:
         memory = sample_class_balanced(ample_split, ample_manifest, upto_task=2, capacity=25, seed=4)
         path = tmp_path / "memory.json"
         save_memory(memory, path, ample_manifest, ample_split.spec)
-        back = load_memory(path)
+        back = load_memory(path, ample_split)
         assert back == memory
 
     @pytest.mark.parametrize("entries", [{}, "", {"a": 1}, [1]],
                              ids=["empty-object", "empty-string", "object", "list-of-numbers"])
-    def test_entries_must_be_a_list_of_objects(self, tmp_path, entries):
+    def test_entries_must_be_a_list_of_objects(self, ample_split, tmp_path, entries):
         """Read as an empty memory, `{}` and `""` made `memory batch` all-current."""
         path = tmp_path / "memory.json"
         path.write_text(json.dumps({"capacity": 2, "entries": entries}))
         with pytest.raises(FormatError) as info:
-            load_memory(path)
+            load_memory(path, ample_split)
         assert str(info.value) == f"{path}: entries must be a JSON list of objects"
+
+    def test_memory_reads_only_against_its_own_split(self, ample_manifest, ample_split, tmp_path):
+        """Under a 10-5 layout the 15-1 memory's entries sit at tasks the
+        split has not, or anchor classes their task does not show."""
+        memory = sample_class_balanced(ample_split, ample_manifest, upto_task=5, capacity=25, seed=4)
+        path = tmp_path / "memory.json"
+        save_memory(memory, path, ample_manifest, ample_split.spec)
+        other = build_overlapped(ample_manifest, parse_layout("10-5", 20))
+        with pytest.raises(FormatError) as info:
+            load_memory(path, other)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_memory_file_byte_stable(self, ample_manifest, ample_split, tmp_path):
         memory = sample_class_balanced(ample_split, ample_manifest, upto_task=1, capacity=16, seed=4)
@@ -364,7 +382,7 @@ class TestPersistence:
         save_memory(memory, tmp_path / "memory.json", ample_manifest, ample_split.spec)
         assert removed == []
         assert not list(tmp_path.rglob("*.tmp"))
-        assert load_memory(tmp_path / "memory.json") == memory
+        assert load_memory(tmp_path / "memory.json", ample_split) == memory
 
     def test_failed_grid_write_leaves_previous_memory(self, ample_manifest, ample_split, tmp_path, monkeypatch):
         path = tmp_path / "memory.json"
@@ -388,7 +406,7 @@ class TestPersistence:
             save_memory(new, path, ample_manifest, ample_split.spec)
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert not list(tmp_path.rglob("*.tmp"))
-        assert load_memory(path) == old
+        assert load_memory(path, ample_split) == old
 
 
 class TestGridFree:

@@ -63,7 +63,7 @@ def test_scorematrix_validation():
 
 
 @pytest.mark.parametrize("class_map, shape, message", [
-    ((), (1, 0), "class map is empty"),
+    ((), (1, 0), "class map must include the background class"),
     ((0, 1), (2, 3), "logits shape (2, 3) does not match 2 mapped classes"),
     ((0, 1), (4,), "logits shape (4,) does not match 2 mapped classes"),
 ], ids=["empty-map", "columns", "one-dimensional"])
