@@ -497,16 +497,25 @@ def test_pgm_reads_from_a_pipe(tmp_path):
         (b"P2 2 2 2.5\n", "bad PGM header (invalid literal for int() with base 10: b'2.5')"),
         (b"P5 2 1 255#c\n\x00\x00", "missing raster separator"),  # maxval right before '#'
         (b"P5 2 1 255", "missing raster separator"),
-        (b"P5 2 1 255\n", "cannot read PGM file (grid data length 0 does not match 2x1)"),
-        (b"P2 0 2 255\n", "cannot read PGM file (grid dimensions must be positive, got 0x2)"),
-        (b"P2 2 -1 255\n", "cannot read PGM file (grid dimensions must be positive, got 2x-1)"),
+        # the grid and bytes() own these rules now; each id keeps the case's name from
+        # when the reader wrote its own message, the one the id still quotes
+        pytest.param(b"P5 2 1 255\n", "cannot read PGM file (grid data length 0 does not match 2x1)",
+                     id="P5 2 1 255\n-expected 2 raster bytes, found 0"),
+        pytest.param(b"P2 0 2 255\n", "cannot read PGM file (grid dimensions must be positive, got 0x2)",
+                     id="P2 0 2 255\n-non-positive dimensions 0x2"),
+        pytest.param(b"P2 2 -1 255\n", "cannot read PGM file (grid dimensions must be positive, got 2x-1)",
+                     id="P2 2 -1 255\n-non-positive dimensions 2x-1"),
         (b"P2 1 1 0\n0", "maxval 0 outside 1..255"),
         (b"P2 1 1 256\n0", "maxval 256 outside 1..255"),
-        (b"P2 1 1 255\n256\n", "cannot read PGM file (bytes must be in range(0, 256))"),
-        (b"P2 1 1 255\n1 #\n", "cannot read PGM file (invalid literal for int() with base 10: b'#')"),
+        pytest.param(b"P2 1 1 255\n256\n", "cannot read PGM file (bytes must be in range(0, 256))",
+                     id="P2 1 1 255\n256\n-ASCII pixel value outside 0..255"),
+        pytest.param(b"P2 1 1 255\n1 #\n", "cannot read PGM file (invalid literal for int() with base 10: b'#')",
+                     id="P2 1 1 255\n1 #\n-bad ASCII raster (invalid literal for int() with base 10: b'#')"),
         (b"P5 1 1 1\n\x02", "pixel value 2 exceeds maxval 1"),
-        (b"P2 1 1 255\n99999999999999999999\n", "cannot read PGM file (bytes must be in range(0, 256))"),  # past int64
-        (b"P5 100000 100000 255\n\x00", "cannot read PGM file (grid data length 1 does not match 100000x100000)"),
+        pytest.param(b"P2 1 1 255\n99999999999999999999\n", "cannot read PGM file (bytes must be in range(0, 256))",
+                     id="P2 1 1 255\n99999999999999999999\n-ASCII pixel value outside 0..255"),  # past int64
+        pytest.param(b"P5 100000 100000 255\n\x00", "cannot read PGM file (grid data length 1 does not match 100000x100000)",
+                     id="P5 100000 100000 255\n\x00-expected 10000000000 raster bytes, found 1"),
     ],
 )
 def test_pgm_errors_keep_their_messages(tmp_path, blob, message):
