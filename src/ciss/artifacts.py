@@ -42,15 +42,24 @@ def seeded(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def read_bytes(path: str | os.PathLike, what: str) -> bytes:
-    with reading(path, what), open(path, "rb") as fh:
-        return fh.read()
+def read_upto(fh, n: int) -> bytes:
+    """At most `n` bytes from `fh`, asking a file for no more than it holds past
+    its position and a pipe for a MiB at a time: a size a header declares
+    allocates no memory that the input does not fill."""
+    step = 1 << 20
+    if fh.seekable():
+        n = step = min(n, os.fstat(fh.fileno()).st_size - fh.tell())
+    chunks = []
+    while n > 0 and (chunk := fh.read(min(n, step))):
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)  # one chunk is returned uncopied
 
 
 def read_json(path: str | os.PathLike, what: str):
     """Parse a UTF-8 JSON file."""
-    with reading(path, what):
-        return json.loads(read_bytes(path, what).decode("utf-8"))
+    with reading(path, what), open(path, "rb") as fh:
+        return json.loads(fh.read().decode("utf-8"))
 
 
 def json_text(doc, indent: int | None = 2) -> str:

@@ -23,45 +23,20 @@ from . import ATOMIC_LOSSES, COMPOSITE_LOSSES, SCENARIO_KINDS, CissError, Format
 from .artifacts import json_text, read_json, staging
 
 
-def _forward(name: str):
-    """A stand-in for `ciss.<name>`: each call looks the name up through the
-    package, which imports its module on first use."""
-    def call(*args, **kwargs):
-        return getattr(ciss, name)(*args, **kwargs)
+def __getattr__(name: str):
+    """`ciss.<name>` for a library name no global here binds (PEP 562), looked
+    up on each access, so a command loads only the modules it calls and
+    `bench/tracing.py` can bind a timed wrapper under the same name. A dunder
+    such as `__path__` or `__all__` is not taken from the package."""
+    if name.startswith("__"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(ciss, name)
 
-    return call
 
-
-# The stand-ins are exactly the library names `bench/tracing.py` rebinds: it
-# times each layer by replacing these globals, and the loss calls by
-# replacing `L`, the package itself. Each resolves through `ciss` when
-# called, so a command loads only the modules it calls; every other library
-# call is `ciss.<name>`. `accumulate` calls `metrics._accumulate`, not
-# `metrics.accumulate`: the tracer also wraps the latter, to count the calls
-# made inside `metrics`, and a handler's call must pass one wrapper, not two.
+# the handlers call the library as `lib.<name>`, `lib` being this module (`__main__`
+# under `python -m ciss.cli`), and the losses as `L.<name>`: the tracer replaces `L` whole
+lib = sys.modules[__name__]
 L = ciss
-load_manifest = _forward("load_manifest")
-compose_batch = _forward("compose_batch")
-load_memory = _forward("load_memory")
-make_non_overlapping_variant = _forward("make_non_overlapping_variant")
-overlap_ratio = _forward("overlap_ratio")
-sample_class_balanced = _forward("sample_class_balanced")
-save_memory = _forward("save_memory")
-evaluation_report = _forward("evaluation_report")
-pseudo_label_retrieval_rate = _forward("pseudo_label_retrieval_rate")
-read_pgm = _forward("read_pgm")
-write_pgm = _forward("write_pgm")
-pseudo_label = _forward("pseudo_label")
-build_disjoint = _forward("build_disjoint")
-build_overlapped = _forward("build_overlapped")
-build_partitioned = _forward("build_partitioned")
-load_split = _forward("load_split")
-save_split = _forward("save_split")
-read_scores = _forward("read_scores")
-
-
-def accumulate(*args):
-    return ciss.metrics._accumulate(*args)
 
 
 EXIT_OK = 0
@@ -77,27 +52,27 @@ def _displayed(key: str, value: float) -> dict:
 def _load_spec(args, class_count: int | None = None):
     """--task over --class-order, else over 1..`class_count` (a manifest's) or 1..--class-count.
     A --class-count given with --class-order must be the order's length."""
-    order = ciss.load_class_order(args.class_order) if args.class_order else None
+    order = lib.load_class_order(args.class_order) if args.class_order else None
     if class_count is None:
         if order is None and args.class_count is None:
             raise ValidationError(f"eval {args.eval_cmd} needs --class-order or --class-count")
         class_count = len(order) if args.class_count is None else args.class_count
-    return ciss.parse_layout(args.task, class_count, order)
+    return lib.parse_layout(args.task, class_count, order)
 
 
 def cmd_build(args) -> dict:
-    manifest = load_manifest(args.manifest)
+    manifest = lib.load_manifest(args.manifest)
     spec = _load_spec(args, manifest.class_count)
     if args.scenario == "partitioned":
         if args.seed is None:
             raise ValidationError("partitioned builds require --seed")
-        split = build_partitioned(manifest, spec, args.seed)
+        split = lib.build_partitioned(manifest, spec, args.seed)
     else:
         if args.seed is not None:
             raise ValidationError(f"{args.scenario} builds take no --seed")
-        builder = build_overlapped if args.scenario == "overlapped" else build_disjoint
+        builder = lib.build_overlapped if args.scenario == "overlapped" else lib.build_disjoint
         split = builder(manifest, spec)
-    save_split(split, args.out)
+    lib.save_split(split, args.out)
     doc: dict = {
         "scenario": split.scenario,
         "out": str(args.out),
@@ -111,31 +86,31 @@ def cmd_build(args) -> dict:
 
 
 def cmd_memory_sample(args) -> dict:
-    split = load_split(args.split)
-    manifest = load_manifest(args.manifest)
-    memory = sample_class_balanced(split, manifest, args.upto_task, args.size, args.seed)
-    save_memory(memory, args.out, manifest, split.spec)
+    split = lib.load_split(args.split)
+    manifest = lib.load_manifest(args.manifest)
+    memory = lib.sample_class_balanced(split, manifest, args.upto_task, args.size, args.seed)
+    lib.save_memory(memory, args.out, manifest, split.spec)
     return {"out": str(args.out), "stored": len(memory), "capacity": memory.capacity,
             "warnings": list(memory.warnings)}
 
 
 def cmd_memory_overlap_ratio(args) -> dict:
-    memory = load_memory(args.memory, split := load_split(args.split))
-    return _displayed("overlap_ratio", overlap_ratio(memory, split, args.task))
+    memory = lib.load_memory(args.memory, split := lib.load_split(args.split))
+    return _displayed("overlap_ratio", lib.overlap_ratio(memory, split, args.task))
 
 
 def cmd_memory_variant(args) -> dict:
-    memory = load_memory(args.memory, split := load_split(args.split))
-    manifest = load_manifest(args.manifest)
-    variant = make_non_overlapping_variant(memory, split, manifest, args.task, args.seed)
-    ratio = overlap_ratio(variant, split, args.task)  # an empty variant has none: refused before any write
-    save_memory(variant, args.out, manifest, split.spec)
+    memory = lib.load_memory(args.memory, split := lib.load_split(args.split))
+    manifest = lib.load_manifest(args.manifest)
+    variant = lib.make_non_overlapping_variant(memory, split, manifest, args.task, args.seed)
+    ratio = lib.overlap_ratio(variant, split, args.task)  # an empty variant has none: refused before any write
+    lib.save_memory(variant, args.out, manifest, split.spec)
     return {"out": str(args.out), **_displayed("overlap_ratio", ratio), "warnings": list(variant.warnings)}
 
 
 def cmd_memory_batch(args) -> dict:
-    memory = load_memory(args.memory, split := load_split(args.split))
-    batch = compose_batch(list(split.task_ids(args.task)), memory, args.size, args.seed)
+    memory = lib.load_memory(args.memory, split := lib.load_split(args.split))
+    batch = lib.compose_batch(list(split.task_ids(args.task)), memory, args.size, args.seed)
     return {
         "items": [{"image_id": it.image_id, "source": it.source} for it in batch.items],
         "n_current": sum(1 for it in batch.items if it.source == "current"),
@@ -145,17 +120,17 @@ def cmd_memory_batch(args) -> dict:
 
 
 def cmd_pseudo(args) -> dict:
-    gt = read_pgm(args.gt)
-    prev = read_scores(args.prev_scores)
+    gt = lib.read_pgm(args.gt)
+    prev = lib.read_scores(args.prev_scores)
     try:
         current = {int(v) for v in args.current_classes.split(",") if v.strip()}
     except ValueError:
         raise ValidationError(
             f"--current-classes must be comma-separated integers, got {args.current_classes!r}"
         ) from None
-    out = pseudo_label(gt, prev, current, ciss.PseudoConfig(tau=args.tau))
+    out = lib.pseudo_label(gt, prev, current, lib.PseudoConfig(tau=args.tau))
     with staging(args.out, "PGM file") as stage:
-        write_pgm(out, stage(args.out))
+        lib.write_pgm(out, stage(args.out))
     return {"out": str(args.out), "tau": args.tau, "relabeled_pixels": int((out.data != gt.data).sum())}
 
 
@@ -173,16 +148,16 @@ def _read_pairs(path: str, first: str, second: str) -> list[tuple]:
 
 def cmd_eval_miou(args) -> dict:
     spec = _load_spec(args)
-    acc = ciss.ConfusionAccumulator()
+    acc = lib.ConfusionAccumulator()
     for pred_path, gt_path in _read_pairs(args.pairs, "pred", "gt"):
-        accumulate(read_pgm(pred_path), read_pgm(gt_path), acc)
+        lib.accumulate(lib.read_pgm(pred_path), lib.read_pgm(gt_path), acc)
         # the pixels of a ground-truth id are its hits and misses; past the
         # layout's classes the id would be in no mean (the ignore id has neither)
         (beyond,) = (acc.tp + acc.fn)[spec.class_count + 1:].nonzero()
         if beyond.size:
             raise ValidationError(f"pair {pred_path}, {gt_path}: ground truth holds class id "
                                   f"{spec.class_count + 1 + beyond[0]}, outside the layout's 1..{spec.class_count}")
-    report = evaluation_report(acc, spec)
+    report = lib.evaluation_report(acc, spec)
     report["miou_groups_display"] = {
         k: (None if v is None else f"{v:.2f}") for k, v in report["miou_groups"].items()
     }
@@ -194,10 +169,10 @@ def cmd_eval_prr(args) -> dict:
     if not 1 <= args.current_task < spec.num_tasks:
         raise ValidationError(f"--current-task {args.current_task} outside 1..{spec.num_tasks - 1}, "
                               f"the tasks of layout {args.task} that have old classes")
-    old = ciss.classes_up_to(spec, args.current_task - 1)
-    pairs = ((read_pgm(oracle), read_pgm(pseudo))
+    old = lib.classes_up_to(spec, args.current_task - 1)
+    pairs = ((lib.read_pgm(oracle), lib.read_pgm(pseudo))
              for oracle, pseudo in _read_pairs(args.pairs, "oracle", "pseudo"))
-    return _displayed("prr", pseudo_label_retrieval_rate(pairs, old))
+    return _displayed("prr", lib.pseudo_label_retrieval_rate(pairs, old))
 
 
 def _loss(loss_id: str, value: float) -> dict:
@@ -329,10 +304,14 @@ def main(argv: list[str] | None = None) -> int:
             doc = args.func(args)
         text = json_text(doc)
     except CissError as exc:
-        sys.stderr.write(json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}, None))
-        return EXIT_USAGE
-    sys.stdout.write(text)
-    return EXIT_CHECK_FAILED if doc.get("passed") is False else EXIT_OK
+        error = {"type": type(exc).__name__, "message": str(exc)}
+    except MemoryError as exc:  # whitespace is free in P2 and text payloads, so no read bounds them
+        error = {"type": "MemoryError", "message": str(exc) or "out of memory"}
+    else:
+        sys.stdout.write(text)
+        return EXIT_CHECK_FAILED if doc.get("passed") is False else EXIT_OK
+    sys.stderr.write(json_text({"error": error}, None))
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

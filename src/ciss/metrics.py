@@ -68,11 +68,6 @@ def accumulate(
     return acc
 
 
-# The function itself under a second name, for `ciss.cli` to call: it stays
-# bound when `accumulate` is rebound to count the calls made in this module.
-_accumulate = accumulate
-
-
 def iou_per_class(acc: ConfusionAccumulator, classes: Iterable[int]) -> dict[int, float | None]:
     """IoU percentage per class; None where the class never occurred."""
     out: dict[int, float | None] = {}

@@ -13,7 +13,7 @@ import os
 import re
 
 from . import FormatError
-from .artifacts import reading
+from .artifacts import read_upto, reading
 from .grid import LabelGrid
 
 # After the magic: width, height and maxval, each a maximal run of bytes that
@@ -50,12 +50,15 @@ def read_pgm(path: str | os.PathLike) -> LabelGrid:
         start = pos + (magic == b"P5")
         if fh.seekable():  # the rest of a file is read into bytes of its own
             fh.seek(start)
-            rest = fh.read()
+            rest = b""
         else:  # a pipe cannot go back to the end of the header
-            rest = head[start:] + fh.read()
-        # a P5 raster is `rest` itself, uncopied, when no byte follows it; the
-        # grid refuses a raster of the wrong shape, `bytes` a P2 value outside 0..255
-        raster = rest[:width * height] if magic == b"P5" else bytes(map(int, rest.split()))
+            rest = head[start:]
+        # P5 reads its first raster only, uncopied from a file, since more images may follow
+        # it; the grid refuses a raster of the wrong shape, `bytes` a P2 value outside 0..255
+        if magic == b"P5":
+            raster = rest[:width * height] + read_upto(fh, width * height - len(rest))
+        else:
+            raster = bytes(map(int, (rest + fh.read()).split()))
         grid = LabelGrid(width, height, raster)
     # no byte exceeds maxval 255, so only a lower one is checked: by what deleting the bytes up to it leaves
     if maxval < 255 and (over := grid.raster.translate(None, bytes(range(maxval + 1)))):

@@ -11,12 +11,13 @@ from __future__ import annotations
 import io
 import os
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import FormatError, ValidationError
-from .artifacts import read_bytes, reading, staging
+from .artifacts import read_upto, reading, staging
 from .grid import BACKGROUND, IGNORE, LabelGrid, class_ids, relabel
 
 # Rows per block of a pass over a score matrix, so that a block's K x b
@@ -159,15 +160,15 @@ def write_scores(scores: ScoreMatrix, path: str | os.PathLike, *, binary: bool =
 _NON_SPACE = re.compile(rb"[^ \t\n\r\x0b\x0c\x1c-\x1f]")  # str.isspace() on ASCII
 
 
-def _text_rows(blob: bytes, fh: io.BytesIO, n: int, k: int) -> np.ndarray | None:
-    """The payload from `fh`'s position to the end of `blob` as N lines of K
-    floats (blank lines skipped, LF or CRLF ends), or None when it is not."""
-    if not blob.isascii():
+def _text_rows(payload: bytes, n: int, k: int) -> np.ndarray | None:
+    """`payload` as N lines of K floats (blank lines skipped, LF or CRLF
+    ends), or None when it is not."""
+    if not payload.isascii():
         return None
-    if _NON_SPACE.search(blob, fh.tell()) is None:  # no rows, which loadtxt warns about
+    if _NON_SPACE.search(payload) is None:  # no rows, which loadtxt warns about
         return np.empty((0, k)) if n == 0 else None
     try:
-        rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+        rows = np.loadtxt(io.BytesIO(payload), dtype=np.float64, comments=None, ndmin=2)  # shares its buffer
     except ValueError:
         return None
     rows.setflags(write=False)  # the matrix's own, so ScoreMatrix keeps it uncopied
@@ -175,12 +176,10 @@ def _text_rows(blob: bytes, fh: io.BytesIO, n: int, k: int) -> np.ndarray | None
 
 
 def read_scores(path: str | os.PathLike) -> ScoreMatrix:
-    blob = read_bytes(path, "score file")
-    fh = io.BytesIO(blob)  # shares blob's buffer
-    head, ids_line = fh.readline(), fh.readline()
-    if not ids_line.endswith(b"\n"):
-        raise FormatError(f"{path}: truncated score header")
-    with reading(path, "score file"):
+    with reading(path, "score file"), open(path, "rb") as fh:
+        head, ids_line = fh.readline(), fh.readline()
+        if not ids_line.endswith(b"\n"):
+            raise FormatError(f"{path}: truncated score header")
         n_str, k_str, *tag = head.split()
         n, k = int(n_str), int(k_str)
         if tag not in ([], [b"binary"]):
@@ -190,11 +189,12 @@ def read_scores(path: str | os.PathLike) -> ScoreMatrix:
         class_map = tuple(int(v) for v in ids_line.split())
         if len(class_map) != k:
             raise FormatError(f"{path}: header declares {k} classes, found {len(class_map)} ids")
-        offset = fh.tell()
-        logits = None if tag else _text_rows(blob, fh, n, k)
+        # a tagged payload is read to one byte past its declared end, which it must not have
+        payload = read_upto(fh, n * k * 8 + 1 if tag else sys.maxsize)
+        logits = None if tag else _text_rows(payload, n, k)
         if logits is None:
-            if len(blob) - offset != n * k * 8:
+            if len(payload) != n * k * 8:
                 text = "" if tag else f"{n} lines of {k} floats or "
                 raise FormatError(f"{path}: payload is not {text}{n * k * 8} binary bytes")
-            logits = np.frombuffer(blob, dtype="<f8", count=n * k, offset=offset).reshape(n, k)
+            logits = np.frombuffer(payload, dtype="<f8", count=n * k).reshape(n, k)
         return ScoreMatrix(class_map=class_map, logits=logits)

@@ -1,6 +1,7 @@
 """Shared fixtures: small hand-built datasets and synthetic manifest makers."""
 from __future__ import annotations
 
+import os
 import random
 import resource
 import subprocess
@@ -114,13 +115,24 @@ def one_hot_scores(grid: LabelGrid, class_map, margin: float = 10.0) -> ScoreMat
     return ScoreMatrix(class_map=cmap, logits=logits)
 
 
+def _run_limited(args: list[str], which: int, limit: int, env=None) -> subprocess.CompletedProcess:
+    def set_limit():
+        resource.setrlimit(which, (limit, resource.getrlimit(which)[1]))
+
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, preexec_fn=set_limit, env=env)
+
+
 def run_with_file_size_limit(args: list[str], limit: int) -> subprocess.CompletedProcess:
     """`python *args` in a child that can write no file past `limit` bytes: a
     longer write fails part-way with EFBIG, since Python ignores SIGXFSZ."""
-    def limit_writes():
-        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+    return _run_limited(args, resource.RLIMIT_FSIZE, limit)
 
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, preexec_fn=limit_writes)
+
+def run_with_memory_limit(args: list[str], limit: int) -> subprocess.CompletedProcess:
+    """`python *args` in a child whose address space is held to `limit` bytes,
+    so that a larger allocation raises `MemoryError`. BLAS runs one thread,
+    since each thread's stack and buffers take address space too."""
+    return _run_limited(args, resource.RLIMIT_AS, limit, dict(os.environ, OPENBLAS_NUM_THREADS="1"))
 
 
 # --- acceptance summary -----------------------------------------------------

@@ -2,6 +2,7 @@
 import argparse
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from ciss import (
 from ciss import losses
 from ciss.cli import build_parser, main
 from ciss.pgm import read_pgm, write_pgm
-from conftest import make_record, one_hot_scores, run_with_file_size_limit, synthetic_manifest
+from conftest import make_record, one_hot_scores, run_with_file_size_limit, run_with_memory_limit, synthetic_manifest
 
 
 @pytest.fixture
@@ -415,6 +416,61 @@ class TestPseudoCommand:
         assert "File too large" in proc.stderr
         assert (tmp_path / "pseudo.pgm").read_bytes() == b"previous"
         assert sorted(tmp_path.iterdir()) == before
+
+
+class TestInputsPaddedToAGibibyte:
+    """Grids and score files padded to 1 GiB past what their headers declare,
+    run in a child whose address space is held to 768 MiB: a reader takes the
+    payload its header declares and no more, and an input that no header
+    bounds, a P2 grid, fails with one JSON error line, not a traceback."""
+
+    LIMIT = 768 << 20
+
+    @staticmethod
+    def padded(path: Path, blob: bytes) -> Path:
+        path.write_bytes(blob)
+        os.truncate(path, 1 << 30)  # a sparse file: the padding takes no disk
+        return path
+
+    @staticmethod
+    def error(proc) -> dict:
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        return json.loads(proc.stderr)["error"]
+
+    def test_miou_reads_the_first_raster_of_a_padded_p5_grid(self, capsys, tmp_path):
+        grid = LabelGrid(500, 375, np.random.default_rng(5).integers(0, 4, 500 * 375, dtype=np.uint8))
+        write_pgm(grid, tmp_path / "plain.pgm")
+        self.padded(tmp_path / "padded.pgm", (tmp_path / "plain.pgm").read_bytes())
+        docs = []
+        for name in ("plain", "padded"):
+            pairs = tmp_path / f"{name}.json"
+            pairs.write_text(json.dumps([{"pred": f"{name}.pgm", "gt": f"{name}.pgm"}]))
+            argv = ["eval", "miou", "--pairs", str(pairs), "--task", "2-1", "--class-count", "3"]
+            proc = run_with_memory_limit(["-m", "ciss.cli", *argv], self.LIMIT)
+            assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+            docs.append(json.loads(proc.stdout))
+        assert docs[0] == docs[1] == run(capsys, argv)[1]
+
+    def test_pseudo_refuses_a_padded_binary_payload(self, tmp_path):
+        write_pgm(LabelGrid(500, 375, np.zeros(500 * 375, dtype=np.uint8)), tmp_path / "gt.pgm")
+        write_scores(ScoreMatrix(class_map=range(17), logits=np.zeros((500 * 375, 17))), tmp_path / "s.scores",
+                     binary=True)
+        scores = self.padded(tmp_path / "s.scores", (tmp_path / "s.scores").read_bytes())
+        proc = run_with_memory_limit(["-m", "ciss.cli", "pseudo", "--gt", str(tmp_path / "gt.pgm"),
+                                      "--prev-scores", str(scores), "--current-classes", "1", "--tau", "0.5",
+                                      "--out", str(tmp_path / "out.pgm")], self.LIMIT)
+        assert self.error(proc) == {"type": "FormatError",
+                                    "message": f"{scores}: payload is not {500 * 375 * 17 * 8} binary bytes"}
+        assert not (tmp_path / "out.pgm").exists()
+
+    def test_miou_on_a_padded_p2_grid_is_one_error_line(self, tmp_path):
+        self.padded(tmp_path / "g.pgm", b"P2 2 2 255\n1 2 0 0\n")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([{"pred": "g.pgm", "gt": "g.pgm"}]))
+        proc = run_with_memory_limit(["-m", "ciss.cli", "eval", "miou", "--pairs", str(pairs), "--task", "2-1",
+                                      "--class-count", "3"], self.LIMIT)
+        assert self.error(proc) == {"type": "MemoryError", "message": "out of memory"}
 
 
 class TestEvalCommands:
@@ -1303,6 +1359,16 @@ class TestImports:
 
         names = set().union(*self.NOT_LOADED.values()) - {"numpy"}
         assert names <= set(ciss._SUBMODULES)
+
+    def test_cli_looks_up_library_names_but_no_dunders_in_the_package(self):
+        """`ciss.cli` takes a library name it does not bind from `ciss`, but
+        not `__path__` or `__all__`, which would make it look like a package
+        and make `from ciss.cli import *` load every module."""
+        import ciss
+        import ciss.cli
+
+        assert ciss.cli.load_split is ciss.load_split
+        assert not hasattr(ciss.cli, "__path__") and not hasattr(ciss.cli, "__all__")
 
     @pytest.mark.parametrize("command", sorted(NOT_LOADED))
     def test_command_loads_only_what_it_calls(self, tmp_path, manifest_path, fig3_spec, command):

@@ -482,6 +482,35 @@ def test_pgm_reads_from_a_pipe(tmp_path):
         assert not writer.is_alive() and grid.raster == want.tobytes()
 
 
+def test_p5_pipe_is_read_to_the_end_of_its_first_raster(tmp_path):
+    """More images may follow a P5 raster: the reader returns the first one
+    while the writer still holds the pipe open, without waiting for its end."""
+    fifo = tmp_path / "g.pgm"
+    os.mkfifo(fifo)
+    release = threading.Event()
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(b"P5 3 2 255\n\x01\x02\x03\x04\x05\x06P5 1 1 255\n\x07")
+            fh.flush()
+            release.wait(10)
+
+    grids = []
+    threads = [threading.Thread(target=write, daemon=True),
+               threading.Thread(target=lambda: grids.append(read_pgm(fifo)), daemon=True)]
+    try:
+        for thread in threads:
+            thread.start()
+        threads[1].join(5)
+        read_while_open = not threads[1].is_alive()
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join(10)
+        fifo.unlink()
+    assert read_while_open and grids[0].raster == bytes(range(1, 7))
+
+
 @pytest.mark.parametrize(
     "blob, message",
     [
