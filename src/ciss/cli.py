@@ -3,8 +3,8 @@ metrics, generate pseudo-labels, and run the loss kernel.
 
 Every invocation writes exactly one JSON document to stdout; error objects
 go to stderr. Exit codes: 0 success, 2 usage or validation failure, 3 failed
-numeric check. All randomness comes from explicit --seed flags. pseudo, eval
-and loss run with numpy's floating-point warnings off, so they never reach
+numeric check. All randomness comes from explicit --seed flags. Commands run
+with RuntimeWarnings, numpy's floating-point warnings, ignored, so none reaches
 stderr; a NaN or an infinity that reaches a document is refused instead.
 """
 from __future__ import annotations
@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import ciss
@@ -212,10 +213,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def _command(sub, name: str, help: str, func, *parents, numeric: bool = False) -> argparse.ArgumentParser:
+def _command(sub, name: str, help: str, func, *parents) -> argparse.ArgumentParser:
     """A leaf parser whose arguments go to `func`, which returns the command's document."""
     p = sub.add_parser(name, help=help, parents=list(parents))
-    p.set_defaults(func=func, numeric=numeric)
+    p.set_defaults(func=func)
     return p
 
 
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--size", type=int, required=True)
     m.add_argument("--seed", type=int, required=True)
 
-    p = _command(sub, "pseudo", "pseudo-label background pixels from previous scores", cmd_pseudo, numeric=True)
+    p = _command(sub, "pseudo", "pseudo-label background pixels from previous scores", cmd_pseudo)
     p.add_argument("--gt", required=True)
     p.add_argument("--prev-scores", required=True)
     p.add_argument("--current-classes", required=True, help="comma-separated class ids")
@@ -272,17 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     esub = sub.add_parser("eval", help="metric evaluation").add_subparsers(dest="eval_cmd", required=True)
-    e = _command(esub, "miou", "per-class IoU and group means", cmd_eval_miou, layout, numeric=True)
+    e = _command(esub, "miou", "per-class IoU and group means", cmd_eval_miou, layout)
     e.add_argument("--pairs", required=True, help='JSON list of {"pred", "gt"} paths')
-    e = _command(esub, "prr", "pseudo-label retrieval rate", cmd_eval_prr, layout, numeric=True)
+    e = _command(esub, "prr", "pseudo-label retrieval rate", cmd_eval_prr, layout)
     e.add_argument("--pairs", required=True, help='JSON list of {"oracle", "pseudo"} paths')
     e.add_argument("--current-task", type=int, required=True)
 
     lsub = sub.add_parser("loss", help="loss kernel").add_subparsers(dest="loss_cmd", required=True)
-    p = _command(lsub, "value", "evaluate a loss on a case file", cmd_loss_value, case, numeric=True)
+    p = _command(lsub, "value", "evaluate a loss on a case file", cmd_loss_value, case)
     p.add_argument("--loss", required=True, choices=ATOMIC_LOSSES + COMPOSITE_LOSSES)
-    g = _command(lsub, "gradcheck", "finite-difference gradient validation", cmd_loss_gradcheck, case,
-                 numeric=True)
+    g = _command(lsub, "gradcheck", "finite-difference gradient validation", cmd_loss_gradcheck, case)
     g.add_argument("--loss", required=True, choices=ATOMIC_LOSSES, help="composites are affine in these")
     g.add_argument("--step", type=float, default=1e-5)
     g.add_argument("--tol", type=float, default=1e-6)
@@ -295,12 +295,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command: its JSON document on stdout, or one JSON error line on stderr."""
     try:
         args = build_parser().parse_args(argv)
-        if args.numeric:  # numpy's floating-point warnings are off
-            import numpy as np
-
-            with np.errstate(all="ignore"):
-                doc = args.func(args)
-        else:
+        with warnings.catch_warnings():  # numpy's floating-point warnings are off
+            warnings.simplefilter("ignore", RuntimeWarning)
             doc = args.func(args)
         text = json_text(doc)
     except CissError as exc:

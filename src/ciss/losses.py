@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,39 +93,31 @@ class TaskClassLayout:
             raise ValidationError("layout needs at least one new class")
 
 
-def _on_first_use(value, read):
+def _read(value, read):
     """`value`, or what `read` makes of it when it is the path of a file."""
     return read(value) if isinstance(value, (str, os.PathLike)) else value
 
 
+@dataclass(frozen=True)
 class LossItem:
     """One batch element: scores, labels, which side of the batch it came
     from, and optional previous-model scores and externally computed
-    kd/dkd/ac/pod scalars. `scores`, `labels` and `prev_scores` each take the
-    object or the path of its file; a file is read on first use and kept, so
-    a loss reads only the files that it scores."""
+    kd/dkd/ac/pod scalars. `scores`, `labels` and `prev_scores` each hold the
+    object or the path of its file; a loss reads the files it scores each
+    time it runs, so an item given paths holds no pixels."""
 
-    def __init__(
-        self, scores: ScoreMatrix | str | os.PathLike, labels: LabelGrid | str | os.PathLike | None = None,
-        source: str = "current", prev_scores: ScoreMatrix | str | os.PathLike | None = None,
-        kd: float | None = None, dkd: float | None = None, ac: float | None = None, pod: float | None = None,
-    ) -> None:
-        if source not in ("current", "memory"):
-            raise ValidationError(f"unknown item source {source!r}")
-        self._scores, self._labels, self._prev = scores, labels, prev_scores
-        self.source, self.kd, self.dkd, self.ac, self.pod = source, kd, dkd, ac, pod
+    scores: ScoreMatrix | str | os.PathLike
+    labels: LabelGrid | str | os.PathLike | None = None
+    source: str = "current"
+    prev_scores: ScoreMatrix | str | os.PathLike | None = None
+    kd: float | None = None
+    dkd: float | None = None
+    ac: float | None = None
+    pod: float | None = None
 
-    @cached_property
-    def scores(self) -> ScoreMatrix:
-        return _on_first_use(self._scores, read_scores)
-
-    @cached_property
-    def labels(self) -> LabelGrid | None:
-        return _on_first_use(self._labels, read_pgm)
-
-    @cached_property
-    def prev_scores(self) -> ScoreMatrix | None:
-        return _on_first_use(self._prev, read_scores)
+    def __post_init__(self) -> None:
+        if self.source not in ("current", "memory"):
+            raise ValidationError(f"unknown item source {self.source!r}")
 
 
 # --- the two per-pixel kernels ------------------------------------------------
@@ -255,25 +246,25 @@ def _bucket_kernel(scores: ScoreMatrix, singles: list[int], pooled: frozenset[in
     return lambda zt, rows, grad: _bucket_ce(zt, own, pool, weights(rows), grad)
 
 
-def _ce(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
+def _ce(item: LossItem, scores: ScoreMatrix, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
     """Cross-entropy: one-hot label weights, normalized by the valid pixel count."""
-    bucket, valid = _label_buckets(item.scores, item.labels, singles)
+    bucket, valid = _label_buckets(scores, _read(item.labels, read_pgm), singles)
     buckets = np.arange(len(singles) + 1)[:, None]
 
     def one_hot(rows):
         return (bucket[rows] == buckets).astype(np.float64)
 
-    return _bucket_kernel(item.scores, singles, pooled, one_hot), valid
+    return _bucket_kernel(scores, singles, pooled, one_hot), valid
 
 
-def _kd(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
+def _kd(item: LossItem, scores: ScoreMatrix, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
     """Distillation: the previous model's distribution as weights, normalized by N."""
-    prev = item.prev_scores
+    prev = _read(item.prev_scores, read_scores)
     if prev is None:
         raise ValidationError("distillation requires previous-model scores")
     _check_classes(prev, frozenset(singles), "previous-model")
-    if prev.n_pixels != item.scores.n_pixels:
-        raise ValidationError(f"previous scores cover {prev.n_pixels} pixels, current {item.scores.n_pixels}")
+    if prev.n_pixels != scores.n_pixels:
+        raise ValidationError(f"previous scores cover {prev.n_pixels} pixels, current {scores.n_pixels}")
     if prev.n_pixels == 0:
         raise ValidationError("previous scores hold no pixels; loss undefined")
     cols = _cols(prev, singles + [BACKGROUND])
@@ -288,13 +279,13 @@ def _kd(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossCon
             w[-1] = 0.0
         return w
 
-    return _bucket_kernel(item.scores, singles, pooled, prev_probs), prev.n_pixels
+    return _bucket_kernel(scores, singles, pooled, prev_probs), prev.n_pixels
 
 
-def _bce(item: LossItem, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
+def _bce(item: LossItem, scores: ScoreMatrix, singles: list[int], pooled: frozenset[int], cfg: LossConfig):
     """Binary cross-entropy over `singles`, normalized by the valid pixel count."""
-    bucket, valid = _label_buckets(item.scores, item.labels, singles)
-    cols, gamma = _cols(item.scores, singles), cfg.positive_weight
+    bucket, valid = _label_buckets(scores, _read(item.labels, read_pgm), singles)
+    cols, gamma = _cols(scores, singles), cfg.positive_weight
     return (lambda zt, rows, grad: _binary_ce(zt, bucket[rows], cols, gamma, grad)), valid
 
 
@@ -312,15 +303,16 @@ _LOSSES = dict(zip(ATOMIC_LOSSES, (
 
 
 def _prepare(loss_id: str, item: LossItem, layout: TaskClassLayout | None, cfg: LossConfig):
-    """Validate the item once; return (kernel(zt, rows, grad), normalizer), the
-    kernel scoring the class-major logits zt (K x b) of the item's pixels `rows`."""
+    """Read and validate the item; return (kernel(zt, rows, grad), normalizer, logits),
+    the kernel scoring the class-major logits zt (K x b) of the item's pixels `rows`."""
     if loss_id not in _LOSSES:
         raise ValidationError(f"unknown loss id {loss_id!r}; expected one of {ATOMIC_LOSSES}")
     prepare, own, pooled = _LOSSES[loss_id]
+    scores = _read(item.scores, read_scores)
     if own is None:
-        return prepare(item, sorted(set(item.scores.class_map) - {BACKGROUND}), frozenset(), cfg)
-    _check_classes(item.scores, layout.old_classes | layout.new_classes, "score")
-    return prepare(item, sorted(getattr(layout, own)), getattr(layout, pooled), cfg)
+        return *prepare(item, scores, sorted(set(scores.class_map) - {BACKGROUND}), frozenset(), cfg), scores.logits
+    _check_classes(scores, layout.old_classes | layout.new_classes, "score")
+    return *prepare(item, scores, sorted(getattr(layout, own)), getattr(layout, pooled), cfg), scores.logits
 
 
 def _blocked(kernel, z: np.ndarray, grad: bool, rows: np.ndarray | None = None):
@@ -338,14 +330,14 @@ def _blocked(kernel, z: np.ndarray, grad: bool, rows: np.ndarray | None = None):
 
 
 def loss_value(loss_id: str, item: LossItem, layout: TaskClassLayout, cfg: LossConfig) -> float:
-    kernel, norm = _prepare(loss_id, item, layout, cfg)
-    return float(_blocked(kernel, item.scores.logits, False)[0].sum()) / norm
+    kernel, norm, z = _prepare(loss_id, item, layout, cfg)
+    return float(_blocked(kernel, z, False)[0].sum()) / norm
 
 
 def grad_logits(loss_id: str, item: LossItem, layout: TaskClassLayout, cfg: LossConfig) -> np.ndarray:
     """Analytic derivative of the loss with respect to every logit."""
-    kernel, norm = _prepare(loss_id, item, layout, cfg)
-    grad = _blocked(kernel, item.scores.logits, True)[1]
+    kernel, norm, z = _prepare(loss_id, item, layout, cfg)
+    grad = _blocked(kernel, z, True)[1]
     grad /= norm
     if not np.all(np.isfinite(grad)):
         raise ValidationError(f"{loss_id}: non-finite gradient")
@@ -372,6 +364,8 @@ def memory_augmented_objective(items: Sequence[LossItem], layout: TaskClassLayou
     whole batch, and memory cross-entropy over the replayed items. Each term
     averages over its own item set; the distillation denominator is the
     combined batch length (items appearing on both sides count twice)."""
+    _sides(items)  # a batch without a current item is refused before any file is read
+    items = [replace(it, scores=_read(it.scores, read_scores)) for it in items]  # once for both its terms
     current, stored = _sides(items)
     total = _mean(loss_value("ce_current", it, layout, cfg) for it in current)
     if cfg.kd_weight > 0:
@@ -432,7 +426,7 @@ def load_loss_case(path: str | os.PathLike) -> LossCase:
     `config` (lambda, gamma, alpha, beta, kd_includes_bg), and `items`, each
     naming score/label files (paths relative to the case file) plus optional
     prev_scores and external kd/dkd/ac/pod scalars; no other key. Every item's
-    fields are checked here; its files are read when a loss first uses them."""
+    fields are checked here; its files are read each time a loss uses them."""
     path = Path(path)
     doc = read_json(path, "loss case")
     with reading(path, "loss case"):
@@ -477,8 +471,7 @@ def grad_check(
     if max_coords < 1:
         raise ValidationError(f"at least one coordinate must be checked, got {max_coords}")
     rng = seeded(seed)  # `random`, not `numpy.random`, whose import loads hashlib and OpenSSL
-    kernel, norm = _prepare(loss_id, item, layout, cfg)
-    z = item.scores.logits
+    kernel, norm, z = _prepare(loss_id, item, layout, cfg)
     picks = rng.sample(range(z.size), min(max_coords, z.size))
     rows, cols = np.divmod(picks, z.shape[1])
     # the gradient's scale and its values at the picks, block by block

@@ -29,6 +29,10 @@ from .grid import BACKGROUND, IGNORE, LabelGrid, class_ids, relabel
 # median of 6 alternating runs).
 BLOCK_ROWS = 2048
 
+# Each score header line is read to at most this many bytes, its newline
+# included: 255 three-digit class ids take about 1 KiB.
+HEADER_LINE_BYTES = 64 << 10
+
 
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
@@ -177,8 +181,8 @@ def _text_rows(payload: bytes, n: int, k: int) -> np.ndarray | None:
 
 def read_scores(path: str | os.PathLike) -> ScoreMatrix:
     with reading(path, "score file"), open(path, "rb") as fh:
-        head, ids_line = fh.readline(), fh.readline()
-        if not ids_line.endswith(b"\n"):
+        head, ids_line = fh.readline(HEADER_LINE_BYTES), fh.readline(HEADER_LINE_BYTES)
+        if not (head.endswith(b"\n") and ids_line.endswith(b"\n")):
             raise FormatError(f"{path}: truncated score header")
         n_str, k_str, *tag = head.split()
         n, k = int(n_str), int(k_str)

@@ -464,6 +464,16 @@ class TestInputsPaddedToAGibibyte:
                                     "message": f"{scores}: payload is not {500 * 375 * 17 * 8} binary bytes"}
         assert not (tmp_path / "out.pgm").exists()
 
+    def test_pseudo_refuses_a_padded_score_header(self, tmp_path):
+        """A header line that does not end is read to its bound, not to the end of the file."""
+        write_pgm(LabelGrid(1, 1, np.zeros(1, dtype=np.uint8)), tmp_path / "gt.pgm")
+        scores = self.padded(tmp_path / "s.scores", b"1 1 binary\n0")
+        proc = run_with_memory_limit(["-m", "ciss.cli", "pseudo", "--gt", str(tmp_path / "gt.pgm"),
+                                      "--prev-scores", str(scores), "--current-classes", "1", "--tau", "0.5",
+                                      "--out", str(tmp_path / "out.pgm")], self.LIMIT)
+        assert self.error(proc) == {"type": "FormatError", "message": f"{scores}: truncated score header"}
+        assert not (tmp_path / "out.pgm").exists()
+
     def test_miou_on_a_padded_p2_grid_is_one_error_line(self, tmp_path):
         self.padded(tmp_path / "g.pgm", b"P2 2 2 255\n1 2 0 0\n")
         pairs = tmp_path / "pairs.json"
@@ -941,8 +951,10 @@ class TestLossCaseReads:
         "argv, scores, grids",
         [(["--loss", "ce_current", "--item", "0"], 1, 1),
          (["--loss", "kd_old", "--item", "0"], 2, 0),
-         (["--loss", "memory_augmented"], 4, 2)],
-        ids=["ce_current", "kd_old", "memory_augmented"],
+         (["--loss", "memory_augmented"], 4, 2),
+         (["--loss", "bce_replay"], 2, 2),
+         (["--loss", "pseudo_replay"], 2, 2)],
+        ids=["ce_current", "kd_old", "memory_augmented", "bce_replay", "pseudo_replay"],
     )
     def test_reads_only_scored_files(self, capsys, case, argv, scores, grids):
         path, reads = case

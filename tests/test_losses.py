@@ -3,6 +3,7 @@ objectives, and finite-difference gradient checks."""
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -578,7 +579,7 @@ def test_blocked_kernel_is_bit_identical_to_one_call(loss_id, cfg, n):
     loss vector and gradient of one class-major call over the whole matrix,
     bit for bit."""
     item = _random_item(loss_id, seed=n, n=n)
-    kernel, _ = losses_module._prepare(loss_id, item, WIDE, cfg)
+    kernel, _, _ = losses_module._prepare(loss_id, item, WIDE, cfg)
     z = item.scores.logits
     rows = np.random.default_rng(n).permutation(n)[: max(1, n - 5)]
     zt, zt_rows = np.ascontiguousarray(z.T), np.ascontiguousarray(z[rows].T)
@@ -703,7 +704,7 @@ def test_gradcheck_report_matches_the_full_gradient(full_size_items, loss_id):
     z = item.scores.logits
     picks = np.array(random.Random(seed).sample(range(z.size), k))
     rows, cols = np.divmod(picks, z.shape[1])
-    kernel, norm = losses_module._prepare(loss_id, item, FULL_LAYOUT, cfg)
+    kernel, norm, _ = losses_module._prepare(loss_id, item, FULL_LAYOUT, cfg)
     nudge = np.zeros((k, z.shape[1]))
     nudge[np.arange(k), cols] = 1e-5
     plus = losses_module._blocked(kernel, z[rows] + nudge, False, rows)[0]
@@ -1058,9 +1059,9 @@ class TestLossCaseFiles:
         with pytest.raises(FormatError):
             load_loss_case(path)
 
-    def test_path_given_fields_read_once_on_first_use(self, tmp_path, monkeypatch):
+    def test_path_given_fields_read_by_each_loss_that_scores_them(self, tmp_path, monkeypatch):
         """An item given the paths of its files scores as the item given the
-        objects, and reads each file once, when a loss first uses it."""
+        objects; each loss reads the files it scores, and the item keeps its paths."""
         _, cur, _ = self._write_case(tmp_path)
         reads = []
 
@@ -1078,7 +1079,8 @@ class TestLossCaseFiles:
         assert reads == ["cur.scores", "cur.pgm"]
         assert loss_value("kd_old", item, LAYOUT, CFG) == loss_value("kd_old", cur, LAYOUT, CFG)
         assert loss_value("ce_current", item, LAYOUT, CFG) == loss_value("ce_current", cur, LAYOUT, CFG)
-        assert reads == ["cur.scores", "cur.pgm", "cur_prev.scores"]
+        assert reads == ["cur.scores", "cur.pgm", "cur.scores", "cur_prev.scores", "cur.scores", "cur.pgm"]
+        assert item.scores == tmp_path / "cur.scores"
 
     def test_case_without_items_is_a_format_error(self, tmp_path):
         path = tmp_path / "case.json"
@@ -1101,3 +1103,32 @@ class TestLossCaseFiles:
         for scores in (cur.scores, tmp_path / "cur.scores"):
             with pytest.raises(ValidationError, match="unknown item source 'past'"):
                 LossItem(scores, source="past")
+
+
+def test_replay_objectives_hold_one_score_matrix_at_a_time(tmp_path):
+    """bce_replay and pseudo_replay score each item given by paths with one
+    loss, which reads the item's files and drops them after it: the traced
+    peak stays under 1.5 of the items' 13.6 MB score matrices, and the values
+    are those of the items given the objects."""
+    n, k = 400 * 250, 17
+    rng = np.random.default_rng(32)
+    layout = TaskClassLayout(old_classes=frozenset(range(1, 9)), new_classes=frozenset(range(9, 17)))
+    scalars = {"kd": 0.3, "dkd": 0.4, "ac": 0.2, "pod": 0.1}
+    objects, paths = [], []
+    for i, (source, ids) in enumerate((("current", (0, *range(9, 17), 255)), ("memory", (0, *range(1, 9), 255)))):
+        scores = ScoreMatrix(class_map=tuple(range(k)), logits=rng.normal(size=(n, k)))
+        labels = LabelGrid(width=400, height=250, data=rng.choice(np.array(ids, dtype=np.uint8), size=n))
+        write_scores(scores, tmp_path / f"s{i}.scores", binary=True)
+        write_pgm(labels, tmp_path / f"l{i}.pgm")
+        objects.append(LossItem(scores, labels, source, **scalars))
+        paths.append(LossItem(tmp_path / f"s{i}.scores", tmp_path / f"l{i}.pgm", source, **scalars))
+    cfg = LossConfig(kd_weight=0.5, kd_alpha=0.5, kd_beta=0.5)
+    for objective in (bce_replay_objective, pseudo_replay_objective):
+        tracemalloc.start()
+        try:
+            value = objective(paths, layout, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * k * 8, objective.__name__
+        assert value.hex() == objective(objects, layout, cfg).hex()

@@ -17,6 +17,7 @@ from ciss import (
     softmax_probs,
     write_scores,
 )
+from ciss.scores import HEADER_LINE_BYTES
 from conftest import run_with_file_size_limit
 
 
@@ -168,6 +169,26 @@ def test_scores_reader_rejects_bad_payload(tmp_path):
     path.write_bytes(b"2\n0 1\n")
     with pytest.raises(FormatError):
         read_scores(path)
+
+
+@pytest.mark.parametrize("line", [0, 1], ids=["sizes", "class-ids"])
+def test_header_line_past_the_bound_is_truncated(tmp_path, line):
+    """A header line is read to HEADER_LINE_BYTES, its newline included: a
+    line that ends one byte later is refused, not read on or misparsed."""
+    path = tmp_path / "s.scores"
+
+    def header(length):
+        lines = [b"1 1", b"0"]
+        lines[line] = lines[line].ljust(length - 1)  # spaces, then the newline
+        return b"\n".join(lines) + b"\n0.5\n"
+
+    path.write_bytes(header(HEADER_LINE_BYTES))
+    assert read_scores(path).logits.tolist() == [[0.5]]
+    path.write_bytes(header(HEADER_LINE_BYTES + 1))
+    with pytest.raises(FormatError) as err:
+        read_scores(path)
+    assert str(err.value) == f"{path}: truncated score header"
+
 
 
 # --- the score-file parser ------------------------------------------------------
