@@ -183,13 +183,16 @@ def _loss(loss_id: str, value: float) -> dict:
     return _displayed("loss", value)
 
 
-def _select_item(case: L.LossCase, index: int) -> L.LossItem:
+def _select_item(case: L.LossCase, index: int | None) -> L.LossItem:
+    index = index or 0  # item 0 when --item is not given
     if not 0 <= index < len(case.items):
         raise ValidationError(f"item index {index} outside 0..{len(case.items) - 1}")
     return case.items[index]
 
 
 def cmd_loss_value(args) -> dict:
+    if args.loss in COMPOSITE_LOSSES and args.item is not None:
+        raise ValidationError(f"--item selects the item of an atomic loss; {args.loss} scores every item")
     case = L.load_loss_case(args.case)
     if args.loss in COMPOSITE_LOSSES:
         value = getattr(L, f"{args.loss}_objective")(case.items, case.layout, case.cfg)
@@ -237,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     layout.add_argument("--class-count", type=int)
     case = argparse.ArgumentParser(add_help=False)
     case.add_argument("--case", required=True)
-    case.add_argument("--item", type=int, default=0)
+    case.add_argument("--item", type=int, help="the item an atomic loss scores (default 0)")
 
     p = _command(sub, "build", "build a split manifest for a scenario", cmd_build)
     p.add_argument("--manifest", required=True)

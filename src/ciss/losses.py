@@ -365,13 +365,18 @@ def memory_augmented_objective(items: Sequence[LossItem], layout: TaskClassLayou
     averages over its own item set; the distillation denominator is the
     combined batch length (items appearing on both sides count twice)."""
     _sides(items)  # a batch without a current item is refused before any file is read
-    items = [replace(it, scores=_read(it.scores, read_scores)) for it in items]  # once for both its terms
-    current, stored = _sides(items)
-    total = _mean(loss_value("ce_current", it, layout, cfg) for it in current)
+    ce: dict[str, list[float]] = {"current": [], "memory": []}
+    kd = []
+    for it in items:  # each item's scores are read once, for both its terms, and dropped after them
+        it = replace(it, scores=_read(it.scores, read_scores))
+        ce[it.source].append(loss_value(f"ce_{it.source}", it, layout, cfg))
+        if cfg.kd_weight > 0:
+            kd.append(loss_value("kd_old", it, layout, cfg))
+    total = _mean(ce["current"])
     if cfg.kd_weight > 0:
-        total += cfg.kd_weight * _mean([loss_value("kd_old", it, layout, cfg) for it in items])
-    if stored:
-        total += _mean(loss_value("ce_memory", it, layout, cfg) for it in stored)
+        total += cfg.kd_weight * _mean(kd)
+    if ce["memory"]:
+        total += _mean(ce["memory"])
     return total
 
 

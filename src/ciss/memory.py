@@ -139,21 +139,13 @@ def sample_class_balanced(
     order = [c for c in split.spec.class_order if c in visible]
     pools = _class_pools(split, manifest, order, upto_task)
     entries: list[ExemplarEntry] = []
-    warnings: list[str] = []
-    while len(entries) < capacity:
-        progress = False
+    while len(entries) < capacity and any(pools.values()):
         for cls in order:
-            if len(entries) >= capacity:
-                break
-            if (pick := _draw(pools, cls, rng)) is None:
-                continue
-            entries.append(ExemplarEntry(*pick, cls))
-            progress = True
-        if not progress:
-            warnings.append(
-                f"supply exhausted: stored {len(entries)} of {capacity} requested entries"
-            )
-            break
+            if len(entries) < capacity and (pick := _draw(pools, cls, rng)) is not None:
+                entries.append(ExemplarEntry(*pick, cls))
+    warnings = []
+    if len(entries) < capacity:
+        warnings.append(f"supply exhausted: stored {len(entries)} of {capacity} requested entries")
     return ExemplarMemory(capacity=capacity, entries=tuple(entries), warnings=tuple(warnings))
 
 
@@ -197,28 +189,21 @@ def make_non_overlapping_variant(
     entries: list[ExemplarEntry] = []
     warnings = list(memory.warnings)
     for entry in memory.entries:
-        if entry.image_id not in current:
-            entries.append(entry)
-            continue
-        if (pick := _draw(pools, entry.anchor_class, rng)) is not None:
-            anchor = entry.anchor_class
-        elif (pick := _draw(pools, None, rng)) is not None:
-            image_id = pick[0]
-            stored_visible = sorted(
-                manifest.record(image_id).oracle_classes & classes_up_to(spec, 0),
-                key=spec.class_order.index,
-            )
-            if not stored_visible:
-                raise ValidationError(f"image {image_id!r} holds no task-0 class in the manifest (--manifest)")
-            anchor = stored_visible[0]
-            warnings.append(
-                f"{entry.image_id}: no replacement with anchor class {entry.anchor_class}, reassigned"
-            )
-        else:
-            entries.append(entry)
-            warnings.append(f"{entry.image_id}: non-overlapping supply exhausted, kept")
-            continue
-        entries.append(ExemplarEntry(*pick, anchor))
+        if entry.image_id in current:
+            if (pick := _draw(pools, entry.anchor_class, rng)) is not None:
+                entry = ExemplarEntry(*pick, entry.anchor_class)
+            elif (pick := _draw(pools, None, rng)) is not None:
+                held = manifest.record(pick[0]).oracle_classes
+                anchor = next((c for c in spec.class_order[: spec.base_count] if c in held), None)
+                if anchor is None:
+                    raise ValidationError(f"image {pick[0]!r} holds no task-0 class in the manifest (--manifest)")
+                warnings.append(
+                    f"{entry.image_id}: no replacement with anchor class {entry.anchor_class}, reassigned"
+                )
+                entry = ExemplarEntry(*pick, anchor)
+            else:
+                warnings.append(f"{entry.image_id}: non-overlapping supply exhausted, kept")
+        entries.append(entry)
     return ExemplarMemory(capacity=memory.capacity, entries=tuple(entries), warnings=tuple(warnings))
 
 
@@ -241,12 +226,8 @@ def compose_batch(
         raise ValidationError(f"batch size must lie in 2..{supply}, the images the task and the memory hold, "
                               f"got {batch_size}")
     rng = seeded(seed)
-    n_memory = batch_size // 2
-    n_current = batch_size - n_memory
-    warnings: list[str] = []
-    if not memory.entries:
-        warnings.append("memory is empty; batch is current-task only")
-        n_current, n_memory = batch_size, 0
+    n_memory = batch_size // 2 if memory.entries else 0
+    warnings = [] if memory.entries else ["memory is empty; batch is current-task only"]
 
     def picks(ids: list[str], n: int, short: str) -> list[str]:
         if len(ids) >= n:
@@ -254,11 +235,11 @@ def compose_batch(
         warnings.append(f"{short}; sampling with replacement")
         return [ids[rng.randrange(len(ids))] for _ in range(n)]
 
-    items = [BatchItem(image_id=i, source="current")
-             for i in picks(pool, n_current, "current supply below half batch")]
-    items.extend(BatchItem(image_id=i, source="memory")
-                 for i in picks([e.image_id for e in memory.entries], n_memory, "memory below half batch"))
-    return ReplayBatch(items=tuple(items), warnings=tuple(warnings))
+    sides = (("current", pool, batch_size - n_memory, "current supply below half batch"),
+             ("memory", [e.image_id for e in memory.entries], n_memory, "memory below half batch"))
+    items = tuple(BatchItem(image_id=i, source=source)
+                  for source, ids, n, short in sides for i in picks(ids, n, short))
+    return ReplayBatch(items=items, warnings=tuple(warnings))
 
 
 def resolve_batch_labels(

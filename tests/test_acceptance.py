@@ -269,14 +269,16 @@ def test_criterion_11_determinism(tmp_path):
     assert artifacts[0] == artifacts[1]
 
 
-# sha256 of criterion 11's artifacts as written before class sets came from a
-# byte histogram and relabeling from a lookup table; the memory grids are
-# hashed as one stream of (file name, NUL, file bytes) in name order.
+# sha256 of criterion 11's artifacts: the splits, the memory and its grids as
+# written before class sets came from a byte histogram and relabeling from a
+# lookup table, the batch listing as written when its digest was added; the
+# memory grids are hashed as one stream of (file name, NUL, file bytes) in name order.
 PINNED_DIGESTS = {
     "split.json": "865cac66165c0bdb6215f5e21bbc327405ac337095bbd85e68dc43987e802a27",
     "over.json": "6a53d375018c88500df9df63163f62ec7cb0a665dff57e7541f07345418bf507",
     "memory.json": "69a3f23f1b7fbbfff8a53a3eb36b58ae50cf85ca4b530de05e6c2733311a8fe6",
     "memory_grids": "71783be1d238c7280067cf642a17597de3019edc168e7a2532510d4c66b32e4a",
+    "batch.json": "98b80b063d0d0096cdac53410a6ab0005c80049ec9686eee84e0a7515bb8a257",
 }
 
 
@@ -284,7 +286,7 @@ def test_criterion_11_artifacts_match_pinned_digests(tmp_path):
     base = tmp_path / "run"
     _criterion_11_artifacts(base)
     got = {name: hashlib.sha256((base / name).read_bytes()).hexdigest()
-           for name in ("split.json", "over.json", "memory.json")}
+           for name in ("split.json", "over.json", "memory.json", "batch.json")}
     grids = sorted((base / "memory_grids").iterdir())
     assert len(grids) == 40
     stream = hashlib.sha256()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ciss import (
+    COMPOSITE_LOSSES,
     DatasetManifest,
     LabelGrid,
     OracleRecord,
@@ -968,6 +969,18 @@ class TestLossCaseReads:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert set(json.loads(err)) == {"error"}
+        assert reads == {"scores": 0, "grids": 0}
+
+    @pytest.mark.parametrize("loss_id", COMPOSITE_LOSSES)
+    def test_composite_refuses_item_before_reading(self, capsys, case, loss_id):
+        """A composite scores every item, so an --item it would ignore is
+        refused before the case file, made unreadable here, is read."""
+        path, reads = case
+        path.write_text("not json")
+        code, _, err = run(capsys, ["loss", "value", "--case", str(path), "--loss", loss_id, "--item", "0"])
+        assert code == 2
+        assert json.loads(err)["error"]["message"] == (
+            f"--item selects the item of an atomic loss; {loss_id} scores every item")
         assert reads == {"scores": 0, "grids": 0}
 
     def test_broken_unscored_item_is_not_read(self, capsys, tmp_path):

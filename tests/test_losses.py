@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +296,8 @@ class TestStructure:
 _S3 = rand_scores(3, (0, 1, 2, 3), 0)
 _ITEM3 = LossItem(_S3, labels_of([0, 1, 2]))
 _EMPTY, _EMPTY_PREV = (ScoreMatrix(class_map=cmap, logits=np.zeros((0, len(cmap)))) for cmap in ((0, 1, 2, 3), (0, 1)))
+# the composites' refusals come before any file is read, so their items name files that do not exist
+_MISSING = Path("no-such-dir", "item.scores")
 
 
 @pytest.mark.parametrize(
@@ -308,6 +311,16 @@ _EMPTY, _EMPTY_PREV = (ScoreMatrix(class_map=cmap, logits=np.zeros((0, len(cmap)
         (lambda: loss_value("kd_old", LossItem(_EMPTY, prev_scores=_EMPTY_PREV), LAYOUT, CFG),
          "previous scores hold no pixels; loss undefined"),
         (lambda: pseudo_replay_objective([], LAYOUT, CFG), "objective requires at least one item"),
+        (lambda: memory_augmented_objective([LossItem(_MISSING, _MISSING, "memory")], LAYOUT, CFG),
+         "objective requires at least one current-task item"),
+        (lambda: bce_replay_objective([LossItem(_MISSING, _MISSING, "memory", kd=0.1, dkd=0.1)], LAYOUT, CFG),
+         "objective requires at least one current-task item"),
+        (lambda: bce_replay_objective([LossItem(_MISSING, _MISSING, kd=0.1, ac=0.1)], LAYOUT, CFG),
+         "every item needs externally computed kd and dkd values"),
+        (lambda: bce_replay_objective([LossItem(_MISSING, _MISSING, kd=0.1, dkd=0.1)], LAYOUT, CFG),
+         "current items need an externally computed ac value"),
+        (lambda: pseudo_replay_objective([LossItem(_MISSING, _MISSING)], LAYOUT, CFG),
+         "every item needs an externally computed pod value"),
         (lambda: grad_check("ce_plain", _ITEM3, LAYOUT, CFG, step=0.0),
          "step and tol must be finite numbers > 0, got 0.0 and 1e-06"),
         (lambda: grad_check("ce_plain", _ITEM3, LAYOUT, CFG, max_coords=0),
@@ -315,8 +328,8 @@ _EMPTY, _EMPTY_PREV = (ScoreMatrix(class_map=cmap, logits=np.zeros((0, len(cmap)
         (lambda: grad_check("ce_plain", _ITEM3, LAYOUT, CFG, seed=-1),
          "seed must be >= 0, got -1"),
     ],
-    ids=["no-labels", "label-pixels", "prev-pixels", "prev-empty", "no-items", "grad-step", "grad-coords",
-         "grad-seed"],
+    ids=["no-labels", "label-pixels", "prev-pixels", "prev-empty", "no-items", "augm-no-current",
+         "bce-no-current", "bce-no-kd", "bce-no-ac", "pseudo-no-pod", "grad-step", "grad-coords", "grad-seed"],
 )
 def test_refusal_names_its_cause(call, message):
     with pytest.raises(ValidationError) as err:
@@ -1106,10 +1119,11 @@ class TestLossCaseFiles:
 
 
 def test_replay_objectives_hold_one_score_matrix_at_a_time(tmp_path):
-    """bce_replay and pseudo_replay score each item given by paths with one
-    loss, which reads the item's files and drops them after it: the traced
-    peak stays under 1.5 of the items' 13.6 MB score matrices, and the values
-    are those of the items given the objects."""
+    """The composites score each item given by paths, reading its files and
+    dropping them after its last term: the traced peak stays under 1.5 of the
+    items' 13.6 MB score matrices for bce_replay and pseudo_replay, and under
+    2 for memory_augmented, which distils from a 7.2 MB previous-model matrix
+    as well; the values are those of the items given the objects."""
     n, k = 400 * 250, 17
     rng = np.random.default_rng(32)
     layout = TaskClassLayout(old_classes=frozenset(range(1, 9)), new_classes=frozenset(range(9, 17)))
@@ -1118,17 +1132,21 @@ def test_replay_objectives_hold_one_score_matrix_at_a_time(tmp_path):
     for i, (source, ids) in enumerate((("current", (0, *range(9, 17), 255)), ("memory", (0, *range(1, 9), 255)))):
         scores = ScoreMatrix(class_map=tuple(range(k)), logits=rng.normal(size=(n, k)))
         labels = LabelGrid(width=400, height=250, data=rng.choice(np.array(ids, dtype=np.uint8), size=n))
+        prev = ScoreMatrix(class_map=tuple(range(9)), logits=rng.normal(size=(n, 9)))
         write_scores(scores, tmp_path / f"s{i}.scores", binary=True)
         write_pgm(labels, tmp_path / f"l{i}.pgm")
-        objects.append(LossItem(scores, labels, source, **scalars))
-        paths.append(LossItem(tmp_path / f"s{i}.scores", tmp_path / f"l{i}.pgm", source, **scalars))
+        write_scores(prev, tmp_path / f"p{i}.scores", binary=True)
+        objects.append(LossItem(scores, labels, source, prev, **scalars))
+        paths.append(LossItem(tmp_path / f"s{i}.scores", tmp_path / f"l{i}.pgm", source, tmp_path / f"p{i}.scores",
+                              **scalars))
     cfg = LossConfig(kd_weight=0.5, kd_alpha=0.5, kd_beta=0.5)
-    for objective in (bce_replay_objective, pseudo_replay_objective):
+    for objective, matrices in ((bce_replay_objective, 1.5), (pseudo_replay_objective, 1.5),
+                                (memory_augmented_objective, 2)):
         tracemalloc.start()
         try:
             value = objective(paths, layout, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * k * 8, objective.__name__
+        assert peak < matrices * n * k * 8, (objective.__name__, peak)
         assert value.hex() == objective(objects, layout, cfg).hex()

@@ -17,6 +17,7 @@ from ciss import (
     LabelGrid,
     OracleRecord,
     ValidationError,
+    build_disjoint,
     build_overlapped,
     build_partitioned,
     classes_up_to,
@@ -515,17 +516,21 @@ def _as_tuples(memory, manifest, spec):
 @pytest.mark.parametrize("layout", ["15-1", "10-2", "4-4"])
 @pytest.mark.parametrize("capacity", [5, 24, 120])
 def test_draws_match_the_filtering_loops(layout, capacity):
-    """Over 12 seeds, sample and variant pick the same images, in the
-    same order and with the same warnings, as loops that filter every pool on
-    every draw; the small manifest runs supply out at the larger capacities."""
+    """Over 12 seeds, sample (on all three scenarios, where outside
+    overlapped an image can be saved at a task after its anchor's) and
+    variant (on overlapped) pick the same images, in the same order and with
+    the same warnings, as loops that filter every pool on every draw; the
+    small manifest runs supply out at the larger capacities."""
     for seed in range(12):
         manifest = synthetic_manifest(90, 20, seed=100 + seed, min_classes=1, max_classes=4)
-        split = build_overlapped(manifest, parse_layout(layout, 20))
-        spec = split.spec
-        for upto in (0, 1):
-            memory = sample_class_balanced(split, manifest, upto, capacity, seed)
-            reference = _reference_sample(split, manifest, upto, capacity, seed)
-            assert _as_tuples(memory, manifest, spec) == _as_tuples(reference, manifest, spec)
-            variant = make_non_overlapping_variant(memory, split, manifest, upto + 1, seed)
-            reference = _reference_variant(memory, split, manifest, upto + 1, seed)
-            assert _as_tuples(variant, manifest, spec) == _as_tuples(reference, manifest, spec)
+        spec = parse_layout(layout, 20)
+        for split in (build_overlapped(manifest, spec), build_disjoint(manifest, spec),
+                      build_partitioned(manifest, spec, seed=seed)):
+            for upto in (0, 1):
+                memory = sample_class_balanced(split, manifest, upto, capacity, seed)
+                reference = _reference_sample(split, manifest, upto, capacity, seed)
+                assert _as_tuples(memory, manifest, spec) == _as_tuples(reference, manifest, spec)
+                if split.scenario == "overlapped":
+                    variant = make_non_overlapping_variant(memory, split, manifest, upto + 1, seed)
+                    reference = _reference_variant(memory, split, manifest, upto + 1, seed)
+                    assert _as_tuples(variant, manifest, spec) == _as_tuples(reference, manifest, spec)
