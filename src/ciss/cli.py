@@ -10,13 +10,16 @@ stderr; a NaN or an infinity that reaches a document is refused instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import itertools
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import ciss
 
@@ -295,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: its JSON document on stdout, or one JSON error line on stderr."""
+    """Run one command: its JSON document on stdout, or one JSON error line on
+    stderr, written and flushed before `main` returns. A document that stdout
+    refuses, a full disk or a closed pipe, is such an error too."""
     try:
         args = build_parser().parse_args(argv)
         with warnings.catch_warnings():  # numpy's floating-point warnings are off
@@ -307,11 +312,26 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # whitespace is free in P2 and text payloads, so no read bounds them
         error = {"type": "MemoryError", "message": str(exc) or "out of memory"}
     else:
-        sys.stdout.write(text)
-        return EXIT_CHECK_FAILED if doc.get("passed") is False else EXIT_OK
-    sys.stderr.write(json_text({"error": error}, None))
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return EXIT_CHECK_FAILED if doc.get("passed") is False else EXIT_OK
+        except OSError as exc:
+            error = {"type": type(exc).__name__, "message": f"stdout: {exc}"}
+    with contextlib.suppress(OSError):  # a closed stderr leaves only the exit code
+        sys.stderr.write(json_text({"error": error}, None))
+        sys.stderr.flush()
     return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """The process entry of `python -m ciss.cli` and the `ciss` script: one
+    BLAS thread unless the environment names a count (no command calls BLAS),
+    then `main`, then an exit that skips interpreter teardown, since `main`
+    has flushed all it wrote and holds no open file."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads OpenBLAS
+    os._exit(main())
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,5 +1,6 @@
 """End-to-end command-line tests; stdout carries one JSON document per call."""
 import argparse
+import errno
 import importlib
 import json
 import os
@@ -1344,14 +1345,17 @@ class TestDocuments:
         assert set(doc) == keys
 
 
-# runs ciss.cli as `python -m ciss.cli` does, then lists every loaded module on stderr
-LIST_MODULES = """
-import runpy, sys
-try:
-    runpy.run_module("ciss.cli", run_name="__main__", alter_sys=True)
-finally:
-    print(" ".join(sorted(sys.modules)), file=sys.stderr)
+# runs ciss.cli as `python -m ciss.cli` does, then prints `{report}` on stderr as
+# the entry exits: through `os._exit`, which no `finally` or atexit hook outlives
+AT_EXIT = """
+import os, runpy, sys
+def _exit(code, _exit=os._exit):
+    print({report}, file=sys.stderr, flush=True)
+    _exit(code)
+os._exit = _exit
+runpy.run_module("ciss.cli", run_name="__main__", alter_sys=True)
 """
+LIST_MODULES = AT_EXIT.format(report='" ".join(sorted(sys.modules))')
 
 
 def _imported(argv: list[str]) -> set[str]:
@@ -1494,3 +1498,130 @@ class TestImports:
         kinds = choices("build", option="--scenario")
         assert kinds == ciss.scenario.SCENARIO_KINDS
         assert {name[len("build_"):] for name in dir(ciss.scenario) if name.startswith("build_")} == set(kinds)
+
+
+def _child_env(**settings: str) -> dict[str, str]:
+    """This process's environment with block-buffered stdio and no BLAS thread
+    count, then `settings`."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "OPENBLAS_NUM_THREADS")}
+    return {**env, **settings}
+
+
+# the document's write and flush fail only when the stream is flushed, unless stdio is unbuffered
+BUFFERING = pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+
+
+class TestProcessEntry:
+    """`python -m ciss.cli` and the `ciss` script run `main` through one entry
+    that defaults OpenBLAS to one thread and exits without interpreter
+    teardown; `main` itself changes nothing process-wide."""
+
+    def _assert_stdout_error(self, proc: subprocess.CompletedProcess, type_: str, code: int):
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        message = f"stdout: {OSError(code, os.strerror(code))}"
+        assert json.loads(line) == {"error": {"type": type_, "message": message}}
+
+    @BUFFERING
+    def test_full_stdout_exits_2(self, tmp_path, manifest_path, fig3_spec, buffering):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        argv = _leaf_commands(tmp_path, manifest_path, fig3_spec)["loss value"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "ciss.cli", *argv], stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=_child_env(**buffering))
+        self._assert_stdout_error(proc, "OSError", errno.ENOSPC)
+
+    @BUFFERING
+    def test_closed_pipe_exits_2(self, tmp_path, manifest_path, fig3_spec, buffering):
+        argv = _leaf_commands(tmp_path, manifest_path, fig3_spec)["loss value"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ciss.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=_child_env(**buffering))
+        finally:
+            os.close(write_end)
+        self._assert_stdout_error(proc, "BrokenPipeError", errno.EPIPE)
+
+    @pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)], ids=["default", "user-setting"])
+    def test_numeric_child_runs_one_blas_thread_by_default(self, tmp_path, manifest_path, fig3_spec, setting, threads):
+        """Without a user setting the child has no thread but its own once numpy
+        is loaded; a user's OPENBLAS_NUM_THREADS is kept."""
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task")
+        report = ('__import__("json").dumps([os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules, '
+                  'len(os.listdir("/proc/self/task")), "openblas" in open("/proc/self/maps").read()])')
+        argv = _leaf_commands(tmp_path, manifest_path, fig3_spec)["loss value"]
+        env = _child_env() if setting is None else _child_env(OPENBLAS_NUM_THREADS=setting)
+        proc = subprocess.run([sys.executable, "-c", AT_EXIT.format(report=report), *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        seen, numpy_loaded, tasks, openblas = json.loads(proc.stderr.splitlines()[-1])
+        assert (seen, numpy_loaded) == (str(threads), True)
+        if not openblas:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert tasks == threads
+
+    def test_main_leaves_the_environment_as_it_found_it(self, capsys, monkeypatch, tmp_path, manifest_path, fig3_spec):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        code, doc, err = run(capsys, _leaf_commands(tmp_path, manifest_path, fig3_spec)["loss value"])
+        assert (code, err) == (0, "")
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("command", sorted(TestImports.NOT_LOADED))
+    def test_main_closes_every_file_it_opens(self, capsys, tmp_path, manifest_path, fig3_spec, command):
+        """The entry exits with no teardown, so nothing may rely on one to close a file."""
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd")
+        argv = _leaf_commands(tmp_path, manifest_path, fig3_spec)[command]
+        before = set(os.listdir("/proc/self/fd"))
+        code, doc, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert set(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.parametrize("command", sorted(TestImports.NOT_LOADED))
+    def test_file_stdout_gets_the_whole_document(self, capsys, tmp_path, manifest_path, fig3_spec, command):
+        """A regular file is block-buffered, as the benchmark's stdout is; the
+        child's file holds what an in-process `main` prints."""
+        argv = _leaf_commands(tmp_path, manifest_path, fig3_spec)[command]
+        with open(tmp_path / "stdout", "wb") as out:
+            proc = subprocess.run([sys.executable, "-m", "ciss.cli", *argv], stdout=out, stderr=subprocess.PIPE,
+                                  env=_child_env())
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert main(argv) == 0
+        assert (tmp_path / "stdout").read_bytes() == capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("exit_code", [0, 2, 3], ids=["help", "usage", "gradcheck-failed"])
+    def test_exit_paths_keep_their_bytes(self, tmp_path, manifest_path, fig3_spec, exit_code):
+        """Each exit path prints through the entry what it prints when the
+        interpreter tears down after `main`."""
+        argv = {0: ["--help"], 2: ["build", "--scenario", "overlapped"],
+                3: [*_leaf_commands(tmp_path, manifest_path, fig3_spec)["loss gradcheck"], "--tol", "1e-18"]}[exit_code]
+        torn_down = "import sys; from ciss.cli import main; sys.exit(main())"
+        entry, reference = (subprocess.run([sys.executable, *how, *argv], capture_output=True, env=_child_env())
+                            for how in (["-m", "ciss.cli"], ["-c", torn_down]))
+        assert (entry.returncode, entry.stdout, entry.stderr) == (reference.returncode, reference.stdout,
+                                                                  reference.stderr)
+        assert entry.returncode == exit_code
+        assert entry.stdout if exit_code != 2 else entry.stderr
+
+    def test_console_script_is_the_module_entry(self):
+        """`[project.scripts] ciss` names the function that `python -m ciss.cli` runs."""
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
+            import tomli as tomllib
+        import ast
+        import ciss.cli
+
+        root = Path(__file__).resolve().parents[1]
+        target = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["ciss"]
+        module, name = target.split(":")
+        assert importlib.import_module(module) is ciss.cli
+        (block,) = [node for node in ast.parse(Path(ciss.cli.__file__).read_text()).body
+                    if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(node) for node in block.body] == [f"{name}()"]
+        assert callable(getattr(ciss.cli, name))
